@@ -16,7 +16,7 @@ from .encoding import (EncodingScheme, Scaler, apply_scaler, encode,
                        fit_scaler)
 from .gates import BasisSet, GateKind, gate_matrix, get_basis, register_basis
 from .noisesim import DeviceProfile, evaluate_noisy, load_profile, run_noisy
-from .qmath import fidelity, hs_trace_overlap, l1_norm_diff, l2_norm_diff
+from .qmath import fidelity, hs_trace_overlap
 from .qnn import (HybridModel, TrainConfig, init_model, load_checkpoint,
                   save_checkpoint, train)
 from .synthesis import (AnnealConfig, SynthesisProblem, SynthesisResult,
@@ -32,9 +32,9 @@ __all__ = [
     "TrainConfig", "apply_scaler", "bind", "build_template", "distill",
     "encode", "evaluate_noisy", "fidelity", "fit_scaler", "gate_matrix",
     "get_basis", "hs_distance", "hs_trace_overlap", "init_model",
-    "l1_norm_diff", "l2_norm_diff", "load_checkpoint", "load_features_csv",
-    "load_iris", "load_profile", "lower", "metrics", "overhead_table",
-    "pca_reduce", "register_basis", "register_template", "run_noisy",
-    "save_checkpoint", "simulate", "stratified_split", "synthesize",
-    "synthesize_multi", "train", "unitary_of", "zero_state",
+    "load_checkpoint", "load_features_csv", "load_iris", "load_profile",
+    "lower", "metrics", "overhead_table", "pca_reduce", "register_basis",
+    "register_template", "run_noisy", "save_checkpoint", "simulate",
+    "stratified_split", "synthesize", "synthesize_multi", "train",
+    "unitary_of", "zero_state",
 ]

@@ -155,13 +155,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     # evolve all basis states at once: tensor of shape (2,)*n + (dim,) where
     # the trailing axis indexes the input basis state (matrix column).
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for op in circuit.ops:
-        m = _op_matrix(op)
-        if len(op.qubits) == 1:
-            u = _apply_1q(u, m, op.qubits[0], n, 0)
-        else:
-            u = _apply_2q(u, m, op.qubits[0], op.qubits[1], n, 0)
-    return u.reshape(dim, dim)
+    return apply_ops(circuit.ops, u, n).reshape(dim, dim)
 
 
 def expectation_z(circuit: Circuit, state, qubit: int) -> float:

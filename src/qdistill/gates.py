@@ -59,9 +59,23 @@ PARAMETERIZED = frozenset({
     GateKind.RX, GateKind.RY, GateKind.RZ,
     GateKind.CRX, GateKind.CRY, GateKind.CRZ,
 })
+CONTROLLED = frozenset({GateKind.CRX, GateKind.CRY, GateKind.CRZ})
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+# Pauli G of each rotation R(a) = exp(-i a G / 2); on the target qubit of the
+# controlled kinds, whose generator is |1><1| (control) x G (target).
+GENERATOR = {
+    GateKind.RX: PAULI["X"], GateKind.RY: PAULI["Y"], GateKind.RZ: PAULI["Z"],
+    GateKind.CRX: PAULI["X"], GateKind.CRY: PAULI["Y"], GateKind.CRZ: PAULI["Z"],
+}
+
+_I2 = PAULI["I"]
+_X = PAULI["X"]
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _P0 = np.diag([1, 0]).astype(complex)
@@ -387,8 +401,3 @@ def load_rules_config(text: str) -> None:
             register_rule(source, basis_name.strip(), replacement)
         except ValueError as exc:
             raise ValueError(f"rules config line {lineno}: {exc}") from exc
-
-
-def load_rules_file(path) -> None:
-    with open(path) as fh:
-        load_rules_config(fh.read())

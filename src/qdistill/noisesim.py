@@ -22,18 +22,11 @@ import numpy as np
 
 from .circuit import Circuit, Op, bind
 from .encoding import apply_scaler, encode
-from .gates import gate_matrix
+from .gates import PAULI, gate_matrix
+from .qnn import softmax
 from .transpile import lower
 
 _CPTP_TOL = 1e-10
-
-_I2 = np.eye(2, dtype=complex)
-_PAULIS = {
-    "I": _I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -113,8 +106,8 @@ def zero_noise_profile(basis: str = "IBM") -> DeviceProfile:
 # Kraus sets
 
 def depolarizing_kraus_1q(p: float):
-    ks = [math.sqrt(1.0 - 3.0 * p / 4.0) * _I2]
-    ks += [math.sqrt(p / 4.0) * _PAULIS[s] for s in "XYZ"]
+    ks = [math.sqrt(1.0 - 3.0 * p / 4.0) * PAULI["I"]]
+    ks += [math.sqrt(p / 4.0) * PAULI[s] for s in "XYZ"]
     return ks
 
 
@@ -123,7 +116,7 @@ def depolarizing_kraus_2q(p: float):
     for a in "IXYZ":
         for b in "IXYZ":
             weight = 1.0 - 15.0 * p / 16.0 if a == b == "I" else p / 16.0
-            ks.append(math.sqrt(weight) * np.kron(_PAULIS[a], _PAULIS[b]))
+            ks.append(math.sqrt(weight) * np.kron(PAULI[a], PAULI[b]))
     return ks
 
 
@@ -249,12 +242,6 @@ def purity(rho: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Model evaluation
 
-def _softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     """Readout-corrected per-qubit <Z> rows for pre-scaled feature rows."""
     from .gates import get_basis
@@ -280,6 +267,6 @@ def evaluate_noisy(model, features, labels, profile: DeviceProfile,
     if not prescaled and model.scaler is not None:
         features = apply_scaler(model.scaler, features)
     z = noisy_z_features(model, features, profile)
-    probs = _softmax(z @ model.W.T + model.b)
+    probs = softmax(z @ model.W.T + model.b)
     pred = probs.argmax(axis=1)
     return float(np.mean(pred == np.asarray(labels, int).ravel()))

@@ -31,13 +31,6 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     out_dim = a.shape[0] * b.shape[0]
@@ -54,32 +47,11 @@ def hs_trace_overlap(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.sum(u.conj() * v))
 
 
-def l1_norm_diff(u: np.ndarray, v: np.ndarray) -> float:
-    """Sum of absolute element-wise differences."""
-    u, v = as_matrix(u), as_matrix(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.sum(np.abs(u - v)))
-
-
-def l2_norm_diff(u: np.ndarray, v: np.ndarray) -> float:
-    """Euclidean (Frobenius) distance between the matrices."""
-    u, v = as_matrix(u), as_matrix(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.sqrt(np.sum(np.abs(u - v) ** 2)))
-
-
 def as_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.size < 1:
         raise ValueError("state vector must be non-empty")
     return psi
-
-
-def norm_check(psi: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    psi = as_state(psi)
-    return abs(np.sum(np.abs(psi) ** 2) - 1.0) <= tol
 
 
 def fidelity(a, b) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .circuit import Circuit, Op, Param, apply_ops, bind, build_template, z_expectations
 from .encoding import (ONE_PER_QUBIT, EncodingScheme, Scaler, apply_scaler,
                        fit_scaler)
-from .gates import GateKind
+from .gates import CONTROLLED, GateKind
 
 N_CLASSES = 3
 _PROB_FLOOR = 1e-12
@@ -26,7 +26,6 @@ _PROB_FLOOR = 1e-12
 # four-term parameter-shift coefficients for controlled rotations
 _D1 = (math.sqrt(2) + 1) / (4 * math.sqrt(2))
 _D2 = (math.sqrt(2) - 1) / (4 * math.sqrt(2))
-_CONTROLLED = frozenset({GateKind.CRX, GateKind.CRY, GateKind.CRZ})
 
 
 @dataclass
@@ -130,7 +129,7 @@ def _run_pqc(states: np.ndarray, pqc_ops, n: int) -> np.ndarray:
     return tensor.reshape(states.shape[0], -1)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -143,7 +142,7 @@ def forward_batch(model: HybridModel, features_scaled):
     out = _run_pqc(states, bound.ops, model.n_qubits)
     z = z_expectations(out, model.n_qubits)
     logits = z @ model.W.T + model.b
-    return _softmax(logits), logits, z
+    return softmax(logits), logits, z
 
 
 def forward(model: HybridModel, features):
@@ -198,7 +197,7 @@ def gradients(model: HybridModel, features_scaled, labels):
     bound = bind(model.pqc, model.theta)
     out = _run_pqc(states, bound.ops, model.n_qubits)
     z = z_expectations(out, model.n_qubits)
-    probs = _softmax(z @ model.W.T + model.b)
+    probs = softmax(z @ model.W.T + model.b)
 
     dlogits = (probs - y) / bsz
     dW = dlogits.T @ z
@@ -213,7 +212,7 @@ def gradients(model: HybridModel, features_scaled, labels):
             kind = bound.ops[op_index].kind
             zp = _z_with_shift(model, states, bound.ops, op_index, half)
             zm = _z_with_shift(model, states, bound.ops, op_index, -half)
-            if kind in _CONTROLLED:
+            if kind in CONTROLLED:
                 zp3 = _z_with_shift(model, states, bound.ops, op_index, 3 * half)
                 zm3 = _z_with_shift(model, states, bound.ops, op_index, -3 * half)
                 dz_dt = _D1 * (zp - zm) - _D2 * (zp3 - zm3)

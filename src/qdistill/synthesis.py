@@ -2,17 +2,24 @@
 
 The distillation core: a student circuit's parameters are optimized so that
 its unitary mimics a frozen teacher unitary under the Hilbert-Schmidt
-distance d = 1 - |Tr(U^dag V)| / N.  The modulus in the cost makes it real,
-bounded in [0, 1], and invariant under global phase; d = 0 exactly when the
-student matches the teacher up to phase.
+distance d = 1 - |Tr(U^dag V)| / N.  The modulus makes the cost real and
+invariant under global phase; d = 0 exactly when the student matches the
+teacher up to phase.  In state-prep mode only the action on |0...0> counts,
+d = 1 - |<psi|V|0...0>| with psi the teacher's first column.  Reported
+distances are clamped at 0 against rounding, so they stay in [0, 1].
+
+One evaluator per ``synthesize`` call computes the distance, the trace
+overlap and the exact reverse-mode gradient from the same list of steps.
 
 The global optimizer is a from-scratch generalized simulated annealing
 (GSA) chain: heavy-tailed Tsallis visiting moves, the generalized Metropolis
 acceptance rule, a power-law temperature schedule, and full restarts when the
 temperature collapses.  The shipped defaults are initial_temp 5230.0,
-restart_temp_ratio 2e-5, visit 2.62, accept -5.0.  An optional Nelder-Mead
-polish runs from the best point afterwards; its evaluations are capped so the
-total stays within budget + 200.
+restart_temp_ratio 2e-5, visit 2.62, accept -5.0.  A local polish then runs
+from the best point: nelder-mead (default), powell, lbfgs (finite
+differences), grad-lbfgs (exact gradient, charged two evaluations per call)
+or rotation-solve (closed-form coordinate updates).  Its evaluations are
+capped so the total stays within budget + 200.
 """
 
 from __future__ import annotations
@@ -26,12 +33,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuit import Circuit, Param, bind, build_template, unitary_of
-from .gates import PARAMETERIZED, GateKind, gate_matrix
+from .gates import CONTROLLED, GENERATOR
 from .qmath import as_matrix, hs_trace_overlap, is_unitary
 
 TAIL_LIMIT = 1e8
-_EYE2 = np.eye(2, dtype=complex)
-_CONTROLLED_KINDS = frozenset({GateKind.CRX, GateKind.CRY, GateKind.CRZ})
 _MIN_VISIT_BOUND = 1e-10
 POLISH_ALLOWANCE = 200
 
@@ -44,7 +49,7 @@ def hs_distance(u, v) -> float:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     if not (is_unitary(u) and is_unitary(v)):
         raise ValueError("hs_distance expects unitary matrices")
-    return 1.0 - abs(hs_trace_overlap(u, v)) / u.shape[0]
+    return max(0.0, 1.0 - abs(hs_trace_overlap(u, v)) / u.shape[0])
 
 
 @dataclass
@@ -113,198 +118,126 @@ class SynthesisResult:
     improvements: list = field(default_factory=list)  # (evaluation, distance)
 
 
-class _CompiledCircuit:
-    """Fast dense-unitary evaluator for a fixed circuit structure.
+class _Rotation:
+    """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block.
 
-    Consecutive single-qubit gates fuse into one kron-built matrix and
-    parameter-free segments are precomputed, so each evaluation costs a
-    handful of dim x dim matmuls instead of one tensor contraction per gate.
+    Every catalog generator is a signed permutation on the target bit, so
+    G x = phase * x[perm] (perm is None for the diagonal RZ and CRZ).  For a
+    controlled rotation the phase is zero on the rows whose control bit is 0,
+    which the gate leaves alone.
     """
 
-    def __init__(self, circuit: Circuit):
-        self.n = circuit.n_qubits
-        self.dim = 2 ** self.n
-        self.segments = []   # ('const', M) or ('1q', per-qubit op lists) or ('2q', ...)
-        run_1q = None
+    def __init__(self, op, dim):
+        self.param = op.angle
+        g = GENERATOR[op.kind]
+        col = np.argmax(np.abs(g), axis=1)    # local column of each row's entry
+        b = np.arange(dim)
+        bit = (b >> op.qubits[-1]) & 1
+        self.perm = None if col[0] == 0 else b ^ (1 << op.qubits[-1])
+        phase = g[bit, col[bit]]
+        self.mask = None
+        if op.kind in CONTROLLED:
+            self.mask = ((b >> op.qubits[0]) & 1).astype(float)[:, None]
+            phase = phase * self.mask[:, 0]
+        self.phase = phase[:, None]
 
-        def flush_1q():
-            nonlocal run_1q
-            if run_1q is not None:
-                if any(any(isinstance(a, Param) for _, a in ops)
-                       for ops in run_1q):
-                    self.segments.append(("1q", run_1q))
-                else:
-                    self._push_const(self._kron_1q(run_1q, None))
-                run_1q = None
+    def generate(self, x):
+        return self.phase * (x if self.perm is None else x[self.perm])
 
-        for op in circuit.ops:
-            if len(op.qubits) == 1:
-                if run_1q is None:
-                    run_1q = [[] for _ in range(self.n)]
-                run_1q[op.qubits[0]].append((op.kind, op.angle))
-            else:
-                flush_1q()
-                embed = self._embedding(op.qubits)
-                if isinstance(op.angle, Param):
-                    self.segments.append(("2q", op.kind, op.angle, embed))
-                else:
-                    self._push_const(self._embed_2q(
-                        gate_matrix(op.kind, op.angle), embed))
-        flush_1q()
-
-    def _push_const(self, m):
-        if self.segments and self.segments[-1][0] == "const":
-            self.segments[-1] = ("const", m @ self.segments[-1][1])
-        else:
-            self.segments.append(("const", m))
-
-    @staticmethod
-    def _kron(a, b):
-        # broadcasting kron; much cheaper than np.kron for small factors
-        ra, ca = a.shape
-        rb, cb = b.shape
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb,
-                                                                   ca * cb)
-
-    def _kron_1q(self, per_qubit, theta):
-        m = None
-        for q in range(self.n - 1, -1, -1):
-            g = _EYE2
-            for kind, angle in per_qubit[q]:
-                if isinstance(angle, Param):
-                    angle = angle.value(theta)
-                g = gate_matrix(kind, angle) @ g
-            m = g if m is None else self._kron(m, g)
-        return m
-
-    def _embedding(self, qubits):
-        c, t = qubits
-        b = np.arange(self.dim)
-        local_in = (((b >> c) & 1) << 1) | ((b >> t) & 1)
-        stripped = b & ~((1 << c) | (1 << t))
-        out = np.arange(4)
-        rows = (stripped[:, None] | ((out[None, :] >> 1) << c)
-                | ((out[None, :] & 1) << t))
-        return rows, local_in
-
-    def _embed_2q(self, g, embed):
-        rows, local_in = embed
-        full = np.zeros((self.dim, self.dim), dtype=complex)
-        cols = np.repeat(np.arange(self.dim), 4)
-        full[rows.ravel(), cols] = g[:, local_in].T.ravel()
-        return full
-
-    def unitary(self, theta):
-        u = np.eye(self.dim, dtype=complex)
-        for seg in self.segments:
-            if seg[0] == "const":
-                u = seg[1] @ u
-            elif seg[0] == "1q":
-                u = self._kron_1q(seg[1], theta) @ u
-            else:
-                _, kind, param, embed = seg
-                g = gate_matrix(kind, param.value(theta))
-                u = self._embed_2q(g, embed) @ u
-        return u
+    def apply(self, x, theta, adjoint=False):
+        a = self.param.value(theta)
+        c, s = math.cos(a / 2), math.sin(a / 2)
+        diag = c if self.mask is None else 1.0 + (c - 1.0) * self.mask
+        off = (1j if adjoint else -1j) * s * self.phase
+        if self.perm is None:
+            return (diag + off) * x
+        out = x[self.perm]
+        out *= off
+        out += diag * x
+        return out
 
 
-_GEN_PAULI = {
-    GateKind.RX: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.RY: np.array([[0, -1j], [1j, 0]]),
-    GateKind.RZ: np.diag([1, -1]).astype(complex),
-}
-_GEN_PAULI[GateKind.CRX] = _GEN_PAULI[GateKind.RX]
-_GEN_PAULI[GateKind.CRY] = _GEN_PAULI[GateKind.RY]
-_GEN_PAULI[GateKind.CRZ] = _GEN_PAULI[GateKind.RZ]
-_P1 = np.diag([0, 1]).astype(complex)
+class _Dense:
+    """A run of literal gates, fused into one matrix."""
+
+    param = None
+
+    def __init__(self, circuit):
+        self.m = unitary_of(circuit)
+        self.m_dag = np.ascontiguousarray(self.m.conj().T)
+
+    def apply(self, x, theta, adjoint=False):
+        return (self.m_dag if adjoint else self.m) @ x
 
 
-class _AdjointCost:
-    """Objective value and exact gradient by reverse-mode accumulation.
+class _Evaluator:
+    """Distance, trace overlap and exact gradient of a student vs. the teacher.
 
-    Every parameterized gate in the catalog is exp(-i a/2 G) for an embedded
-    generator G (a Pauli, or a projector-controlled Pauli), so dU/da =
-    -i/2 G U and one forward plus one backward sweep of dim x dim products
-    yields the full gradient for roughly the price of two evaluations.
+    The student is a list of steps applied to a block X that starts as the
+    identity, or as |0...0> in state-prep mode, where X is (dim, 1).  The
+    overlap is t = <target, X>: Tr(U^dag V) in full mode, <psi|V|0...0> in
+    state-prep mode.  The distance is 1 - |t|/dim (full) or 1 - |t| (state
+    prep), clamped at 0 against rounding.
+
+    The gradient comes from one forward and one reverse sweep (Jones & Gacon
+    2020, arXiv:2009.02823).  With L = target^dag S_last ... S_(k+1), step k's
+    angle has dt/da = -i/2 Tr(L G X_(k+1)), and L^dag picks up one adjoint
+    step per iteration of the reverse sweep.
     """
 
     def __init__(self, student: Circuit, teacher_unitary, state_prep=False):
         n = student.n_qubits
-        self.dim = 2 ** n
+        dim = 2 ** n
+        cols = 1 if state_prep else dim
+        self.start = np.eye(dim, cols, dtype=complex)
+        self.target = np.ascontiguousarray(teacher_unitary[:, :cols])
+        self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
-        self.state_prep = state_prep
-        self.udag = np.asarray(teacher_unitary, complex).conj().T
-        self.steps = []   # ("const", M) or ("var", gen, gen@gen, Param)
+        self.steps = []
+        literal = []
         for op in student.ops:
-            if isinstance(op.angle, Param):
-                gen = self._generator(op.kind, op.qubits, n)
-                self.steps.append(("var", gen, gen @ gen, op.angle))
-            else:
-                self.steps.append(
-                    ("const", unitary_of(Circuit(n, [op])), None, None))
+            if not isinstance(op.angle, Param):
+                literal.append(op)
+                continue
+            if literal:
+                self.steps.append(_Dense(Circuit(n, literal)))
+                literal = []
+            self.steps.append(_Rotation(op, dim))
+        if literal:
+            self.steps.append(_Dense(Circuit(n, literal)))
 
-    @staticmethod
-    def _generator(kind, qubits, n):
-        factors = [_EYE2] * n
-        if kind in _CONTROLLED_KINDS:
-            c, t = qubits
-            factors[c] = _P1
-            factors[t] = _GEN_PAULI[kind]
-        else:
-            factors[qubits[0]] = _GEN_PAULI[kind]
-        m = np.array([[1.0 + 0j]])
-        for q in range(n - 1, -1, -1):
-            m = np.kron(m, factors[q])
-        return m
+    def _distance(self, t):
+        return max(0.0, 1.0 - self.norm * abs(t))
 
-    def _matrices(self, theta):
-        eye = np.eye(self.dim, dtype=complex)
-        mats = []
-        for tag, gen, proj, param in self.steps:
-            if tag == "const":
-                mats.append(gen)
-            else:
-                a = param.value(theta)
-                mats.append(eye + (math.cos(a / 2) - 1.0) * proj
-                            - 1j * math.sin(a / 2) * gen)
-        return mats
+    def overlap(self, theta) -> complex:
+        x = self.start
+        for step in self.steps:
+            x = step.apply(x, theta)
+        return complex(np.vdot(self.target, x))
+
+    def value(self, theta) -> float:
+        return self._distance(self.overlap(theta))
 
     def value_and_grad(self, theta):
-        mats = self._matrices(theta)
+        x = self.start
+        after = []
+        for step in self.steps:
+            x = step.apply(x, theta)
+            after.append(x)
+        t = np.vdot(self.target, x)
         grad = np.zeros(self.n_params)
-        if self.state_prep:
-            v = np.zeros(self.dim, dtype=complex)
-            v[0] = 1.0
-            fwd = []
-            for g in mats:
-                v = g @ v
-                fwd.append(v)
-            wd = self.udag[0]   # <psi_target|
-            t_val = wd @ v
-            scale = 1.0
-        else:
-            acc = np.eye(self.dim, dtype=complex)
-            fwd = []
-            for g in mats:
-                acc = g @ acc
-                fwd.append(acc)
-            wd = self.udag
-            t_val = np.einsum("ij,ji->", wd, acc)
-            scale = 1.0 / self.dim
-        mag = abs(t_val)
+        mag = abs(t)
         if mag < 1e-300:
             return 1.0, grad
-        phase = np.conj(t_val) / mag
-        for k in range(len(mats) - 1, -1, -1):
-            tag, gen, _, param = self.steps[k]
-            if tag == "var":
-                if self.state_prep:
-                    dt = -0.5j * (wd @ (gen @ fwd[k]))
-                else:
-                    dt = -0.5j * np.einsum("ij,ji->", wd @ gen, fwd[k])
-                grad[param.slot] += -param.scale * scale * np.real(phase * dt)
-            wd = wd @ mats[k]
-        return 1.0 - scale * mag, grad
+        weight = -self.norm * np.conj(t) / mag   # d distance / dt, as Re(w dt)
+        lam = self.target
+        for step, x in zip(reversed(self.steps), reversed(after)):
+            p = step.param
+            if p is not None:
+                dt = -0.5j * np.vdot(lam, step.generate(x))
+                grad[p.slot] += p.scale * np.real(weight * dt)
+            lam = step.apply(lam, theta, adjoint=True)
+        return self._distance(t), grad
 
 
 class _CostTracker:
@@ -491,7 +424,7 @@ def _rotation_solve(cost, bounds, slot_kinds, rng):
                 break
             a0 = x[j]
             y0 = overlap_sq(d_cur)
-            if slot_kinds[j] in _CONTROLLED_KINDS:
+            if slot_kinds[j] in CONTROLLED:
                 # 5-point reconstruction over the 4pi period
                 offsets = [4.0 * math.pi * k / 5.0 for k in range(1, 5)]
                 ys = [y0]
@@ -638,28 +571,13 @@ def synthesize(problem: SynthesisProblem,
     config = config or AnnealConfig()
     student = problem.student
     n = student.n_params
-    dim = problem.teacher_unitary.shape[0]
-    u_dag = problem.teacher_unitary.conj()
-    compiled = _CompiledCircuit(student)
-
-    if problem.state_prep:
-        target_conj = u_dag[:, 0]
-
-        def distance_of(theta):
-            return 1.0 - abs(np.dot(target_conj, compiled.unitary(theta)[:, 0]))
-    else:
-        def distance_of(theta):
-            return 1.0 - abs(np.sum(u_dag * compiled.unitary(theta))) / dim
-
-    def overlap_of(theta):
-        v = compiled.unitary(theta)
-        if problem.state_prep:
-            return complex(np.dot(u_dag[:, 0], v[:, 0]))
-        return hs_trace_overlap(problem.teacher_unitary, v)
+    evaluator = _Evaluator(student, problem.teacher_unitary,
+                           problem.state_prep)
 
     if n == 0:
-        d = distance_of(np.empty(0))
-        return SynthesisResult(np.empty(0), d, 1, overlap_of(np.empty(0)),
+        d = evaluator.value(np.empty(0))
+        return SynthesisResult(np.empty(0), d, 1,
+                               evaluator.overlap(np.empty(0)),
                                d <= config.converge_threshold,
                                seed=config.seed, improvements=[(1, d)])
 
@@ -668,7 +586,7 @@ def synthesize(problem: SynthesisProblem,
             f"budget {problem.budget} is below the recommended 10x"
             f" parameter count ({10 * n})", stacklevel=2)
 
-    cost = _CostTracker(distance_of, problem.budget + POLISH_ALLOWANCE)
+    cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     if config.local_polish:
         anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
@@ -677,18 +595,15 @@ def synthesize(problem: SynthesisProblem,
     _anneal(cost, problem.bounds, config, rng, anneal_evals)
 
     if config.local_polish and not cost.exhausted:
-        fg = None
-        if config.polish_method.lower() == "grad-lbfgs":
-            fg = _AdjointCost(student, problem.teacher_unitary,
-                              problem.state_prep).value_and_grad
         _polish(cost, problem.bounds, config.polish_method, rng,
-                slot_kinds=_slot_kinds(student), fg=fg)
+                slot_kinds=_slot_kinds(student),
+                fg=evaluator.value_and_grad)
 
     return SynthesisResult(
         theta_star=cost.best_x,
         distance=float(cost.best_e),
         evaluations=cost.nfev,
-        trace_of_best=overlap_of(cost.best_x),
+        trace_of_best=evaluator.overlap(cost.best_x),
         converged=cost.best_e <= config.converge_threshold,
         seed=config.seed,
         improvements=cost.improvements,

@@ -52,33 +52,77 @@ def test_distance_symmetry_and_range(seed):
     assert syn.hs_distance(w @ u, w @ v) == pytest.approx(d, abs=1e-9)
 
 
-@pytest.mark.parametrize("tid,layers", [("c1", 1), ("c2", 2), ("c6", 1),
-                                        ("c9", 2), ("c12", 1), ("c15", 3)])
-def test_compiled_circuit_matches_reference(tid, layers):
-    tpl = circ.build_template(tid, 3, layers)
-    compiled = syn._CompiledCircuit(tpl)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        theta = rng.uniform(-math.pi, math.pi, tpl.n_params)
-        want = circ.unitary_of(circ.bind(tpl, theta))
-        assert np.allclose(compiled.unitary(theta), want, atol=1e-10)
-
-
-@pytest.mark.parametrize("state_prep", [False, True])
-@pytest.mark.parametrize("tid", ["c2", "c6", "c15"])
-def test_adjoint_gradient_matches_finite_differences(tid, state_prep):
-    u, tpl, _ = template_unitary(tid, 3, 1, seed=2)
-    adj = syn._AdjointCost(tpl, u, state_prep=state_prep)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-math.pi, math.pi, tpl.n_params)
-    f, g = adj.value_and_grad(x)
+def _check_evaluator(student, teacher, state_prep, theta):
+    """value, overlap and gradient against unitary_of and central differences."""
+    ev = syn._Evaluator(student, teacher, state_prep)
+    v = circ.unitary_of(circ.bind(student, theta))
+    if state_prep:
+        t, norm = np.vdot(teacher[:, 0], v[:, 0]), 1.0
+    else:
+        t, norm = np.vdot(teacher, v), 1.0 / v.shape[0]
+    assert abs(ev.overlap(theta) - t) <= 1e-10
+    assert abs(ev.value(theta) - max(0.0, 1.0 - norm * abs(t))) <= 1e-10
+    f, g = ev.value_and_grad(theta)
+    assert f == ev.value(theta)
     eps = 1e-6
-    for j in range(0, tpl.n_params, 3):
-        xp, xm = x.copy(), x.copy()
+    for j in range(theta.size):
+        xp, xm = theta.copy(), theta.copy()
         xp[j] += eps
         xm[j] -= eps
-        fd = (adj.value_and_grad(xp)[0] - adj.value_and_grad(xm)[0]) / (2 * eps)
+        fd = (ev.value(xp) - ev.value(xm)) / (2 * eps)
         assert g[j] == pytest.approx(fd, abs=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["c1", "c2", "c6", "c9", "c12", "c15"]),
+       st.integers(2, 4), st.integers(1, 2), st.booleans(),
+       st.integers(0, 10_000))
+def test_evaluator_matches_reference_on_templates(tid, n, layers, state_prep,
+                                                  seed):
+    teacher, student, _ = template_unitary(tid, n, layers, seed)
+    theta = np.random.default_rng(seed + 1).uniform(-math.pi, math.pi,
+                                                    student.n_params)
+    _check_evaluator(student, teacher, state_prep, theta)
+
+
+# shared (@0, @2), scaled (*), offset (+/-) slots; CRX/CRY/CRZ both ways round
+_TEXT_STUDENT = """\
+qubits 3
+H 0
+RX 0 @0
+RY 1 @1*-0.5
+CRX 0,2 @2+0.3
+CRY 2,1 @0*2.0
+CRZ 1,0 @3-1.2
+CX 2,0
+RZ 1 0.7
+CRX 2,0 @1
+CRY 1,2 @4
+CRZ 0,1 @2*0.75
+RZ 2 @4
+SX 1
+"""
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(0, 10_000))
+def test_evaluator_matches_reference_on_text_circuit(state_prep, seed):
+    student = circ.from_text(_TEXT_STUDENT)
+    teacher = random_unitary(8, seed)
+    theta = np.random.default_rng(seed).uniform(-math.pi, math.pi,
+                                                student.n_params)
+    _check_evaluator(student, teacher, state_prep, theta)
+
+
+def test_grad_lbfgs_distance_never_negative():
+    # self-synthesis drives the overlap to |t| = N, where rounding used to
+    # report distances like -4.4e-16
+    u, tpl, _ = template_unitary("c2", 2, 1, seed=0)
+    cfg = syn.AnnealConfig(seed=0, polish_method="grad-lbfgs",
+                           anneal_fraction=0.2)
+    res = syn.synthesize(syn.SynthesisProblem(u, tpl, budget=2000), cfg)
+    assert res.distance >= 0.0
+    assert all(d >= 0.0 for _, d in res.improvements)
 
 
 def test_problem_validation():
