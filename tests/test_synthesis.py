@@ -52,9 +52,8 @@ def test_distance_symmetry_and_range(seed):
     assert syn.hs_distance(w @ u, w @ v) == pytest.approx(d, abs=1e-9)
 
 
-def _check_evaluator(student, teacher, state_prep, theta):
-    """value, overlap and gradient against unitary_of and central differences."""
-    ev = syn._Evaluator(student, teacher, state_prep)
+def _check_overlap(ev, student, teacher, state_prep, theta):
+    """value and overlap against unitary_of(bind(...))."""
     v = circ.unitary_of(circ.bind(student, theta))
     if state_prep:
         t, norm = np.vdot(teacher[:, 0], v[:, 0]), 1.0
@@ -62,6 +61,10 @@ def _check_evaluator(student, teacher, state_prep, theta):
         t, norm = np.vdot(teacher, v), 1.0 / v.shape[0]
     assert abs(ev.overlap(theta) - t) <= 1e-10
     assert abs(ev.value(theta) - max(0.0, 1.0 - norm * abs(t))) <= 1e-10
+
+
+def _check_gradient(ev, theta):
+    """every adjoint gradient entry against central differences."""
     f, g = ev.value_and_grad(theta)
     assert f == ev.value(theta)
     eps = 1e-6
@@ -71,6 +74,36 @@ def _check_evaluator(student, teacher, state_prep, theta):
         xm[j] -= eps
         fd = (ev.value(xp) - ev.value(xm)) / (2 * eps)
         assert g[j] == pytest.approx(fd, abs=1e-7)
+
+
+def _check_evaluator(student, teacher, state_prep, theta):
+    ev = syn._Evaluator(student, teacher, state_prep)
+    _check_overlap(ev, student, teacher, state_prep, theta)
+    _check_gradient(ev, theta)
+
+
+@pytest.mark.parametrize("tid,layers", [("c1", 1), ("c2", 2), ("c6", 1),
+                                        ("c9", 2), ("c12", 1), ("c15", 3)])
+def test_compiled_circuit_matches_reference(tid, layers):
+    # the evaluator's compiled step list reproduces unitary_of in both modes
+    tpl = circ.build_template(tid, 3, layers)
+    rng = np.random.default_rng(11)
+    for k in range(5):
+        theta = rng.uniform(-math.pi, math.pi, tpl.n_params)
+        teacher = random_unitary(8, k)
+        for state_prep in (False, True):
+            ev = syn._Evaluator(tpl, teacher, state_prep)
+            _check_overlap(ev, tpl, teacher, state_prep, theta)
+
+
+@pytest.mark.parametrize("state_prep", [False, True])
+@pytest.mark.parametrize("tid", ["c2", "c6", "c15"])
+def test_adjoint_gradient_matches_finite_differences(tid, state_prep):
+    u, tpl, _ = template_unitary(tid, 3, 1, seed=2)
+    ev = syn._Evaluator(tpl, u, state_prep)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-math.pi, math.pi, tpl.n_params)
+    _check_gradient(ev, x)
 
 
 @settings(max_examples=40, deadline=None)
