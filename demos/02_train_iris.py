@@ -2,8 +2,9 @@
 
 Four features map onto four qubits by angle encoding; a parameterized
 circuit processes the state and per-qubit <Z> readouts feed a small softmax
-head.  Circuit parameters get exact parameter-shift gradients, the head gets
-closed-form ones, and Adam updates both jointly.
+head.  Circuit parameters get exact adjoint gradients from one reverse sweep
+of the circuit's compiled step list, the head gets closed-form ones, and Adam
+updates both jointly.
 """
 
 from qdistill import EncodingScheme, TrainConfig, fit_scaler, init_model, \

@@ -13,13 +13,16 @@ can be registered from a config file without code changes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import qmath
-from .gates import ARITY, PARAMETERIZED, GateKind, gate_matrix
+from .gates import (ARITY, CONTROLLED, GENERATOR, PARAMETERIZED, GateKind,
+                    gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,11 @@ class Circuit:
     def is_bound(self) -> bool:
         return self.n_params == 0
 
+    @cached_property
+    def steps(self) -> "StepList":
+        """The compiled form, built on first use (the circuit is immutable)."""
+        return StepList(self)
+
     def __len__(self):
         return len(self.ops)
 
@@ -92,24 +100,16 @@ def bind(circuit: Circuit, values) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Simulation.  States are tensors of shape batch + (2,)*n with qubit q on
-# axis (ndim-1-q) so that qubit 0 is the least-significant index bit.
+# Simulation.  States are tensors of shape (2,)*n + batch with qubit q on
+# axis (n-1-q) so that qubit 0 is the least-significant index bit.
 
-def _axis(n: int, q: int, batch_ndim: int) -> int:
-    return batch_ndim + (n - 1 - q)
-
-
-def _apply_1q(tensor, m, q, n, batch_ndim):
-    ax = _axis(n, q, batch_ndim)
-    out = np.tensordot(m, tensor, axes=([1], [ax]))
-    return np.moveaxis(out, 0, ax)
-
-
-def _apply_2q(tensor, m4, control, target, n, batch_ndim):
-    mt = m4.reshape(2, 2, 2, 2)  # (c', t', c, t)
-    axc, axt = _axis(n, control, batch_ndim), _axis(n, target, batch_ndim)
-    out = np.tensordot(mt, tensor, axes=([2, 3], [axc, axt]))
-    return np.moveaxis(out, [0, 1], [axc, axt])
+def apply_matrix(tensor, m, qubits, n):
+    """Contract a 2^k x 2^k matrix into the axes of k of the n leading qubits."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    out = np.tensordot(m.reshape((2,) * (2 * k)), tensor,
+                       axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _op_matrix(op: Op) -> np.ndarray:
@@ -119,15 +119,10 @@ def _op_matrix(op: Op) -> np.ndarray:
     return gate_matrix(op.kind, angle)
 
 
-def apply_ops(ops, tensor, n_qubits, batch_ndim=0):
-    """Apply bound ops in order to a state tensor (leading axes are batch)."""
+def apply_ops(ops, tensor, n_qubits):
+    """Apply bound ops in order to a state tensor (trailing axes are batch)."""
     for op in ops:
-        m = _op_matrix(op)
-        if len(op.qubits) == 1:
-            tensor = _apply_1q(tensor, m, op.qubits[0], n_qubits, batch_ndim)
-        else:
-            tensor = _apply_2q(tensor, m, op.qubits[0], op.qubits[1],
-                               n_qubits, batch_ndim)
+        tensor = apply_matrix(tensor, _op_matrix(op), op.qubits, n_qubits)
     return tensor
 
 
@@ -156,6 +151,109 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     # the trailing axis indexes the input basis state (matrix column).
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
     return apply_ops(circuit.ops, u, n).reshape(dim, dim)
+
+
+# ---------------------------------------------------------------------------
+# Compiled form: a step list that runs a parameterized circuit on a (dim, k)
+# block of column states for any theta, and differentiates it exactly.
+
+class _Rotation:
+    """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block.
+
+    Every catalog generator is a signed permutation on the target bit, so
+    G x = phase * x[perm] (perm is None for the diagonal RZ and CRZ).  For a
+    controlled rotation the phase is zero on the rows whose control bit is 0,
+    which the gate leaves alone.
+    """
+
+    def __init__(self, op, dim):
+        self.param = op.angle
+        g = GENERATOR[op.kind]
+        col = np.argmax(np.abs(g), axis=1)    # local column of each row's entry
+        b = np.arange(dim)
+        bit = (b >> op.qubits[-1]) & 1
+        self.perm = None if col[0] == 0 else b ^ (1 << op.qubits[-1])
+        phase = g[bit, col[bit]]
+        self.mask = None
+        if op.kind in CONTROLLED:
+            self.mask = ((b >> op.qubits[0]) & 1).astype(float)[:, None]
+            phase = phase * self.mask[:, 0]
+        self.phase = phase[:, None]
+
+    def generate(self, x):
+        return self.phase * (x if self.perm is None else x[self.perm])
+
+    def apply(self, x, theta, adjoint=False):
+        a = self.param.value(theta)
+        c, s = math.cos(a / 2), math.sin(a / 2)
+        diag = c if self.mask is None else 1.0 + (c - 1.0) * self.mask
+        off = (1j if adjoint else -1j) * s * self.phase
+        if self.perm is None:
+            return (diag + off) * x
+        out = x[self.perm]
+        out *= off
+        out += diag * x
+        return out
+
+
+class _Dense:
+    """A run of literal gates, fused into one matrix."""
+
+    param = None
+
+    def __init__(self, circuit):
+        self.m = unitary_of(circuit)
+        self.m_dag = np.ascontiguousarray(self.m.conj().T)
+
+    def apply(self, x, theta, adjoint=False):
+        return (self.m_dag if adjoint else self.m) @ x
+
+
+class StepList:
+    """A circuit as steps: one `_Dense` per literal run, one `_Rotation` per
+    `Param` gate.  Blocks are (dim, k): column j is one state.
+
+    The reverse sweep gives exact derivatives (Jones & Gacon 2020,
+    arXiv:2009.02823).  For a real f(psi) of the output block, pass
+    lam = df/dpsi^*; the sweep yields c = <lam_k, G x_(k+1)> per rotation k,
+    where lam_k = S_(k+1)^dag ... S_last^dag lam, and d psi/d a_k =
+    -i/2 S_last ... S_(k+1) G x_(k+1) gives d f/d a_k = Re(-i c) = Im(c).
+    Shared and scaled slots add p.scale times that into their slot.
+    """
+
+    def __init__(self, circuit: Circuit):
+        n = circuit.n_qubits
+        dim = 2 ** n
+        self.steps = []
+        literal = []
+        for op in circuit.ops:
+            if not isinstance(op.angle, Param):
+                literal.append(op)
+                continue
+            if literal:
+                self.steps.append(_Dense(Circuit(n, literal)))
+                literal = []
+            self.steps.append(_Rotation(op, dim))
+        if literal:
+            self.steps.append(_Dense(Circuit(n, literal)))
+
+    def run(self, x, theta, keep=False):
+        """The block after all steps; with keep, the input and every block
+        after a step, as a list that `reverse` takes."""
+        blocks = [x]
+        for step in self.steps:
+            x = step.apply(x, theta)
+            if keep:
+                blocks.append(x)
+        return blocks if keep else x
+
+    def reverse(self, lam, blocks, theta):
+        """Yield (param, <lam_k, G x_(k+1)>) per rotation, last step first."""
+        # zip stops before the input block, so each step meets its output
+        for step, x in zip(reversed(self.steps), reversed(blocks)):
+            if step.param is not None:
+                yield step.param, np.vdot(lam, step.generate(x))
+            lam = step.apply(lam, theta, adjoint=True)
 
 
 def expectation_z(circuit: Circuit, state, qubit: int) -> float:

@@ -82,6 +82,14 @@ def _scheme_for(dataset) -> EncodingScheme:
     raise DataError(f"no encoding scheme for {n_features}-feature data")
 
 
+def _load_json_input(loader, path, what):
+    """Call a JSON loader, turning malformed content into a DataError."""
+    try:
+        return loader(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what} {path}: {exc!r}") from exc
+
+
 def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -155,7 +163,7 @@ def run_distill(config: dict, out_dir: str):
     teacher_path = config["teacher"]
     if not os.path.exists(teacher_path):
         raise DataError(f"teacher checkpoint not found: {teacher_path}")
-    teacher = qnn.load_checkpoint(teacher_path)
+    teacher = _load_json_input(qnn.load_checkpoint, teacher_path, "checkpoint")
     seeds = config["seeds"]
     artifacts = []
     rows = []
@@ -189,7 +197,7 @@ def run_finetune(config: dict, out_dir: str):
     ckpt_path = config["checkpoint"]
     if not os.path.exists(ckpt_path):
         raise DataError(f"checkpoint not found: {ckpt_path}")
-    model = qnn.load_checkpoint(ckpt_path)
+    model = _load_json_input(qnn.load_checkpoint, ckpt_path, "checkpoint")
     dataset = _load_dataset(config["data"], config.get("classes"),
                             config["seed"])
     if dataset.features.shape[1] != model.scheme.capacity:
@@ -236,7 +244,7 @@ def run_transpile_report(config: dict, out_dir: str):
 
 
 def run_noise_eval(config: dict, out_dir: str):
-    profile = load_profile(config["profile"])
+    profile = _load_json_input(load_profile, config["profile"], "profile")
     dataset = _load_dataset(config["data"], config.get("classes"),
                             config["seed"])
     splits = {"train": (dataset.train_features, dataset.train_labels),
@@ -247,7 +255,7 @@ def run_noise_eval(config: dict, out_dir: str):
     for path in config["checkpoints"]:
         if not os.path.exists(path):
             raise DataError(f"checkpoint not found: {path}")
-        model = qnn.load_checkpoint(path)
+        model = _load_json_input(qnn.load_checkpoint, path, "checkpoint")
         if dataset.features.shape[1] != model.scheme.capacity:
             raise DataError(f"feature count mismatch for {path}")
         for name, (x, y) in splits.items():

@@ -151,15 +151,6 @@ class RuleGate:
         return self.scale * a + self.offset
 
 
-@dataclass(frozen=True)
-class ConcreteGate:
-    """A fully expanded gate with roles relative to the original source."""
-
-    kind: GateKind
-    roles: tuple
-    angle: float | None
-
-
 class BasisSet:
     def __init__(self, name: str, gates):
         self.name = name
@@ -239,42 +230,6 @@ def register_rule(source: GateKind, basis_name: str, replacement,
 def get_rule(kind: GateKind, basis_name: str):
     """Registered replacement sequence for (gate, basis), or None."""
     return _RULES.get((kind, basis_name))
-
-
-def decompose(kind: GateKind, angle: float | None, basis) -> list[ConcreteGate]:
-    """Rewrite a gate into basis gates; native gates pass through unchanged.
-
-    Returns concrete gates whose roles refer to the source gate's qubits.
-    """
-    basis = get_basis(basis)
-    if kind in PARAMETERIZED and angle is None:
-        raise ValueError(f"{kind} requires an angle")
-    default_roles = ("q",) if ARITY[kind] == 1 else ("c", "t")
-    return _decompose_roles(kind, default_roles, angle, basis)
-
-
-def _decompose_roles(kind, roles, angle, basis, _depth=0) -> list[ConcreteGate]:
-    if _depth > 8:
-        raise ValueError(f"decomposition of {kind} does not terminate")
-    if kind in basis:
-        return [ConcreteGate(kind, roles, angle)]
-    rule = _RULES.get((kind, basis.name))
-    if rule is None:
-        raise ValueError(f"no decomposition rule for gate {kind} into basis {basis.name}")
-    out = []
-    for rg in rule:
-        # map replacement roles through the current role assignment
-        if len(roles) == 1:
-            sub_roles = roles
-        elif len(rg.roles) == 1:
-            if rg.roles[0] == "q":
-                raise ValueError(f"role 'q' invalid in 2-qubit rule for {kind}")
-            sub_roles = (roles[0],) if rg.roles[0] == "c" else (roles[1],)
-        else:
-            sub_roles = tuple(roles[0] if r == "c" else roles[1] for r in rg.roles)
-        out.extend(_decompose_roles(rg.kind, sub_roles, rg.angle_for(angle),
-                                    basis, _depth + 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from .circuit import Circuit, Op, bind
+from .circuit import Circuit, Op, apply_matrix, bind
 from .encoding import apply_scaler, encode
 from .gates import PAULI, gate_matrix
 from .qnn import softmax
@@ -163,25 +163,20 @@ def zero_density(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def _apply_side(tensor, mat, qubits, n, bra: bool):
-    """Contract mat (or its conjugate, for the bra side) into rho's indices."""
-    offset = n if bra else 0
-    axes = [offset + (n - 1 - q) for q in qubits]
-    k = len(qubits)
-    op = np.conj(mat) if bra else mat
-    op = op.reshape((2,) * (2 * k))
-    tensor = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(tensor, list(range(k)), axes)
-
-
 def apply_kraus(rho: np.ndarray, kraus, qubits, n_qubits: int) -> np.ndarray:
-    """rho' = sum_K K rho K^dag on the given qubits."""
+    """rho' = sum_K K rho K^dag on the given qubits.
+
+    rho is a 2n-qubit tensor: its ket (row) index holds qubit q at q + n, its
+    bra (column) index at q, so K acts on the first and conj(K) on the second.
+    """
+    n = n_qubits
     shape = rho.shape
-    t = rho.reshape((2,) * (2 * n_qubits))
+    t = rho.reshape((2,) * (2 * n))
+    ket = [q + n for q in qubits]
     out = np.zeros_like(t)
     for k in kraus:
-        term = _apply_side(t, k, qubits, n_qubits, bra=False)
-        out += _apply_side(term, k, qubits, n_qubits, bra=True)
+        term = apply_matrix(t, k, ket, 2 * n)
+        out += apply_matrix(term, np.conj(k), qubits, 2 * n)
     return out.reshape(shape)
 
 

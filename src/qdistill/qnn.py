@@ -1,10 +1,12 @@
 """Hybrid model: angle encoder -> PQC -> per-qubit <Z> -> dense head -> softmax.
 
-Gradients are fully analytic: closed-form softmax/cross-entropy backprop for
-the dense head, and the parameter-shift rule for the circuit angles (two-term
-with shift pi/2 for plain rotations, the four-term rule for controlled
-rotations).  Training uses Adam with the shipped defaults (lr 0.2, beta1 0.9,
-beta2 0.999, eps 1e-7) and is bit-deterministic for a fixed seed.
+The PQC runs as its compiled step list (`circuit.StepList`), the same one
+that synthesis fits, on a (dim, batch) block of encoded states.  Gradients
+are exact: closed-form softmax/cross-entropy backprop for the dense head, and
+one forward plus one reverse (adjoint) sweep of the step list for the circuit
+angles, so shared and scaled parameter slots work.  Training uses Adam with
+the shipped defaults (lr 0.2, beta1 0.9, beta2 0.999, eps 1e-7) and is
+bit-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,17 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Op, Param, apply_ops, bind, build_template, z_expectations
+from .circuit import Circuit, build_template, z_expectations
 from .encoding import (ONE_PER_QUBIT, EncodingScheme, Scaler, apply_scaler,
                        fit_scaler)
-from .gates import CONTROLLED, GateKind
+from .gates import GateKind
 
 N_CLASSES = 3
 _PROB_FLOOR = 1e-12
-
-# four-term parameter-shift coefficients for controlled rotations
-_D1 = (math.sqrt(2) + 1) / (4 * math.sqrt(2))
-_D2 = (math.sqrt(2) - 1) / (4 * math.sqrt(2))
 
 
 @dataclass
@@ -123,12 +121,6 @@ def encode_states(features, scheme: EncodingScheme) -> np.ndarray:
     return out
 
 
-def _run_pqc(states: np.ndarray, pqc_ops, n: int) -> np.ndarray:
-    tensor = states.reshape((states.shape[0],) + (2,) * n)
-    tensor = apply_ops(pqc_ops, tensor, n, batch_ndim=1)
-    return tensor.reshape(states.shape[0], -1)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -137,10 +129,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward_batch(model: HybridModel, features_scaled):
     """(probs, logits, z) for a batch of pre-scaled feature rows."""
-    states = encode_states(features_scaled, model.scheme)
-    bound = bind(model.pqc, model.theta)
-    out = _run_pqc(states, bound.ops, model.n_qubits)
-    z = z_expectations(out, model.n_qubits)
+    states = encode_states(features_scaled, model.scheme).T
+    psi = model.pqc.steps.run(states, model.theta)
+    z = z_expectations(psi.T, model.n_qubits)
     logits = z @ model.W.T + model.b
     return softmax(logits), logits, z
 
@@ -169,34 +160,22 @@ def loss(model: HybridModel, features_scaled, labels) -> float:
 # ---------------------------------------------------------------------------
 # Gradients
 
-def _slot_op_indices(pqc: Circuit) -> list[int]:
-    """Op index for each parameter slot (each slot used exactly once)."""
-    where = {}
-    for i, op in enumerate(pqc.ops):
-        if isinstance(op.angle, Param):
-            if op.angle.slot in where:
-                raise ValueError(f"slot {op.angle.slot} used more than once")
-            where[op.angle.slot] = i
-    return [where[s] for s in range(pqc.n_params)]
-
-
-def _z_with_shift(model, states, bound_ops, op_index, shift):
-    op = bound_ops[op_index]
-    shifted = list(bound_ops)
-    shifted[op_index] = Op(op.kind, op.qubits, op.angle + shift)
-    out = _run_pqc(states, shifted, model.n_qubits)
-    return z_expectations(out, model.n_qubits)
-
-
 def gradients(model: HybridModel, features_scaled, labels):
-    """(dtheta, dW, db) of the mean cross-entropy over the batch."""
+    """(dtheta, dW, db) of the mean cross-entropy over the batch.
+
+    The circuit part is one adjoint sweep: with z_bq = <psi_b|Z_q|psi_b>, the
+    loss has dL/dpsi^* = lam, lam[i, b] = sum_q dz[b, q] Z_q[i] psi[i, b],
+    and `StepList.reverse` turns that into every angle's derivative.
+    """
     x = np.atleast_2d(np.asarray(features_scaled, float))
     y = _one_hot(labels)
     bsz = x.shape[0]
-    states = encode_states(x, model.scheme)
-    bound = bind(model.pqc, model.theta)
-    out = _run_pqc(states, bound.ops, model.n_qubits)
-    z = z_expectations(out, model.n_qubits)
+    n = model.n_qubits
+    steps = model.pqc.steps
+    blocks = steps.run(encode_states(x, model.scheme).T, model.theta,
+                       keep=True)
+    psi = blocks[-1]
+    z = z_expectations(psi.T, n)
     probs = softmax(z @ model.W.T + model.b)
 
     dlogits = (probs - y) / bsz
@@ -204,21 +183,10 @@ def gradients(model: HybridModel, features_scaled, labels):
     db = dlogits.sum(axis=0)
     dz = dlogits @ model.W                     # (B, n_qubits)
 
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
     dtheta = np.zeros(model.pqc.n_params)
-    if np.any(dz != 0.0):
-        slot_ops = _slot_op_indices(model.pqc)
-        half = math.pi / 2
-        for j, op_index in enumerate(slot_ops):
-            kind = bound.ops[op_index].kind
-            zp = _z_with_shift(model, states, bound.ops, op_index, half)
-            zm = _z_with_shift(model, states, bound.ops, op_index, -half)
-            if kind in CONTROLLED:
-                zp3 = _z_with_shift(model, states, bound.ops, op_index, 3 * half)
-                zm3 = _z_with_shift(model, states, bound.ops, op_index, -3 * half)
-                dz_dt = _D1 * (zp - zm) - _D2 * (zp3 - zm3)
-            else:
-                dz_dt = 0.5 * (zp - zm)
-            dtheta[j] = float(np.sum(dz * dz_dt))
+    for p, c in steps.reverse((signs @ dz.T) * psi, blocks, model.theta):
+        dtheta[p.slot] += p.scale * c.imag
     return dtheta, dW, db
 
 

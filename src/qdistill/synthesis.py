@@ -9,7 +9,9 @@ d = 1 - |<psi|V|0...0>| with psi the teacher's first column.  Reported
 distances are clamped at 0 against rounding, so they stay in [0, 1].
 
 One evaluator per ``synthesize`` call computes the distance, the trace
-overlap and the exact reverse-mode gradient from the same list of steps.
+overlap and the exact reverse-mode gradient from the student's compiled step
+list (`circuit.StepList`), the same one that trains and fine-tunes the
+classifier in `qnn`.
 
 The global optimizer is a from-scratch generalized simulated annealing
 (GSA) chain: heavy-tailed Tsallis visiting moves, the generalized Metropolis
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuit import Circuit, Param, bind, build_template, unitary_of
-from .gates import CONTROLLED, GENERATOR
+from .gates import CONTROLLED
 from .qmath import as_matrix, hs_trace_overlap, is_unitary
 
 TAIL_LIMIT = 1e8
@@ -118,125 +120,47 @@ class SynthesisResult:
     improvements: list = field(default_factory=list)  # (evaluation, distance)
 
 
-class _Rotation:
-    """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block.
-
-    Every catalog generator is a signed permutation on the target bit, so
-    G x = phase * x[perm] (perm is None for the diagonal RZ and CRZ).  For a
-    controlled rotation the phase is zero on the rows whose control bit is 0,
-    which the gate leaves alone.
-    """
-
-    def __init__(self, op, dim):
-        self.param = op.angle
-        g = GENERATOR[op.kind]
-        col = np.argmax(np.abs(g), axis=1)    # local column of each row's entry
-        b = np.arange(dim)
-        bit = (b >> op.qubits[-1]) & 1
-        self.perm = None if col[0] == 0 else b ^ (1 << op.qubits[-1])
-        phase = g[bit, col[bit]]
-        self.mask = None
-        if op.kind in CONTROLLED:
-            self.mask = ((b >> op.qubits[0]) & 1).astype(float)[:, None]
-            phase = phase * self.mask[:, 0]
-        self.phase = phase[:, None]
-
-    def generate(self, x):
-        return self.phase * (x if self.perm is None else x[self.perm])
-
-    def apply(self, x, theta, adjoint=False):
-        a = self.param.value(theta)
-        c, s = math.cos(a / 2), math.sin(a / 2)
-        diag = c if self.mask is None else 1.0 + (c - 1.0) * self.mask
-        off = (1j if adjoint else -1j) * s * self.phase
-        if self.perm is None:
-            return (diag + off) * x
-        out = x[self.perm]
-        out *= off
-        out += diag * x
-        return out
-
-
-class _Dense:
-    """A run of literal gates, fused into one matrix."""
-
-    param = None
-
-    def __init__(self, circuit):
-        self.m = unitary_of(circuit)
-        self.m_dag = np.ascontiguousarray(self.m.conj().T)
-
-    def apply(self, x, theta, adjoint=False):
-        return (self.m_dag if adjoint else self.m) @ x
-
-
 class _Evaluator:
     """Distance, trace overlap and exact gradient of a student vs. the teacher.
 
-    The student is a list of steps applied to a block X that starts as the
-    identity, or as |0...0> in state-prep mode, where X is (dim, 1).  The
-    overlap is t = <target, X>: Tr(U^dag V) in full mode, <psi|V|0...0> in
-    state-prep mode.  The distance is 1 - |t|/dim (full) or 1 - |t| (state
-    prep), clamped at 0 against rounding.
+    The student runs as its compiled step list (`Circuit.steps`) on a block X
+    that starts as the identity, or as |0...0> in state-prep mode, where X is
+    (dim, 1).  The overlap is t = <target, X>: Tr(U^dag V) in full mode,
+    <psi|V|0...0> in state-prep mode.  The distance is 1 - |t|/dim (full) or
+    1 - |t| (state prep), clamped at 0 against rounding.
 
-    The gradient comes from one forward and one reverse sweep (Jones & Gacon
-    2020, arXiv:2009.02823).  With L = target^dag S_last ... S_(k+1), step k's
-    angle has dt/da = -i/2 Tr(L G X_(k+1)), and L^dag picks up one adjoint
-    step per iteration of the reverse sweep.
+    The gradient comes from one forward and one reverse sweep of the step
+    list, started from lam = target: step k's angle has dt/da = -i/2 c_k.
     """
 
     def __init__(self, student: Circuit, teacher_unitary, state_prep=False):
-        n = student.n_qubits
-        dim = 2 ** n
+        dim = 2 ** student.n_qubits
         cols = 1 if state_prep else dim
         self.start = np.eye(dim, cols, dtype=complex)
         self.target = np.ascontiguousarray(teacher_unitary[:, :cols])
         self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
-        self.steps = []
-        literal = []
-        for op in student.ops:
-            if not isinstance(op.angle, Param):
-                literal.append(op)
-                continue
-            if literal:
-                self.steps.append(_Dense(Circuit(n, literal)))
-                literal = []
-            self.steps.append(_Rotation(op, dim))
-        if literal:
-            self.steps.append(_Dense(Circuit(n, literal)))
+        self.steps = student.steps
 
     def _distance(self, t):
         return max(0.0, 1.0 - self.norm * abs(t))
 
     def overlap(self, theta) -> complex:
-        x = self.start
-        for step in self.steps:
-            x = step.apply(x, theta)
-        return complex(np.vdot(self.target, x))
+        return complex(np.vdot(self.target, self.steps.run(self.start, theta)))
 
     def value(self, theta) -> float:
         return self._distance(self.overlap(theta))
 
     def value_and_grad(self, theta):
-        x = self.start
-        after = []
-        for step in self.steps:
-            x = step.apply(x, theta)
-            after.append(x)
-        t = np.vdot(self.target, x)
+        blocks = self.steps.run(self.start, theta, keep=True)
+        t = np.vdot(self.target, blocks[-1])
         grad = np.zeros(self.n_params)
         mag = abs(t)
         if mag < 1e-300:
             return 1.0, grad
         weight = -self.norm * np.conj(t) / mag   # d distance / dt, as Re(w dt)
-        lam = self.target
-        for step, x in zip(reversed(self.steps), reversed(after)):
-            p = step.param
-            if p is not None:
-                dt = -0.5j * np.vdot(lam, step.generate(x))
-                grad[p.slot] += p.scale * np.real(weight * dt)
-            lam = step.apply(lam, theta, adjoint=True)
+        for p, c in self.steps.reverse(self.target, blocks, theta):
+            grad[p.slot] += p.scale * np.real(weight * (-0.5j * c))
         return self._distance(t), grad
 
 

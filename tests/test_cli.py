@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from qdistill import cli
+from qdistill import cli, noisesim
 
 
 def run(args):
@@ -124,6 +124,51 @@ def test_data_errors_exit_3(tmp_path):
         == cli.EXIT_DATA
     assert run(["replay", "--manifest", "/does/not/exist.json",
                 "--out", d]) == cli.EXIT_DATA
+
+
+_BAD_CHECKPOINTS = {
+    "unknown_template": lambda doc: {**doc, "template_id": "c99"},
+    "non_numeric_theta": lambda doc: {**doc, "theta": ["x"] * len(doc["theta"])},
+    "layers_not_int": lambda doc: {**doc, "layers": "two"},
+    "top_level_list": lambda doc: [doc],
+}
+_GOOD_PROFILE = noisesim.load_profile("melbourne").to_dict()
+_BAD_PROFILES = {
+    "unknown_key": {**_GOOD_PROFILE, "colour": "red"},
+    "missing_keys": {"name": "half"},
+    "top_level_list": [_GOOD_PROFILE],
+}
+
+
+def _assert_data_error(rc, capsys, path):
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINTS))
+@pytest.mark.parametrize("command", ["distill", "finetune", "noise-eval"])
+def test_malformed_checkpoint_exits_3(trained_dir, tmp_path, capsys, command,
+                                      case):
+    with open(os.path.join(trained_dir, "c2_1l_seed7.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_BAD_CHECKPOINTS[case](doc)))
+    flag = {"distill": "--teacher", "finetune": "--checkpoint",
+            "noise-eval": "--checkpoints"}[command]
+    rc = run([command, flag, str(path), "--out", str(tmp_path / "out")])
+    _assert_data_error(rc, capsys, path)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PROFILES))
+def test_malformed_profile_exits_3(trained_dir, tmp_path, capsys, case):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(_BAD_PROFILES[case]))
+    rc = run(["noise-eval", "--profile", str(path), "--checkpoints",
+              os.path.join(trained_dir, "c2_1l_seed7.json"),
+              "--out", str(tmp_path / "out")])
+    _assert_data_error(rc, capsys, path)
 
 
 def test_env_var_default_out(tmp_path, monkeypatch, trained_dir):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import gates
+from qdistill.circuit import Circuit, Op, unitary_of
 from qdistill.gates import GateKind as K
+from qdistill.transpile import lower
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,36 +86,30 @@ def test_basis_membership():
     assert K.CZ in rig and K.CX not in rig
 
 
-def _unitary_of_concrete(seq, source_kind):
-    """Multiply out a decomposition on the source gate's qubit register."""
-    n2 = gates.ARITY[source_kind] == 2
-    dim = 4 if n2 else 2
-    u = np.eye(dim, dtype=complex)
-    for g in seq:
-        m = gates.gate_matrix(g.kind, g.angle)
-        if n2 and gates.ARITY[g.kind] == 1:
-            m = np.kron(m, I2) if g.roles == ("c",) else np.kron(I2, m)
-        u = m @ u
-    return u
+def _lower_one(kind, angle, basis):
+    """(logical, lowered) unitaries of a circuit holding one gate."""
+    n = gates.ARITY[kind]
+    c = Circuit(n, [Op(kind, tuple(range(n - 1, -1, -1)), angle)])
+    lowered = lower(c, basis)
+    basis = gates.get_basis(basis)
+    for op in lowered.ops:
+        assert op.kind in basis
+    return unitary_of(c), unitary_of(lowered)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(list(K)), st.sampled_from(["IBM", "RIGETTI"]), angles)
 def test_decompositions_preserve_unitary_up_to_phase(kind, basis_name, angle):
-    basis = gates.get_basis(basis_name)
     a = angle if kind in gates.PARAMETERIZED else None
-    seq = gates.decompose(kind, a, basis)
-    for g in seq:
-        assert g.kind in basis
-    want = gates.gate_matrix(kind, a)
-    got = _unitary_of_concrete(seq, kind)
+    want, got = _lower_one(kind, a, basis_name)
+    assert np.allclose(want, gates.gate_matrix(kind, a))
     overlap = abs(np.sum(want.conj() * got)) / want.shape[0]
     assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
 def test_native_gates_pass_through():
-    seq = gates.decompose(K.RZ, 0.4, gates.get_basis("IBM"))
-    assert len(seq) == 1 and seq[0].kind is K.RZ and seq[0].angle == 0.4
+    c = Circuit(1, [Op(K.RZ, (0,), 0.4)])
+    assert lower(c, "IBM").ops == c.ops
 
 
 def test_rule_config_round_trip():
@@ -121,8 +117,5 @@ def test_rule_config_round_trip():
     text = (f"basis TOY : RX RZ CZ\n"
             f"H@TOY : RZ(q, {half}) RX(q, {half}) RZ(q, {half})\n")
     gates.load_rules_config(text)
-    toy = gates.get_basis("TOY")
-    seq = gates.decompose(K.H, None, toy)
-    got = _unitary_of_concrete(seq, K.H)
-    want = gates.gate_matrix(K.H)
+    want, got = _lower_one(K.H, None, "TOY")
     assert abs(np.sum(want.conj() * got)) / 2 == pytest.approx(1.0, abs=1e-9)

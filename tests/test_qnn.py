@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdistill import data, encoding, qnn
+from qdistill import circuit as circ, data, encoding, qnn
 from qdistill.encoding import EncodingScheme
 
 
@@ -33,12 +33,56 @@ def numeric_gradients(model, x, y, eps=1e-5):
     return dth
 
 
-@pytest.mark.parametrize("template,layers", [("c2", 1), ("c6", 1), ("c15", 2)])
-def test_parameter_shift_matches_finite_differences(template, layers):
+@pytest.mark.parametrize("template,layers", [("c1", 2), ("c2", 1), ("c6", 1),
+                                             ("c9", 2), ("c12", 1), ("c15", 2)])
+def test_circuit_gradient_matches_finite_differences(template, layers):
     model, x, y, _ = small_problem(template, layers)
     dtheta, dW, db = qnn.gradients(model, x, y)
     fd = numeric_gradients(model, x, y)
     assert np.max(np.abs(dtheta - fd)) < 1e-5
+
+
+# shared (@0, @2), scaled (*, both signs), offset (+/-) slots; CRX/CRY/CRZ
+# with the control above and below the target
+_TEXT_PQC = """\
+qubits 4
+RX 0 @0*1.5
+RY 1 @1*-0.5+0.3
+CRX 0,2 @2*2.0
+CRY 3,1 @0
+CRZ 1,3 @3-1.2
+CX 2,0
+RZ 3 0.7
+CRX 3,0 @1*0.75
+CRY 2,3 @4
+CRZ 2,1 @2*-1.25
+RY 0 @4
+"""
+
+
+def test_circuit_gradient_with_shared_scaled_slots():
+    ref, x, y, _ = small_problem()
+    pqc = circ.from_text(_TEXT_PQC)
+    theta = np.random.default_rng(1).uniform(-math.pi, math.pi, pqc.n_params)
+    model = qnn.HybridModel(ref.scheme, pqc, theta, ref.W, ref.b)
+    dtheta, _, _ = qnn.gradients(model, x, y)
+    fd = numeric_gradients(model, x, y)
+    assert np.max(np.abs(dtheta - fd)) < 1e-7
+
+
+@pytest.mark.parametrize("mode,n_features", [("1:1", 4), ("2:1", 8)])
+@pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
+def test_forward_matches_gate_by_gate_simulation(template, mode, n_features):
+    scheme = EncodingScheme(mode, 4)
+    model = qnn.init_model(template, 2, scheme, seed=3)
+    rows = np.random.default_rng(4).uniform(-math.pi, math.pi, (6, n_features))
+    _, _, z = qnn.forward_batch(model, rows)
+    bound = circ.bind(model.pqc, model.theta)
+    for row, got in zip(rows, z):
+        enc = encoding.encode(row, scheme)
+        full = circ.Circuit(4, enc.ops + bound.ops)
+        psi = circ.simulate(full, circ.zero_state(4))
+        assert np.max(np.abs(got - circ.z_expectations(psi, 4))) < 1e-12
 
 
 def test_head_gradient_matches_finite_differences():
