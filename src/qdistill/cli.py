@@ -26,7 +26,8 @@ from .circuit import TEMPLATES, bind, build_template, unitary_of
 from .data import load_features_csv, load_iris
 from .encoding import EncodingScheme, fit_scaler
 from .noisesim import load_profile
-from .synthesis import AnnealConfig, SynthesisProblem, distill, synthesize
+from .synthesis import (POLISH_METHODS, AnnealConfig, SynthesisProblem,
+                        distill, synthesize)
 from .transpile import overhead_csv, overhead_table
 
 EXIT_OK = 0
@@ -332,9 +333,16 @@ def run_replay(config: dict, out_dir: str):
         raise DataError(f"manifest not found: {path}")
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise DataError(f"malformed manifest {path}: expected an object "
+                        "with a 'config' object")
     command = doc.get("command")
     if command not in _RUNNERS:
-        raise DataError(f"manifest names unknown command {command!r}")
+        raise DataError(f"manifest {path} names unknown command {command!r}")
+    missing = [k for k in _CONFIG_KEYS[command] if k not in doc["config"]]
+    if missing:
+        raise DataError(f"malformed manifest {path}: config lacks "
+                        + ", ".join(missing))
     run_command(command, doc["config"], out_dir)
     return []
 
@@ -376,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list, default=[0])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--polish-method", default=None,
-                   choices=["nelder-mead", "powell", "lbfgs", "grad-lbfgs", "rotation-solve"])
+                   choices=POLISH_METHODS)
     p.add_argument("--anneal-fraction", type=float, default=None)
 
     p = sub.add_parser("finetune", help="resume training from a checkpoint")
@@ -407,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=40)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--polish-method", default="rotation-solve",
-                   choices=["nelder-mead", "powell", "lbfgs", "grad-lbfgs", "rotation-solve"])
+                   choices=POLISH_METHODS)
     p.add_argument("--anneal-fraction", type=float, default=0.05)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")

@@ -151,11 +151,6 @@ def assert_cptp(kraus, tol: float = _CPTP_TOL):
 # ---------------------------------------------------------------------------
 # Density-matrix mechanics
 
-def density_from_state(state) -> np.ndarray:
-    psi = np.asarray(state, dtype=complex).ravel()
-    return np.outer(psi, psi.conj())
-
-
 def zero_density(n_qubits: int) -> np.ndarray:
     dim = 2 ** n_qubits
     rho = np.zeros((dim, dim), dtype=complex)
@@ -180,14 +175,11 @@ def apply_kraus(rho: np.ndarray, kraus, qubits, n_qubits: int) -> np.ndarray:
     return out.reshape(shape)
 
 
-def apply_unitary_gate(rho, kind, qubits, angle, n_qubits):
-    return apply_kraus(rho, [gate_matrix(kind, angle)], qubits, n_qubits)
-
-
 def apply_gate_noisy(rho: np.ndarray, op: Op, profile: DeviceProfile,
                      n_qubits: int) -> np.ndarray:
     """Ideal gate, then depolarizing, then thermal relaxation per qubit."""
-    rho = apply_unitary_gate(rho, op.kind, op.qubits, op.angle, n_qubits)
+    rho = apply_kraus(rho, [gate_matrix(op.kind, op.angle)], op.qubits,
+                      n_qubits)
     if len(op.qubits) == 1:
         if profile.err_1q > 0:
             rho = apply_kraus(rho, depolarizing_kraus_1q(profile.err_1q),

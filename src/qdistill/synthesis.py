@@ -16,12 +16,12 @@ classifier in `qnn`.
 The global optimizer is a from-scratch generalized simulated annealing
 (GSA) chain: heavy-tailed Tsallis visiting moves, the generalized Metropolis
 acceptance rule, a power-law temperature schedule, and full restarts when the
-temperature collapses.  The shipped defaults are initial_temp 5230.0,
-restart_temp_ratio 2e-5, visit 2.62, accept -5.0.  A local polish then runs
-from the best point: nelder-mead (default), powell, lbfgs (finite
-differences), grad-lbfgs (exact gradient, charged two evaluations per call)
-or rotation-solve (closed-form coordinate updates).  Its evaluations are
-capped so the total stays within budget + 200.
+temperature collapses.  Its constants (initial temperature 5230.0, restart
+ratio 2e-5, visit 2.62, accept -5.0) are fixed.  A local polish then runs
+from the best point, one of `POLISH_METHODS`: grad-lbfgs (default; L-BFGS-B
+on the exact gradient, charged two evaluations per call) or rotation-solve
+(closed-form coordinate updates).  Its evaluations are capped so the total
+stays within budget + 200.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ from .qmath import as_matrix, hs_trace_overlap, is_unitary
 TAIL_LIMIT = 1e8
 _MIN_VISIT_BOUND = 1e-10
 POLISH_ALLOWANCE = 200
+POLISH_METHODS = ("grad-lbfgs", "rotation-solve")
+CONVERGE_THRESHOLD = 0.05
+# GSA schedule and acceptance: the stock dual-annealing defaults
+INITIAL_TEMP = 5230.0
+RESTART_TEMP_RATIO = 2e-5
+VISIT = 2.62
+ACCEPT = -5.0
 
 
 def hs_distance(u, v) -> float:
@@ -84,27 +91,14 @@ class SynthesisProblem:
 
 @dataclass
 class AnnealConfig:
-    initial_temp: float = 5230.0
-    restart_temp_ratio: float = 2e-5
-    visit: float = 2.62
-    accept: float = -5.0
     seed: int = 0
-    local_polish: bool = True
-    converge_threshold: float = 0.05
+    polish_method: str = "grad-lbfgs"
     anneal_fraction: float = 0.6   # share of the budget before polish kicks in
-    polish_method: str = "nelder-mead"
 
     def __post_init__(self):
-        if self.polish_method.lower() not in ("nelder-mead", "powell", "lbfgs",
-                                              "grad-lbfgs", "rotation-solve"):
-            raise ValueError("polish_method must be nelder-mead, powell, "
-                             "lbfgs, grad-lbfgs, or rotation-solve")
-        if not 0 < self.restart_temp_ratio < 1:
-            raise ValueError("restart_temp_ratio must lie in (0, 1)")
-        if not 1 < self.visit <= 3:
-            raise ValueError("visit must lie in (1, 3]")
-        if self.accept >= 0:
-            raise ValueError("accept must be negative")
+        if self.polish_method.lower() not in POLISH_METHODS:
+            raise ValueError("polish_method must be one of "
+                             + ", ".join(POLISH_METHODS))
         if not 0 < self.anneal_fraction <= 1:
             raise ValueError("anneal_fraction must lie in (0, 1]")
 
@@ -196,15 +190,14 @@ class _CostTracker:
 
 
 class _VisitingDistribution:
-    """Tsallis heavy-tailed step generator for GSA, parameterized by visit."""
+    """Tsallis heavy-tailed step generator for GSA, parameterized by VISIT."""
 
-    def __init__(self, lower, upper, visit, rng):
+    def __init__(self, lower, upper, rng):
         self.lower = lower
         self.upper = upper
         self.span = upper - lower
-        self.visit = visit
         self.rng = rng
-        qv = visit
+        qv = VISIT
         factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
         factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
         self.factor4_p = math.sqrt(math.pi) * factor2 / (factor3 * (3.0 - qv))
@@ -215,7 +208,7 @@ class _VisitingDistribution:
                         / math.exp(math.lgamma(d1)))
 
     def _sample(self, temperature, size):
-        qv = self.visit
+        qv = VISIT
         x = self.rng.normal(size=size)
         y = self.rng.normal(size=size)
         factor1 = math.exp(math.log(temperature) / (qv - 1.0))
@@ -257,14 +250,14 @@ class _VisitingDistribution:
         return out
 
 
-def _anneal(cost, bounds, config, rng, anneal_evals):
+def _anneal(cost, bounds, rng, anneal_evals):
     """One GSA run; returns when the evaluation cap is hit or chains end."""
     lower, upper = bounds[:, 0], bounds[:, 1]
     dim = lower.size
-    visitor = _VisitingDistribution(lower, upper, config.visit, rng)
-    qa = config.accept
-    t1 = math.exp((config.visit - 1.0) * math.log(2.0)) - 1.0
-    restart_temp = config.initial_temp * config.restart_temp_ratio
+    visitor = _VisitingDistribution(lower, upper, rng)
+    qa = ACCEPT
+    t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
+    restart_temp = INITIAL_TEMP * RESTART_TEMP_RATIO
     not_improved_max = 1000
 
     def fresh_state():
@@ -276,8 +269,8 @@ def _anneal(cost, bounds, config, rng, anneal_evals):
     while cost.nfev < anneal_evals:
         for step in range(1000):
             s = float(step) + 2.0
-            t2 = math.exp((config.visit - 1.0) * math.log(s)) - 1.0
-            temperature = config.initial_temp * t1 / t2
+            t2 = math.exp((VISIT - 1.0) * math.log(s)) - 1.0
+            temperature = INITIAL_TEMP * t1 / t2
             if temperature < restart_temp:
                 break
             if cost.nfev >= anneal_evals:
@@ -312,10 +305,6 @@ def _anneal(cost, bounds, config, rng, anneal_evals):
             return
         x_cur, e_cur = fresh_state()
         not_improved = 0
-
-
-_METHOD_NAMES = {"nelder-mead": "Nelder-Mead", "powell": "Powell",
-                 "lbfgs": "L-BFGS-B"}
 
 
 def _wrap_angle(a: float) -> float:
@@ -406,9 +395,16 @@ def _slot_kinds(circuit: Circuit):
     return [kinds[s] for s in range(circuit.n_params)]
 
 
-def _grad_polish(cost, bounds, bound_pairs, rng, fg):
-    """Multi-start exact-gradient L-BFGS; each call costs two evaluations."""
+def _grad_polish(cost, bounds, rng, fg):
+    """Multi-start L-BFGS-B on the exact gradient until the budget runs out.
+
+    Each value-and-gradient call is charged two evaluations.  The first
+    search starts from the best annealed point; after a search converges the
+    next one restarts from the new best or, once that stops paying off, from
+    a fresh random point in the box.
+    """
     n = bounds.shape[0]
+    bound_pairs = [tuple(b) for b in bounds]
 
     def counted(x):
         if cost.exhausted:
@@ -439,56 +435,6 @@ def _grad_polish(cost, bounds, bound_pairs, rng, fg):
             return
 
 
-def _polish(cost, bounds, method, rng, slot_kinds=None, fg=None):
-    """Local searches until the budget runs out, tracking the global best.
-
-    The first search starts from the best annealed point; after a search
-    converges the next one restarts there (fresh simplex/direction set) or,
-    once that stops paying off, from a new random point in the box.  The
-    lbfgs method estimates gradients by finite differences, as the stock
-    dual-annealing local-search phase does; grad-lbfgs uses the exact
-    reverse-mode gradient and charges two evaluations per call.
-    """
-    if method.lower() == "rotation-solve":
-        if slot_kinds is None:
-            raise ValueError("rotation-solve polish needs each parameter to "
-                             "drive exactly one unscaled rotation")
-        _rotation_solve(cost, bounds, slot_kinds, rng)
-        return
-    bound_pairs = [tuple(b) for b in bounds]
-    if method.lower() == "grad-lbfgs":
-        _grad_polish(cost, bounds, bound_pairs, rng, fg)
-        return
-    scipy_name = _METHOD_NAMES[method.lower()]
-    n = bounds.shape[0]
-    start = cost.best_x
-    # cap each search so a large budget funds several basin probes
-    chunk_cap = max(5000, 625 * n)
-    while not cost.exhausted:
-        remaining = min(cost.max_evals - cost.nfev, chunk_cap)
-        before = cost.best_e
-        if scipy_name == "Nelder-Mead":
-            opts = {"maxfev": remaining, "adaptive": True,
-                    "xatol": 1e-10, "fatol": 1e-12}
-        elif scipy_name == "Powell":
-            opts = {"maxfev": remaining, "xtol": 1e-10, "ftol": 1e-12}
-        else:
-            # each L-BFGS-B evaluation spends n+1 calls on the 2-point gradient
-            opts = {"maxfun": max(1, remaining // (n + 1)),
-                    "ftol": 1e-14, "gtol": 1e-10}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # optimizers warn when truncated
-            minimize(cost, start, method=scipy_name, bounds=bound_pairs,
-                     options=opts)
-        if cost.best_e < before - 1e-12:
-            start = cost.best_x
-        elif cost.max_evals - cost.nfev > 50 * n:
-            # stuck in this basin with budget to spare: try a fresh one
-            start = rng.uniform(bounds[:, 0], bounds[:, 1])
-        else:
-            return
-
-
 def synthesize(problem: SynthesisProblem,
                config: AnnealConfig | None = None) -> SynthesisResult:
     """Minimize the student-teacher Hilbert-Schmidt distance over theta."""
@@ -502,8 +448,14 @@ def synthesize(problem: SynthesisProblem,
         d = evaluator.value(np.empty(0))
         return SynthesisResult(np.empty(0), d, 1,
                                evaluator.overlap(np.empty(0)),
-                               d <= config.converge_threshold,
+                               d <= CONVERGE_THRESHOLD,
                                seed=config.seed, improvements=[(1, d)])
+
+    rotation = config.polish_method.lower() == "rotation-solve"
+    slot_kinds = _slot_kinds(student) if rotation else None
+    if rotation and slot_kinds is None:
+        raise ValueError("rotation-solve polish needs each parameter to "
+                         "drive exactly one unscaled rotation")
 
     if problem.budget < 10 * n:
         warnings.warn(
@@ -512,23 +464,20 @@ def synthesize(problem: SynthesisProblem,
 
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
-    if config.local_polish:
-        anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    else:
-        anneal_evals = problem.budget
-    _anneal(cost, problem.bounds, config, rng, anneal_evals)
+    anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
+    _anneal(cost, problem.bounds, rng, anneal_evals)
 
-    if config.local_polish and not cost.exhausted:
-        _polish(cost, problem.bounds, config.polish_method, rng,
-                slot_kinds=_slot_kinds(student),
-                fg=evaluator.value_and_grad)
+    if rotation and not cost.exhausted:
+        _rotation_solve(cost, problem.bounds, slot_kinds, rng)
+    elif not cost.exhausted:
+        _grad_polish(cost, problem.bounds, rng, evaluator.value_and_grad)
 
     return SynthesisResult(
         theta_star=cost.best_x,
         distance=float(cost.best_e),
         evaluations=cost.nfev,
         trace_of_best=evaluator.overlap(cost.best_x),
-        converged=cost.best_e <= config.converge_threshold,
+        converged=cost.best_e <= CONVERGE_THRESHOLD,
         seed=config.seed,
         improvements=cost.improvements,
     )

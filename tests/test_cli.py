@@ -108,6 +108,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:     # a removed polish method
+        run(["distill", "--teacher", "t.json", "--polish-method", "powell"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'powell'" in capsys.readouterr().err
 
 
 def test_epoch_zero_rejected(tmp_path):
@@ -169,6 +173,33 @@ def test_malformed_profile_exits_3(trained_dir, tmp_path, capsys, case):
               os.path.join(trained_dir, "c2_1l_seed7.json"),
               "--out", str(tmp_path / "out")])
     _assert_data_error(rc, capsys, path)
+
+
+_SWEEP_CONFIG = {"template": "c2", "layers": 1, "student_layers": 1,
+                 "qubits": [2], "instances": 1, "budget": 50,
+                 "polish_method": None, "anneal_fraction": 0.05, "seed": 0}
+_BAD_MANIFESTS = {
+    "top_level_list": [{"command": "fidelity-sweep", "config": _SWEEP_CONFIG}],
+    "config_list": {"command": "fidelity-sweep", "config": []},
+    "config_without_seed": {"command": "fidelity-sweep", "config": {
+        k: v for k, v in _SWEEP_CONFIG.items() if k != "seed"}},
+    "removed_polish_method": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "polish_method": "nelder-mead"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+def test_malformed_manifest_fails_cleanly(tmp_path, capsys, case):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_BAD_MANIFESTS[case]))
+    rc = run(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")])
+    if case == "removed_polish_method":
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert "Traceback" not in err
+        assert "grad-lbfgs" in err and "rotation-solve" in err
+    else:
+        _assert_data_error(rc, capsys, path)
 
 
 def test_env_var_default_out(tmp_path, monkeypatch, trained_dir):

@@ -169,14 +169,25 @@ def test_problem_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        syn.AnnealConfig(polish_method="newton")
-    with pytest.raises(ValueError):
-        syn.AnnealConfig(visit=3.5)
-    with pytest.raises(ValueError):
-        syn.AnnealConfig(accept=1.0)
+    for method in ("newton", "nelder-mead", "powell", "lbfgs"):
+        with pytest.raises(ValueError):
+            syn.AnnealConfig(polish_method=method)
     with pytest.raises(ValueError):
         syn.AnnealConfig(anneal_fraction=0.0)
+
+
+def test_rotation_solve_rejects_shared_slots_before_annealing(monkeypatch):
+    # @0 drives two gates, once scaled: no closed-form coordinate update
+    student = circ.from_text("qubits 2\nRX 0 @0\nCX 0,1\nRY 1 @0*2.0\n")
+    u = random_unitary(4, 0)
+
+    def no_anneal(*args):
+        raise AssertionError("annealed before rejecting the student")
+
+    monkeypatch.setattr(syn, "_anneal", no_anneal)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve")
+    with pytest.raises(ValueError, match="exactly one unscaled rotation"):
+        syn.synthesize(syn.SynthesisProblem(u, student, budget=20000), cfg)
 
 
 def test_zero_parameter_student():
@@ -222,8 +233,7 @@ def test_self_synthesis_recovers_target():
     assert best.converged
 
 
-@pytest.mark.parametrize("method", ["powell", "lbfgs", "grad-lbfgs",
-                                    "rotation-solve"])
+@pytest.mark.parametrize("method", ["grad-lbfgs", "rotation-solve"])
 def test_polish_methods_run_and_improve(method):
     u, tpl, _ = template_unitary("c2", 2, 1, seed=9)
     prob = syn.SynthesisProblem(u, tpl, budget=800)
