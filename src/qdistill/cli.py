@@ -327,12 +327,35 @@ def run_command(command: str, config: dict, out_dir: str) -> str:
                           artifacts, wall)
 
 
+def _mistyped_keys(command: str, config: dict) -> list:
+    """Config keys whose values do not survive a round trip through the parser."""
+    commands = next(a for a in _build_parser()._actions if a.dest == "command")
+    bad = []
+    for action in commands.choices[command]._actions:
+        value = config.get(action.dest)
+        if action.dest not in config or (value is None and not action.required
+                                         and action.default is None):
+            continue
+        text = (",".join(map(str, value)) if isinstance(value, list)
+                else str(value))
+        try:
+            same = (action.type or str)(text) == value
+        except (ValueError, argparse.ArgumentTypeError):
+            same = False
+        if not same:
+            bad.append(action.dest)
+    return bad
+
+
 def run_replay(config: dict, out_dir: str):
     path = config["manifest"]
     if not os.path.exists(path):
         raise DataError(f"manifest not found: {path}")
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"malformed manifest {path}: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise DataError(f"malformed manifest {path}: expected an object "
                         "with a 'config' object")
@@ -343,6 +366,10 @@ def run_replay(config: dict, out_dir: str):
     if missing:
         raise DataError(f"malformed manifest {path}: config lacks "
                         + ", ".join(missing))
+    mistyped = _mistyped_keys(command, doc["config"])
+    if mistyped:
+        raise DataError(f"malformed manifest {path}: config values of the "
+                        "wrong type for " + ", ".join(mistyped))
     run_command(command, doc["config"], out_dir)
     return []
 

@@ -7,8 +7,20 @@ phase damping lambda = 1 - e^(-t(1/T2 - 1/(2T1))).  Readout applies a
 symmetric bit-flip, <Z>' = (1 - 2*meas_err) <Z>.  Expectations are computed
 exactly from the density matrix; there is no shot sampling.
 
+The three steps are fused into one superoperator per gate,
+N @ (U (x) conj(U)) with N = sum_K K (x) conj(K) built once per ``run_noisy``
+call, and ``circuit.apply_matrix`` contracts it into rho's ket and bra axes.
+A trailing batch axis on rho evolves many density matrices at once.
+
 Circuits are lowered to the profile's basis before evaluation, so noise is
-charged per physical gate, not per logical gate.
+charged per physical gate, not per logical gate.  With 1q-run merging, a
+row's encoding gates can only fuse into each qubit's leading run of 1q gates,
+before that qubit's first 2q gate; everything after is the PQC's own lowering.
+There is no idle noise, so the channels of gates on disjoint qubits commute
+exactly, and each row's circuit equals its per-qubit prefix followed by one
+suffix shared by all rows.  ``noisy_z_features`` runs each prefix alone, then
+the shared suffix once on the stacked batch, and checks per row that the
+suffix really is the shared one.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from .circuit import Circuit, Op, apply_matrix, bind
+from .circuit import Circuit, apply_matrix, bind
 from .encoding import apply_scaler, encode
 from .gates import PAULI, gate_matrix
 from .qnn import softmax
@@ -112,12 +124,10 @@ def depolarizing_kraus_1q(p: float):
 
 
 def depolarizing_kraus_2q(p: float):
-    ks = []
-    for a in "IXYZ":
-        for b in "IXYZ":
-            weight = 1.0 - 15.0 * p / 16.0 if a == b == "I" else p / 16.0
-            ks.append(math.sqrt(weight) * np.kron(PAULI[a], PAULI[b]))
-    return ks
+    weights = np.full(16, p / 16.0)
+    weights[0] = 1.0 - 15.0 * p / 16.0
+    paulis = [PAULI[s] for s in "IXYZ"]
+    return list(np.sqrt(weights)[:, None, None] * _kron_pairs(paulis, paulis))
 
 
 def amplitude_damping_kraus(gamma: float):
@@ -128,6 +138,13 @@ def amplitude_damping_kraus(gamma: float):
 def phase_damping_kraus(lam: float):
     return [np.array([[1, 0], [0, math.sqrt(1.0 - lam)]], dtype=complex),
             np.array([[0, 0], [0, math.sqrt(lam)]], dtype=complex)]
+
+
+def _kron_pairs(a, b) -> np.ndarray:
+    """kron(x, y) for every x in a and y in b, stacked in that order."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.einsum("aij,bkl->abikjl", a, b).reshape(
+        len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
 def compose_kraus(outer, inner):
@@ -158,67 +175,73 @@ def zero_density(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def apply_kraus(rho: np.ndarray, kraus, qubits, n_qubits: int) -> np.ndarray:
-    """rho' = sum_K K rho K^dag on the given qubits.
+def _superop(kraus) -> np.ndarray:
+    """sum_K K (x) conj(K): the channel acting on a row-major vec(rho)."""
+    k = np.asarray(kraus)
+    d = k.shape[-1]
+    return np.einsum("kij,kab->iajb", k, k.conj()).reshape(d * d, d * d)
+
+
+def _apply_superop(rho: np.ndarray, superop: np.ndarray, qubits,
+                   n_qubits: int) -> np.ndarray:
+    """Apply a superoperator to rho, or a (dim, dim, b) batch, on the qubits.
 
     rho is a 2n-qubit tensor: its ket (row) index holds qubit q at q + n, its
-    bra (column) index at q, so K acts on the first and conj(K) on the second.
+    bra (column) index at q, so the superoperator acts on the ket axes
+    followed by the bra axes.
     """
     n = n_qubits
-    shape = rho.shape
-    t = rho.reshape((2,) * (2 * n))
+    t = rho.reshape((2,) * (2 * n) + rho.shape[2:])
     ket = [q + n for q in qubits]
-    out = np.zeros_like(t)
-    for k in kraus:
-        term = apply_matrix(t, k, ket, 2 * n)
-        out += apply_matrix(term, np.conj(k), qubits, 2 * n)
-    return out.reshape(shape)
+    return apply_matrix(t, superop, ket + list(qubits), 2 * n).reshape(
+        rho.shape)
 
 
-def apply_gate_noisy(rho: np.ndarray, op: Op, profile: DeviceProfile,
-                     n_qubits: int) -> np.ndarray:
-    """Ideal gate, then depolarizing, then thermal relaxation per qubit."""
-    rho = apply_kraus(rho, [gate_matrix(op.kind, op.angle)], op.qubits,
-                      n_qubits)
-    if len(op.qubits) == 1:
-        if profile.err_1q > 0:
-            rho = apply_kraus(rho, depolarizing_kraus_1q(profile.err_1q),
-                              op.qubits, n_qubits)
-        duration = profile.dur_1q_ns
-    else:
-        if profile.err_2q > 0:
-            rho = apply_kraus(rho, depolarizing_kraus_2q(profile.err_2q),
-                              op.qubits, n_qubits)
-        duration = profile.dur_2q_ns
-    gamma, lam = profile.relaxation_gammas(duration)
-    if gamma > 0 or lam > 0:
-        relax = profile.relaxation_kraus(duration)
-        for q in op.qubits:
-            rho = apply_kraus(rho, relax, (q,), n_qubits)
-    return rho
+def apply_kraus(rho: np.ndarray, kraus, qubits, n_qubits: int) -> np.ndarray:
+    """rho' = sum_K K rho K^dag on the given qubits."""
+    return _apply_superop(rho, _superop(kraus), qubits, n_qubits)
+
+
+def _noise_superops(profile: DeviceProfile) -> dict:
+    """{arity: depolarizing, then per-qubit relaxation} after a 1q or 2q gate."""
+    relax_1q = profile.relaxation_kraus(profile.dur_1q_ns)
+    relax_2q = profile.relaxation_kraus(profile.dur_2q_ns)
+    return {
+        1: (_superop(relax_1q)
+            @ _superop(depolarizing_kraus_1q(profile.err_1q))),
+        2: (_superop(_kron_pairs(relax_2q, relax_2q))
+            @ _superop(depolarizing_kraus_2q(profile.err_2q))),
+    }
 
 
 def run_noisy(circuit: Circuit, profile: DeviceProfile,
               rho: np.ndarray | None = None) -> np.ndarray:
-    """Evolve a density matrix through a bound circuit under the profile."""
+    """Evolve a density matrix, or a (dim, dim, b) batch, through a bound circuit.
+
+    Each gate is one fused channel, noise @ (U (x) conj(U)), applied by one
+    ``apply_matrix``.
+    """
     if not circuit.is_bound:
         raise ValueError("circuit must be bound before noisy execution")
     n = circuit.n_qubits
     if rho is None:
         rho = zero_density(n)
+    noise = _noise_superops(profile)
     for op in circuit.ops:
-        rho = apply_gate_noisy(rho, op, profile, n)
+        u = gate_matrix(op.kind, op.angle)
+        rho = _apply_superop(rho, noise[len(op.qubits)] @ _superop([u]),
+                             op.qubits, n)
     return rho
 
 
-def z_expectation(rho: np.ndarray, qubit: int) -> float:
-    pops = np.real(np.diag(rho))
-    signs = 1.0 - 2.0 * ((np.arange(pops.size) >> qubit) & 1)
-    return float(np.dot(pops, signs))
+def z_expectation(rho: np.ndarray, qubit: int):
+    """<Z> on one qubit of rho, or per density matrix of a (dim, dim, b) batch."""
+    pops = np.real(np.diagonal(rho))                     # (dim,) or (b, dim)
+    signs = 1.0 - 2.0 * ((np.arange(pops.shape[-1]) >> qubit) & 1)
+    return pops @ signs
 
 
-def measure_z_noisy(rho: np.ndarray, qubit: int,
-                    profile: DeviceProfile) -> float:
+def measure_z_noisy(rho: np.ndarray, qubit: int, profile: DeviceProfile):
     return (1.0 - 2.0 * profile.meas_err) * z_expectation(rho, qubit)
 
 
@@ -229,6 +252,19 @@ def purity(rho: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Model evaluation
 
+def _split_entangled(ops):
+    """(prefix, suffix): each qubit's 1q ops before its first 2q op; the rest."""
+    entangled = set()
+    prefix, suffix = [], []
+    for op in ops:
+        if len(op.qubits) == 1 and op.qubits[0] not in entangled:
+            prefix.append(op)
+        else:
+            entangled.update(op.qubits)
+            suffix.append(op)
+    return prefix, suffix
+
+
 def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     """Readout-corrected per-qubit <Z> rows for pre-scaled feature rows."""
     from .gates import get_basis
@@ -236,16 +272,21 @@ def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     basis = get_basis(profile.basis)
     n = model.n_qubits
     bound_pqc = bind(model.pqc, model.theta)
+    _, shared = _split_entangled(lower(bound_pqc, basis, merge_1q=True).ops)
     x = np.atleast_2d(np.asarray(features_scaled, float))
-    rows = np.empty((x.shape[0], n))
-    flip = 1.0 - 2.0 * profile.meas_err
+    rho = np.empty((2 ** n, 2 ** n, x.shape[0]), dtype=complex)
     for i, row in enumerate(x):
         full = encode(row, model.scheme)
         circuit = Circuit(n, list(full.ops) + list(bound_pqc.ops))
-        physical = lower(circuit, basis, merge_1q=True)
-        rho = run_noisy(physical, profile)
-        rows[i] = [flip * z_expectation(rho, q) for q in range(n)]
-    return rows
+        prefix, suffix = _split_entangled(
+            lower(circuit, basis, merge_1q=True).ops)
+        if suffix != shared:
+            raise ValueError(f"row {i}: lowered circuit does not end in the "
+                             "shared PQC tail")
+        rho[..., i] = run_noisy(Circuit(n, prefix), profile)
+    rho = run_noisy(Circuit(n, shared), profile, rho)
+    return np.stack([measure_z_noisy(rho, q, profile) for q in range(n)],
+                    axis=1)
 
 
 def evaluate_noisy(model, features, labels, profile: DeviceProfile,

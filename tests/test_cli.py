@@ -177,7 +177,8 @@ def test_malformed_profile_exits_3(trained_dir, tmp_path, capsys, case):
 
 _SWEEP_CONFIG = {"template": "c2", "layers": 1, "student_layers": 1,
                  "qubits": [2], "instances": 1, "budget": 50,
-                 "polish_method": None, "anneal_fraction": 0.05, "seed": 0}
+                 "polish_method": "rotation-solve", "anneal_fraction": 0.05,
+                 "seed": 0}
 _BAD_MANIFESTS = {
     "top_level_list": [{"command": "fidelity-sweep", "config": _SWEEP_CONFIG}],
     "config_list": {"command": "fidelity-sweep", "config": []},
@@ -185,13 +186,19 @@ _BAD_MANIFESTS = {
         k: v for k, v in _SWEEP_CONFIG.items() if k != "seed"}},
     "removed_polish_method": {"command": "fidelity-sweep", "config": {
         **_SWEEP_CONFIG, "polish_method": "nelder-mead"}},
+    "seed_not_int": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "seed": "x"}},
+    "qubits_not_list": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "qubits": 5}},
+    "not_json": "this is not JSON",   # written as raw text
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
 def test_malformed_manifest_fails_cleanly(tmp_path, capsys, case):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(_BAD_MANIFESTS[case]))
+    doc = _BAD_MANIFESTS[case]
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = run(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")])
     if case == "removed_polish_method":
         err = capsys.readouterr().err
@@ -200,6 +207,15 @@ def test_malformed_manifest_fails_cleanly(tmp_path, capsys, case):
         assert "grad-lbfgs" in err and "rotation-solve" in err
     else:
         _assert_data_error(rc, capsys, path)
+
+
+def test_well_typed_manifest_replays(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "fidelity-sweep",
+                                "config": _SWEEP_CONFIG}))
+    out = tmp_path / "o"
+    assert run(["replay", "--manifest", str(path), "--out", str(out)]) == 0
+    assert os.path.exists(out / "fidelity.csv")
 
 
 def test_env_var_default_out(tmp_path, monkeypatch, trained_dir):

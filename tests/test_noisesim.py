@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qdistill import circuit as circ, data, encoding, noisesim, qnn
+from qdistill import circuit as circ, data, encoding, noisesim, qmath, qnn
 from qdistill.circuit import Circuit, Op
-from qdistill.gates import GateKind as K
+from qdistill.gates import GateKind as K, gate_matrix
+from qdistill.transpile import lower
 
 
 MELBOURNE = noisesim.load_profile("melbourne")
@@ -127,3 +131,147 @@ def test_compose_kraus_drops_zero_products():
                                 noisesim.amplitude_damping_kraus(1.0))
     noisesim.assert_cptp(ks)
     assert all(np.any(k) for k in ks)
+
+
+def _random_densities(dim, count, rng):
+    a = (rng.normal(size=(count, dim, dim))
+         + 1j * rng.normal(size=(count, dim, dim)))
+    rhos = a @ a.conj().transpose(0, 2, 1)
+    return rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+
+
+def test_run_noisy_batch_equals_separate_calls():
+    tpl = circ.build_template("c6", 3, 1)
+    rng = np.random.default_rng(5)
+    bound = circ.bind(tpl, rng.uniform(-math.pi, math.pi, tpl.n_params))
+    rhos = _random_densities(8, 4, rng)
+    batch = noisesim.run_noisy(bound, MELBOURNE, np.moveaxis(rhos, 0, -1))
+    assert batch.shape == (8, 8, 4)
+    for i, rho in enumerate(rhos):
+        single = noisesim.run_noisy(bound, MELBOURNE, rho)
+        assert np.max(np.abs(batch[..., i] - single)) <= 1e-14
+
+
+def _iris_model(template="c15", layers=2):
+    ds = data.load_iris(seed=0)
+    scheme = encoding.EncodingScheme("1:1", 4)
+    scaler = encoding.fit_scaler(ds.train_features)
+    model = qnn.init_model(template, layers, scheme, seed=1, scaler=scaler)
+    return model, encoding.apply_scaler(scaler, ds.val_features[:3])
+
+
+def test_noisy_z_features_edge_shapes():
+    model, x = _iris_model()
+    assert noisesim.noisy_z_features(model, x[:0], MELBOURNE).shape == (0, 4)
+    one = noisesim.noisy_z_features(model, x[0], MELBOURNE)
+    assert one.shape == (1, 4)
+    many = noisesim.noisy_z_features(model, x, MELBOURNE)
+    assert np.max(np.abs(one[0] - many[0])) <= 1e-12
+
+
+def test_noisy_z_features_rejects_row_without_shared_tail(monkeypatch):
+    model, x = _iris_model()
+    calls = []
+
+    def lower_with_extra_gate(circuit, basis, merge_1q=False):
+        calls.append(circuit)
+        out = lower(circuit, basis, merge_1q=merge_1q)
+        extra = [Op(K.CX, (0, 1))] if len(calls) > 1 else []
+        return Circuit(out.n_qubits, list(out.ops) + extra)
+
+    monkeypatch.setattr(noisesim, "lower", lower_with_extra_gate)
+    with pytest.raises(ValueError, match="shared PQC tail"):
+        noisesim.noisy_z_features(model, x, MELBOURNE)
+
+
+def _embedded(m, qubits, units):
+    """Full-register matrix of a local matrix; qubits[0] is its top bit."""
+    k = len(qubits)
+    dim = units[0][0, 0].shape[0]
+    full = np.zeros((dim, dim), dtype=complex)
+    for r, c in zip(*np.nonzero(m)):
+        term = np.eye(dim, dtype=complex)
+        for pos, q in enumerate(qubits):
+            bit = k - 1 - pos
+            term = term @ units[q][(r >> bit) & 1, (c >> bit) & 1]
+        full = full + m[r, c] * term
+    return full
+
+
+def _oracle_rho(circuit, profile):
+    """Dense reference: every Kraus operator embedded at full register size."""
+    n = circuit.n_qubits
+    eye = np.eye(2, dtype=complex)
+    units = []   # units[q][r, c] = |r><c| on qubit q, identity elsewhere
+    for q in range(n):
+        grid = np.empty((2, 2), dtype=object)
+        for r in range(2):
+            for c in range(2):
+                cell = np.zeros((2, 2), dtype=complex)
+                cell[r, c] = 1.0
+                full = np.eye(1, dtype=complex)
+                for p in reversed(range(n)):
+                    full = qmath.kron(full, cell if p == q else eye)
+                grid[r, c] = full
+        units.append(grid)
+    rho = noisesim.zero_density(n)
+    for op in circuit.ops:
+        if len(op.qubits) == 1:
+            depol = noisesim.depolarizing_kraus_1q(profile.err_1q)
+            duration = profile.dur_1q_ns
+        else:
+            depol = noisesim.depolarizing_kraus_2q(profile.err_2q)
+            duration = profile.dur_2q_ns
+        steps = [([gate_matrix(op.kind, op.angle)], op.qubits),
+                 (depol, op.qubits)]
+        steps += [(profile.relaxation_kraus(duration), (q,))
+                  for q in op.qubits]
+        for kraus, qubits in steps:
+            full = [_embedded(k, qubits, units) for k in kraus]
+            rho = sum(k @ rho @ k.conj().T for k in full)
+    return rho
+
+
+def test_run_noisy_matches_dense_kraus_oracle():
+    tpl = circ.build_template("c6", 3, 1)
+    rng = np.random.default_rng(11)
+    bound = circ.bind(tpl, rng.uniform(-math.pi, math.pi, tpl.n_params))
+    bound = Circuit(3, [Op(K.H, (1,)), Op(K.RZ, (2,), 0.7)] + list(bound.ops))
+    got = noisesim.run_noisy(bound, MELBOURNE)
+    assert np.max(np.abs(got - _oracle_rho(bound, MELBOURNE))) <= 1e-12
+
+
+def _oracle_z(model, row, profile):
+    """Per-row readout-corrected <Z> from the dense oracle."""
+    n = model.n_qubits
+    ops = (list(encoding.encode(row, model.scheme).ops)
+           + list(circ.bind(model.pqc, model.theta).ops))
+    physical = lower(Circuit(n, ops), profile.basis, merge_1q=True)
+    pops = np.real(np.diag(_oracle_rho(physical, profile)))
+    return [(1 - 2 * profile.meas_err)
+            * sum(pops[i] * (1 - 2 * ((i >> q) & 1)) for i in range(2 ** n))
+            for q in range(n)]
+
+
+_PROFILES = {"melbourne": MELBOURNE, "almaden": ALMADEN,
+             "zero-noise": noisesim.zero_noise_profile(),
+             "melbourne-rigetti": dataclasses.replace(MELBOURNE,
+                                                      basis="RIGETTI")}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["c1", "c2", "c6", "c9", "c12", "c15"]),
+       st.integers(1, 2), st.sampled_from(["1:1", "2:1"]),
+       st.sampled_from(sorted(_PROFILES)), st.integers(0, 10_000))
+@example("c1", 1, "1:1", "almaden", 0)   # no 2q gate: the suffix is empty
+@example("c15", 2, "2:1", "melbourne-rigetti", 1)
+def test_noisy_z_features_match_dense_kraus_oracle(template, layers, mode,
+                                                   profile_name, seed):
+    scheme = encoding.EncodingScheme(mode, 4)
+    model = qnn.init_model(template, layers, scheme, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-math.pi, math.pi, (2, scheme.capacity))
+    profile = _PROFILES[profile_name]
+    got = noisesim.noisy_z_features(model, rows, profile)
+    want = np.array([_oracle_z(model, row, profile) for row in rows])
+    assert np.max(np.abs(got - want)) <= 1e-12
