@@ -8,8 +8,8 @@ fine-tuned student keeps most of its ideal performance.
 
 import numpy as np
 
-from qdistill import AnnealConfig, EncodingScheme, TrainConfig, fit_scaler, \
-    init_model, load_iris, load_profile, train
+from qdistill import AnnealConfig, EncodingScheme, TrainConfig, \
+    evaluate_noisy, fit_scaler, init_model, load_iris, load_profile, train
 from qdistill import qnn
 from qdistill.synthesis import distill
 
@@ -30,5 +30,5 @@ x = np.vstack([ds.train_features, ds.val_features])
 y = np.concatenate([ds.train_labels, ds.val_labels])
 for label, model in (("teacher 7L", teacher), ("student 4L", student)):
     ideal = qnn.evaluate(model, x, y)
-    noisy = qnn.evaluate(model, x, y, backend="noisy", profile=profile)
+    noisy = evaluate_noisy(model, x, y, profile)
     print(f"{label}: ideal {ideal:.3f} -> {profile.name} {noisy:.3f}")

@@ -6,9 +6,9 @@ that transpilation can carry symbolic angles through rewrites).  Gates apply
 left to right: the earliest op in the list acts first on the state, i.e. it
 is the rightmost factor of the circuit unitary.
 
-Templates are data driven.  The shipped catalog covers the layer
-architectures used throughout this package (c1, c2, c6, c9, c12, c15); more
-can be registered from a config file without code changes.
+Templates are data: a layer is a list of (gate kind, placement) pairs.  The
+shipped catalog covers the layer architectures used throughout this package
+(c1, c2, c6, c9, c12, c15); `register_template` adds more.
 """
 
 from __future__ import annotations
@@ -256,14 +256,6 @@ class StepList:
             lam = step.apply(lam, theta, adjoint=True)
 
 
-def expectation_z(circuit: Circuit, state, qubit: int) -> float:
-    """Pauli-Z expectation of one qubit after running the circuit."""
-    if not 0 <= qubit < circuit.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    out = simulate(circuit, state)
-    return z_expectations(out, circuit.n_qubits)[qubit]
-
-
 def z_expectations(states, n_qubits: int) -> np.ndarray:
     """Per-qubit <Z> for states of shape (..., 2^n); returns (..., n)."""
     states = np.asarray(states)
@@ -336,9 +328,6 @@ class TemplateSpec:
             for qubits in _PLACEMENTS[placement](n_qubits):
                 yield kind, qubits, kind in PARAMETERIZED
 
-    def params_per_layer(self, n_qubits: int) -> int:
-        return sum(1 for _, _, p in self.expand_layer(n_qubits) if p)
-
 
 TEMPLATES: dict[str, TemplateSpec] = {}
 
@@ -375,60 +364,19 @@ def build_template(tid: str, n_qubits: int, layers: int) -> Circuit:
 
 _K = GateKind
 
-DEFAULT_TEMPLATE_CONFIG = """\
-# Shipped parametric-layer catalog.  One template per line:
-#   template <id> : KIND@placement KIND@placement ...
-# Placements: all, inner, chain, ring, pairs, bridge, all_to_all
-template c1  : RX@all RZ@all
-template c2  : RX@all RZ@all CX@chain
-template c6  : RX@all RZ@all CRX@all_to_all RX@all RZ@all
-template c9  : H@all CZ@chain RX@all
-template c12 : RY@all RZ@all CZ@pairs RY@inner RZ@inner CZ@bridge
-template c15 : RY@all CX@ring
-"""
-
-
-def load_template_config(text: str) -> None:
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("template "):
-            raise ValueError(f"template config line {lineno}: expected 'template'")
-        head, body = line[len("template "):].split(":", 1)
-        pattern = []
-        for item in body.split():
-            kind_s, placement = item.split("@")
-            pattern.append((GateKind(kind_s), placement))
-        register_template(head.strip(), pattern)
-
-
-load_template_config(DEFAULT_TEMPLATE_CONFIG)
+register_template("c1", [(_K.RX, "all"), (_K.RZ, "all")])
+register_template("c2", [(_K.RX, "all"), (_K.RZ, "all"), (_K.CX, "chain")])
+register_template("c6", [(_K.RX, "all"), (_K.RZ, "all"), (_K.CRX, "all_to_all"),
+                         (_K.RX, "all"), (_K.RZ, "all")])
+register_template("c9", [(_K.H, "all"), (_K.CZ, "chain"), (_K.RX, "all")])
+register_template("c12", [(_K.RY, "all"), (_K.RZ, "all"), (_K.CZ, "pairs"),
+                          (_K.RY, "inner"), (_K.RZ, "inner"), (_K.CZ, "bridge")])
+register_template("c15", [(_K.RY, "all"), (_K.CX, "ring")])
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented text serialization: `GATE q0[,q1] [angle|@slot[*scale][+offset]]`
-
-def op_to_text(op: Op) -> str:
-    parts = [op.kind.value, ",".join(str(q) for q in op.qubits)]
-    if isinstance(op.angle, Param):
-        token = f"@{op.angle.slot}"
-        if op.angle.scale != 1.0:
-            token += f"*{op.angle.scale!r}"
-        if op.angle.offset != 0.0:
-            sign = "+" if op.angle.offset >= 0 else "-"
-            token += sign + repr(abs(op.angle.offset))
-        parts.append(token)
-    elif op.angle is not None:
-        parts.append(repr(float(op.angle)))
-    return " ".join(parts)
-
-
-def to_text(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.n_qubits}"]
-    lines += [op_to_text(op) for op in circuit.ops]
-    return "\n".join(lines) + "\n"
-
+# Line-oriented circuit text: `qubits N`, then one op per line,
+# `GATE q0[,q1] [angle|@slot[*scale][+offset]]`
 
 _NUM = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
 _SLOT_TOKEN = re.compile(

@@ -25,7 +25,7 @@ from . import qnn
 from .circuit import TEMPLATES, bind, build_template, unitary_of
 from .data import load_features_csv, load_iris
 from .encoding import EncodingScheme, fit_scaler
-from .noisesim import load_profile
+from .noisesim import evaluate_noisy, load_profile
 from .synthesis import (POLISH_METHODS, AnnealConfig, SynthesisProblem,
                         distill, synthesize)
 from .transpile import overhead_csv, overhead_table
@@ -69,9 +69,9 @@ def _load_dataset(data, classes, seed):
         return load_iris(seed=seed)
     if not os.path.exists(data):
         raise DataError(f"dataset not found: {data}")
-    if classes is None:
-        raise DataError("CSV datasets need --classes a,b,c")
-    return load_features_csv(data, classes, seed=seed)
+    if classes is None or len(classes) != 3:
+        raise ValueError(f"CSV datasets need --classes a,b,c, got {classes}")
+    return _load_input(load_features_csv, data, "dataset", classes, seed=seed)
 
 
 def _scheme_for(dataset) -> EncodingScheme:
@@ -83,10 +83,10 @@ def _scheme_for(dataset) -> EncodingScheme:
     raise DataError(f"no encoding scheme for {n_features}-feature data")
 
 
-def _load_json_input(loader, path, what):
-    """Call a JSON loader, turning malformed content into a DataError."""
+def _load_input(loader, path, what, *args, **kwargs):
+    """Call a file loader, turning malformed content into a DataError."""
     try:
-        return loader(path)
+        return loader(path, *args, **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {what} {path}: {exc!r}") from exc
 
@@ -164,7 +164,7 @@ def run_distill(config: dict, out_dir: str):
     teacher_path = config["teacher"]
     if not os.path.exists(teacher_path):
         raise DataError(f"teacher checkpoint not found: {teacher_path}")
-    teacher = _load_json_input(qnn.load_checkpoint, teacher_path, "checkpoint")
+    teacher = _load_input(qnn.load_checkpoint, teacher_path, "checkpoint")
     seeds = config["seeds"]
     artifacts = []
     rows = []
@@ -198,7 +198,7 @@ def run_finetune(config: dict, out_dir: str):
     ckpt_path = config["checkpoint"]
     if not os.path.exists(ckpt_path):
         raise DataError(f"checkpoint not found: {ckpt_path}")
-    model = _load_json_input(qnn.load_checkpoint, ckpt_path, "checkpoint")
+    model = _load_input(qnn.load_checkpoint, ckpt_path, "checkpoint")
     dataset = _load_dataset(config["data"], config.get("classes"),
                             config["seed"])
     if dataset.features.shape[1] != model.scheme.capacity:
@@ -245,7 +245,7 @@ def run_transpile_report(config: dict, out_dir: str):
 
 
 def run_noise_eval(config: dict, out_dir: str):
-    profile = _load_json_input(load_profile, config["profile"], "profile")
+    profile = _load_input(load_profile, config["profile"], "profile")
     dataset = _load_dataset(config["data"], config.get("classes"),
                             config["seed"])
     splits = {"train": (dataset.train_features, dataset.train_labels),
@@ -256,11 +256,11 @@ def run_noise_eval(config: dict, out_dir: str):
     for path in config["checkpoints"]:
         if not os.path.exists(path):
             raise DataError(f"checkpoint not found: {path}")
-        model = _load_json_input(qnn.load_checkpoint, path, "checkpoint")
+        model = _load_input(qnn.load_checkpoint, path, "checkpoint")
         if dataset.features.shape[1] != model.scheme.capacity:
             raise DataError(f"feature count mismatch for {path}")
         for name, (x, y) in splits.items():
-            acc = qnn.evaluate(model, x, y, backend="noisy", profile=profile)
+            acc = evaluate_noisy(model, x, y, profile)
             lines.append(f"{os.path.basename(path)},{profile.name},"
                          f"{name},{acc!r}")
     _write_text(os.path.join(out_dir, "noise_eval.csv"),
@@ -327,11 +327,17 @@ def run_command(command: str, config: dict, out_dir: str) -> str:
                           artifacts, wall)
 
 
+def _config_actions(command: str) -> list:
+    """The subcommand's parser actions whose values a manifest records."""
+    commands = next(a for a in _build_parser()._actions if a.dest == "command")
+    return [a for a in commands.choices[command]._actions
+            if a.dest not in ("help", "out")]
+
+
 def _mistyped_keys(command: str, config: dict) -> list:
     """Config keys whose values do not survive a round trip through the parser."""
-    commands = next(a for a in _build_parser()._actions if a.dest == "command")
     bad = []
-    for action in commands.choices[command]._actions:
+    for action in _config_actions(command):
         value = config.get(action.dest)
         if action.dest not in config or (value is None and not action.required
                                          and action.default is None):
@@ -362,7 +368,8 @@ def run_replay(config: dict, out_dir: str):
     command = doc.get("command")
     if command not in _RUNNERS:
         raise DataError(f"manifest {path} names unknown command {command!r}")
-    missing = [k for k in _CONFIG_KEYS[command] if k not in doc["config"]]
+    missing = [a.dest for a in _config_actions(command)
+               if a.dest not in doc["config"]]
     if missing:
         raise DataError(f"malformed manifest {path}: config lacks "
                         + ", ".join(missing))
@@ -451,26 +458,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "train": ["data", "classes", "template", "layers", "epochs",
-              "batch_size", "seed"],
-    "distill": ["teacher", "template", "layers", "budget", "seeds", "jobs",
-                "polish_method", "anneal_fraction", "seed"],
-    "finetune": ["checkpoint", "data", "classes", "epochs", "batch_size",
-                 "seed"],
-    "transpile-report": ["templates", "bases", "qubits", "seed"],
-    "noise-eval": ["checkpoints", "profile", "data", "classes", "seed"],
-    "fidelity-sweep": ["template", "layers", "student_layers", "qubits",
-                       "instances", "budget", "polish_method",
-                       "anneal_fraction", "seed"],
-    "replay": ["manifest", "seed"],
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = {k: getattr(args, k) for k in _CONFIG_KEYS[args.command]}
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out")}
     try:
         out_dir = _out_dir(args)
         if args.command == "replay":

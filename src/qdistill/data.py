@@ -1,4 +1,4 @@
-"""Dataset ingestion: bundled Iris, 8-feature CSV files, PCA, stratified splits.
+"""Dataset ingestion: bundled Iris, 8-feature CSV files, stratified splits.
 
 The expected CSV schema for external feature files is ``f0,...,f7,label``
 with integer class labels.  Class triplets are filtered and remapped densely
@@ -132,36 +132,3 @@ def load_features_csv(path, class_triplet, seed: int = 0,
             f"rows={len(y)},split={len(train)}/{len(val)}")
     prov += "," + ";".join(notes) + ")" if notes else ")"
     return Dataset(f, y, train, val, provenance=prov)
-
-
-@dataclass
-class PcaModel:
-    mean: np.ndarray          # (F,)
-    components: np.ndarray    # (k, F), orthonormal rows
-
-    def transform(self, features) -> np.ndarray:
-        x = np.asarray(features, float)
-        return (x - self.mean) @ self.components.T
-
-
-def pca_reduce(features, k: int, train_rows=None):
-    """Project onto the top-k principal directions fitted on training rows.
-
-    Component signs are fixed so each component's largest-magnitude loading
-    is positive.  Returns the projection of all rows plus the fitted model.
-    """
-    x = np.asarray(features, float)
-    fit = x if train_rows is None else x[np.asarray(train_rows, int)]
-    if k > min(fit.shape):
-        raise ValueError(f"k={k} exceeds data rank bound {min(fit.shape)}")
-    mean = fit.mean(axis=0)
-    _, s, vt = np.linalg.svd(fit - mean, full_matrices=False)
-    if k > np.sum(s > 1e-12 * s[0]) and s[0] > 0:
-        raise ValueError(f"k={k} exceeds numerical rank {np.sum(s > 1e-12 * s[0])}")
-    comps = vt[:k]
-    for i in range(k):
-        j = np.argmax(np.abs(comps[i]))
-        if comps[i, j] < 0:
-            comps[i] = -comps[i]
-    model = PcaModel(mean, comps)
-    return model.transform(x), model

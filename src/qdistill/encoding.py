@@ -8,10 +8,9 @@ non-commuting axis, RY by default).  Features must be pre-scaled into
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +74,6 @@ class Scaler:
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
         return cls(np.asarray(d["mins"], float), np.asarray(d["maxs"], float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scaler":
-        return cls.from_dict(json.loads(text))
 
 
 def fit_scaler(train_features) -> Scaler:

@@ -4,22 +4,15 @@ Two-qubit matrices follow the register convention of :mod:`qdistill.qmath`:
 for a 4x4 gate matrix the control is index bit 1 and the target is index
 bit 0, i.e. CX permutes |10> <-> |11>.
 
-Rewrite rules are registered per (source gate, basis set) and validated
-numerically at registration time: the composed replacement must equal the
-source unitary up to global phase at sampled angles.  Extra rules and basis
-sets can be loaded from a plain-text config file, one rule per line::
-
-    basis MYDEV : RX RZ CZ
-    H @ MYDEV : RZ(q, 1.5707963) RX(q, 1.5707963) RZ(q, 1.5707963)
-    CRZ @ MYDEV : RZ(t, 0.5*a) CX(c,t) RZ(t, -0.5*a) CX(c,t)
-
-Angle expressions are affine in the source angle ``a``.
+Rewrite rules are registered per (source gate, basis set) with
+`register_rule` and validated numerically at registration time: the composed
+replacement must equal the source unitary up to global phase at 20 sampled
+angles.  Each replacement angle is affine in the source angle.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -209,21 +202,19 @@ def _replacement_unitary(source: GateKind, replacement, angle) -> np.ndarray:
     return u
 
 
-def register_rule(source: GateKind, basis_name: str, replacement,
-                  validate: bool = True, n_samples: int = 20) -> None:
+def register_rule(source: GateKind, basis_name: str, replacement) -> None:
     replacement = tuple(replacement)
-    if validate:
-        rng = np.random.default_rng(20)
-        angles = rng.uniform(-PI, PI, size=n_samples) if source in PARAMETERIZED else [None]
-        dim = 2 ** ARITY[source]
-        for a in angles:
-            want = gate_matrix(source, a)
-            got = _replacement_unitary(source, replacement, a)
-            overlap = abs(qmath.hs_trace_overlap(want, got))
-            if overlap < dim - 1e-9:
-                raise ValueError(
-                    f"rule {source}->{basis_name} fails unitary check at angle {a}: "
-                    f"|Tr| = {overlap:.3e} < {dim}")
+    rng = np.random.default_rng(20)
+    angles = rng.uniform(-PI, PI, size=20) if source in PARAMETERIZED else [None]
+    dim = 2 ** ARITY[source]
+    for a in angles:
+        want = gate_matrix(source, a)
+        got = _replacement_unitary(source, replacement, a)
+        overlap = abs(qmath.hs_trace_overlap(want, got))
+        if overlap < dim - 1e-9:
+            raise ValueError(
+                f"rule {source}->{basis_name} fails unitary check at angle {a}: "
+                f"|Tr| = {overlap:.3e} < {dim}")
     _RULES[(source, basis_name)] = replacement
 
 
@@ -293,66 +284,3 @@ def _register_default_rules():
 
 
 _register_default_rules()
-
-
-# ---------------------------------------------------------------------------
-# Config-file loading
-
-_ANGLE_RE = re.compile(
-    r"^\s*(?:(?P<scale>[-+]?[\d.eE+-]*)\s*\*\s*a)?\s*(?P<offset>[-+]\s*[\d.eE+-]+|[-+]?[\d.eE+-]+)?\s*$")
-_GATE_RE = re.compile(r"(?P<kind>[A-Z]+)\((?P<args>[^)]*)\)")
-
-
-def _parse_angle_expr(text: str) -> tuple[float, float]:
-    text = text.strip()
-    if text == "a":
-        return 1.0, 0.0
-    m = _ANGLE_RE.match(text)
-    if not m or (m.group("scale") is None and m.group("offset") is None):
-        raise ValueError(f"bad angle expression {text!r}")
-    scale = m.group("scale")
-    scale = float(scale) if scale not in (None, "", "-", "+") else (
-        0.0 if scale is None else float(scale + "1"))
-    offset = m.group("offset")
-    offset = float(offset.replace(" ", "")) if offset else 0.0
-    return scale, offset
-
-
-def _parse_rule_gate(text: str) -> RuleGate:
-    m = _GATE_RE.fullmatch(text.strip())
-    if not m:
-        raise ValueError(f"bad rule gate {text!r}")
-    kind = GateKind(m.group("kind"))
-    args = [a.strip() for a in m.group("args").split(",") if a.strip()]
-    roles = tuple(a for a in args if a in ("q", "c", "t"))
-    exprs = [a for a in args if a not in ("q", "c", "t")]
-    if len(roles) != ARITY[kind] and not (ARITY[kind] == 1 and len(roles) == 1):
-        raise ValueError(f"wrong role count in {text!r}")
-    scale = offset = 0.0
-    if kind in PARAMETERIZED:
-        if len(exprs) != 1:
-            raise ValueError(f"{kind} needs an angle expression in {text!r}")
-        scale, offset = _parse_angle_expr(exprs[0])
-    elif exprs:
-        raise ValueError(f"{kind} takes no angle in {text!r}")
-    return RuleGate(kind, roles, scale, offset)
-
-
-def load_rules_config(text: str) -> None:
-    """Register basis sets and rules from config text (see module docstring)."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("basis "):
-                name, gates = line[len("basis "):].split(":", 1)
-                register_basis(name.strip(), {GateKind(g) for g in gates.split()})
-                continue
-            head, body = line.split(":", 1)
-            source_s, basis_name = head.split("@")
-            source = GateKind(source_s.strip())
-            replacement = [_parse_rule_gate(m.group(0)) for m in _GATE_RE.finditer(body)]
-            register_rule(source, basis_name.strip(), replacement)
-        except ValueError as exc:
-            raise ValueError(f"rules config line {lineno}: {exc}") from exc

@@ -289,10 +289,10 @@ def noisy_z_features(model, features_scaled, profile: DeviceProfile):
                     axis=1)
 
 
-def evaluate_noisy(model, features, labels, profile: DeviceProfile,
-                   prescaled: bool = False) -> float:
-    """Classification accuracy under the device profile."""
-    if not prescaled and model.scaler is not None:
+def evaluate_noisy(model, features, labels, profile: DeviceProfile) -> float:
+    """Classification accuracy under the device profile; features are raw
+    (the model's scaler applies)."""
+    if model.scaler is not None:
         features = apply_scaler(model.scaler, features)
     z = noisy_z_features(model, features, profile)
     probs = softmax(z @ model.W.T + model.b)

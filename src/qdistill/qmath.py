@@ -52,11 +52,3 @@ def as_state(psi) -> np.ndarray:
     if psi.size < 1:
         raise ValueError("state vector must be non-empty")
     return psi
-
-
-def fidelity(a, b) -> float:
-    """|<a|b>|^2 between two normalized pure states."""
-    a, b = as_state(a), as_state(b)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return float(np.abs(np.vdot(a, b)) ** 2)

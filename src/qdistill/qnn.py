@@ -5,8 +5,9 @@ that synthesis fits, on a (dim, batch) block of encoded states.  Gradients
 are exact: closed-form softmax/cross-entropy backprop for the dense head, and
 one forward plus one reverse (adjoint) sweep of the step list for the circuit
 angles, so shared and scaled parameter slots work.  Training uses Adam with
-the shipped defaults (lr 0.2, beta1 0.9, beta2 0.999, eps 1e-7) and is
-bit-deterministic for a fixed seed.
+fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`, `EPSILON`) and is
+bit-deterministic for a fixed seed.  `evaluate` scores the ideal model;
+`noisesim.evaluate_noisy` scores it under a device profile.
 """
 
 from __future__ import annotations
@@ -24,25 +25,22 @@ from .gates import GateKind
 
 N_CLASSES = 3
 _PROB_FLOOR = 1e-12
+# Adam
+LEARNING_RATE = 0.2
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-7
 
 
 @dataclass
 class TrainConfig:
     epochs: int = 10
-    learning_rate: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
     batch_size: int | None = None  # None = full batch
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1/beta2 must lie in (0, 1)")
 
 
 @dataclass
@@ -136,12 +134,6 @@ def forward_batch(model: HybridModel, features_scaled):
     return softmax(logits), logits, z
 
 
-def forward(model: HybridModel, features):
-    """Single-sample forward pass; features must be pre-scaled."""
-    probs, logits, z = forward_batch(model, np.atleast_2d(features))
-    return probs[0], logits[0], z[0]
-
-
 def _one_hot(labels) -> np.ndarray:
     labels = np.asarray(labels, int).ravel()
     y = np.zeros((labels.size, N_CLASSES))
@@ -199,20 +191,12 @@ def accuracy(model: HybridModel, features_scaled, labels) -> float:
     return float(np.mean(pred == np.asarray(labels, int).ravel()))
 
 
-def evaluate(model: HybridModel, features, labels, backend: str = "ideal",
-             profile=None) -> float:
-    """Classification accuracy; features are raw (the model's scaler applies)."""
+def evaluate(model: HybridModel, features, labels) -> float:
+    """Ideal classification accuracy; features are raw (the model's scaler
+    applies)."""
     if model.scaler is not None:
         features = apply_scaler(model.scaler, features)
-    if backend == "ideal":
-        return accuracy(model, features, labels)
-    if backend == "noisy":
-        from . import noisesim
-        if profile is None:
-            raise ValueError("noisy backend requires a device profile")
-        return noisesim.evaluate_noisy(model, features, labels, profile,
-                                       prescaled=True)
-    raise ValueError(f"unknown backend {backend!r}")
+    return accuracy(model, features, labels)
 
 
 def _epoch_metrics(model, xt, yt, xv, yv) -> dict:
@@ -262,12 +246,11 @@ def train(model: HybridModel, dataset, config: TrainConfig):
             dtheta, dW, db = gradients(model, xt[batch], yt[batch])
             grad = np.concatenate([dtheta, dW.ravel(), db])
             step += 1
-            m = config.beta1 * m + (1 - config.beta1) * grad
-            v = config.beta2 * v + (1 - config.beta2) * grad ** 2
-            mhat = m / (1 - config.beta1 ** step)
-            vhat = v / (1 - config.beta2 ** step)
-            params = params - config.learning_rate * mhat / (np.sqrt(vhat)
-                                                             + config.epsilon)
+            m = BETA1 * m + (1 - BETA1) * grad
+            v = BETA2 * v + (1 - BETA2) * grad ** 2
+            mhat = m / (1 - BETA1 ** step)
+            vhat = v / (1 - BETA2 ** step)
+            params = params - LEARNING_RATE * mhat / (np.sqrt(vhat) + EPSILON)
             model.theta = params[:n_theta]
             model.W = params[n_theta:n_theta + model.W.size].reshape(model.W.shape)
             model.b = params[n_theta + model.W.size:]

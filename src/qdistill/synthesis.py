@@ -13,10 +13,11 @@ overlap and the exact reverse-mode gradient from the student's compiled step
 list (`circuit.StepList`), the same one that trains and fine-tunes the
 classifier in `qnn`.
 
-The global optimizer is a from-scratch generalized simulated annealing
-(GSA) chain: heavy-tailed Tsallis visiting moves, the generalized Metropolis
-acceptance rule, a power-law temperature schedule, and full restarts when the
-temperature collapses.  Its constants (initial temperature 5230.0, restart
+Every angle is searched in [-pi, pi].  The global optimizer is a
+from-scratch generalized simulated annealing (GSA) chain: heavy-tailed
+Tsallis visiting moves, the generalized Metropolis acceptance rule, a
+power-law temperature schedule, and full restarts when the temperature
+collapses.  Its constants (initial temperature 5230.0, restart
 ratio 2e-5, visit 2.62, accept -5.0) are fixed.  A local polish then runs
 from the best point, one of `POLISH_METHODS`: grad-lbfgs (default; L-BFGS-B
 on the exact gradient, charged two evaluations per call) or rotation-solve
@@ -32,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit import Circuit, Param, bind, build_template, unitary_of
 from .gates import CONTROLLED
@@ -65,7 +65,6 @@ def hs_distance(u, v) -> float:
 class SynthesisProblem:
     teacher_unitary: np.ndarray
     student: Circuit
-    bounds: np.ndarray = None   # (n_params, 2), default [-pi, pi]
     budget: int = 1000
     state_prep: bool = False    # match only the action on |0...0>, not all of U
 
@@ -78,13 +77,6 @@ class SynthesisProblem:
                 f"{self.student.n_qubits} qubits (dim {dim})")
         if not is_unitary(self.teacher_unitary):
             raise ValueError("teacher matrix is not unitary")
-        n = self.student.n_params
-        if self.bounds is None:
-            self.bounds = np.tile([-math.pi, math.pi], (n, 1))
-        else:
-            self.bounds = np.asarray(self.bounds, float).reshape(n, 2)
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]) and n:
-            raise ValueError("each bound must satisfy lower < upper")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -403,6 +395,9 @@ def _grad_polish(cost, bounds, rng, fg):
     next one restarts from the new best or, once that stops paying off, from
     a fresh random point in the box.
     """
+    # imported here, so that only runs that polish with grad-lbfgs load scipy
+    from scipy.optimize import minimize
+
     n = bounds.shape[0]
     bound_pairs = [tuple(b) for b in bounds]
 
@@ -462,15 +457,16 @@ def synthesize(problem: SynthesisProblem,
             f"budget {problem.budget} is below the recommended 10x"
             f" parameter count ({10 * n})", stacklevel=2)
 
+    bounds = np.tile([-math.pi, math.pi], (n, 1))
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    _anneal(cost, problem.bounds, rng, anneal_evals)
+    _anneal(cost, bounds, rng, anneal_evals)
 
     if rotation and not cost.exhausted:
-        _rotation_solve(cost, problem.bounds, slot_kinds, rng)
+        _rotation_solve(cost, bounds, slot_kinds, rng)
     elif not cost.exhausted:
-        _grad_polish(cost, problem.bounds, rng, evaluator.value_and_grad)
+        _grad_polish(cost, bounds, rng, evaluator.value_and_grad)
 
     return SynthesisResult(
         theta_star=cost.best_x,

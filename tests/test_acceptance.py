@@ -262,8 +262,8 @@ def test_criterion_10_channel_sanity(iris, scheme, scaler):
     model = qnn.init_model("c15", 2, scheme, seed=1, scaler=scaler)
     x, y = iris.val_features[:10], iris.val_labels[:10]
     ideal = qnn.evaluate(model, x, y)
-    noiseless = qnn.evaluate(model, x, y, backend="noisy",
-                             profile=noisesim.zero_noise_profile())
+    noiseless = noisesim.evaluate_noisy(model, x, y,
+                                        noisesim.zero_noise_profile())
     ok = ok and abs(ideal - noiseless) <= 1e-9
 
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], complex)

@@ -77,35 +77,44 @@ def test_template_unitary_is_unitary():
 
 
 def test_expectation_z_oracle():
-    plus = Circuit(1, [Op(K.H, (0,))])
-    assert circ.expectation_z(plus, circ.zero_state(1), 0) == pytest.approx(0.0)
-    flip = Circuit(1, [Op(K.X, (0,))])
-    assert circ.expectation_z(flip, circ.zero_state(1), 0) == pytest.approx(-1.0)
+    # a single state with no batch axis: H|0> reads 0, X|0> reads -1
+    plus = circ.simulate(Circuit(1, [Op(K.H, (0,))]), circ.zero_state(1))
+    assert circ.z_expectations(plus, 1) == pytest.approx([0.0])
+    flip = circ.simulate(Circuit(1, [Op(K.X, (0,))]), circ.zero_state(1))
+    assert circ.z_expectations(flip, 1) == pytest.approx([-1.0])
 
 
 def test_z_expectations_batched():
-    c = Circuit(2, [Op(K.X, (1,))])
-    psi = circ.simulate(c, circ.zero_state(2))
-    z = circ.z_expectations(psi[None, :], 2)
-    assert z.shape == (1, 2)
-    assert z[0, 0] == pytest.approx(1.0)
-    assert z[0, 1] == pytest.approx(-1.0)
+    flip = Circuit(2, [Op(K.X, (1,))])
+    plus = Circuit(2, [Op(K.H, (0,))])
+    psi = np.stack([circ.simulate(c, circ.zero_state(2)) for c in (flip, plus)])
+    z = circ.z_expectations(psi, 2)
+    assert z.shape == (2, 2)
+    assert np.allclose(z, [[1.0, -1.0], [0.0, 1.0]], atol=1e-12)
 
 
-def test_text_round_trip():
-    tpl = circ.build_template("c6", 3, 1)
-    text = circ.to_text(tpl)
-    back = circ.from_text(text)
-    assert back.n_qubits == tpl.n_qubits
-    assert back.n_params == tpl.n_params
-    rng = np.random.default_rng(5)
-    theta = rng.uniform(-1, 1, tpl.n_params)
-    assert np.allclose(circ.unitary_of(circ.bind(tpl, theta)),
-                       circ.unitary_of(circ.bind(back, theta)))
+def test_from_text_parses_param_tokens():
+    text = ("qubits 2   # header\n"
+            "H 0\n"
+            "RX 1 @0\n"
+            "\n"
+            "CRZ 1,0 @1*-0.5+0.25\n"
+            "RZ 0 @0*2-1e-3\n"
+            "RY 1 0.75\n")
+    c = circ.from_text(text)
+    assert c.n_qubits == 2 and c.n_params == 2
+    assert c.ops == (Op(K.H, (0,)), Op(K.RX, (1,), Param(0)),
+                     Op(K.CRZ, (1, 0), Param(1, -0.5, 0.25)),
+                     Op(K.RZ, (0,), Param(0, 2.0, -1e-3)),
+                     Op(K.RY, (1,), 0.75))
+    with pytest.raises(ValueError):
+        circ.from_text("H 0\n")
+    with pytest.raises(ValueError):
+        circ.from_text("qubits 1\nRX 0 @x\n")
 
 
 def test_register_template_round_trip():
-    circ.load_template_config("template t_test : RY@all CZ@ring\n")
+    circ.register_template("t_test", [(K.RY, "all"), (K.CZ, "ring")])
     try:
         tpl = circ.build_template("t_test", 3, 2)
         assert tpl.n_params == 6

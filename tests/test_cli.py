@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +130,50 @@ def test_data_errors_exit_3(tmp_path):
         == cli.EXIT_DATA
     assert run(["replay", "--manifest", "/does/not/exist.json",
                 "--out", d]) == cli.EXIT_DATA
+
+
+def _csv_rows(labels):
+    return "".join(f"{c}.5,1,2,3,4,5,6,7,{c}\n" for c in labels)
+
+
+_CSV_HEADER = ",".join(f"f{i}" for i in range(8)) + ",label\n"
+_CSV_ROWS = _csv_rows((0, 1, 2))
+_BAD_CSVS = {
+    "bad_header": _CSV_HEADER.replace("f3", "g3") + _CSV_ROWS,
+    "non_numeric_value": _CSV_HEADER + _CSV_ROWS.replace("1,2,3", "1,x,3", 1),
+    "four_features": "f0,f1,f2,f3,label\n1,2,3,4,0\n1,2,3,4,1\n1,2,3,4,2\n",
+    "no_requested_class": _CSV_HEADER + _csv_rows((5, 6, 7)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:class .* missing")
+@pytest.mark.parametrize("case", sorted(_BAD_CSVS))
+def test_malformed_dataset_exits_3(tmp_path, capsys, case):
+    path = tmp_path / "bad.csv"
+    path.write_text(_BAD_CSVS[case])
+    rc = run(["train", "--data", str(path), "--classes", "0,1,2",
+              "--out", str(tmp_path / "out")])
+    _assert_data_error(rc, capsys, path)
+
+
+def test_classes_count_is_a_usage_error(tmp_path):
+    path = tmp_path / "good.csv"
+    path.write_text(_CSV_HEADER + _CSV_ROWS)
+    for classes in (["--classes", "0,1"], []):
+        rc = run(["train", "--data", str(path), *classes,
+                  "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qdistill.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 _BAD_CHECKPOINTS = {

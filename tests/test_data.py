@@ -80,39 +80,6 @@ def test_features_csv_wrong_triplet():
         data.load_features_csv(_toy_csv(), (1, 7), seed=0)
 
 
-def test_pca_components_orthonormal():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(40, 8))
-    reduced, model = data.pca_reduce(x, 4)
-    assert reduced.shape == (40, 4)
-    assert np.allclose(model.components @ model.components.T, np.eye(4),
-                       atol=1e-10)
-
-
-def test_pca_transform_matches_reduce():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(30, 6))
-    reduced, model = data.pca_reduce(x, 3)
-    assert np.allclose(model.transform(x), reduced)
-
-
-def test_pca_rank_guard():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ValueError):
-        data.pca_reduce(rng.normal(size=(10, 4)), 5)
-
-
-def test_pca_captures_dominant_direction():
-    rng = np.random.default_rng(3)
-    t = rng.normal(size=(200, 1))
-    x = np.hstack([t, 2 * t, 0.001 * rng.normal(size=(200, 1))])
-    reduced, model = data.pca_reduce(x, 1)
-    # the leading component must align with (1, 2, 0)/sqrt(5)
-    lead = np.abs(model.components[0])
-    assert lead[1] / lead[0] == pytest.approx(2.0, abs=1e-2)
-    assert lead[2] < 0.01
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2000), st.floats(0.1, 0.5))
 def test_stratified_split_properties(seed, frac):

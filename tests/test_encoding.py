@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -67,7 +68,7 @@ def test_constant_column_warns():
 
 def test_scaler_json_round_trip():
     sc = encoding.fit_scaler(np.array([[0.0, 5.0], [2.0, 9.0]]))
-    back = Scaler.from_json(sc.to_json())
+    back = Scaler.from_dict(json.loads(json.dumps(sc.to_dict())))
     x = np.array([[1.3, 6.1]])
     assert np.allclose(encoding.apply_scaler(sc, x),
                        encoding.apply_scaler(back, x))

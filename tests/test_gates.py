@@ -113,9 +113,11 @@ def test_native_gates_pass_through():
 
 
 def test_rule_config_round_trip():
-    half = repr(math.pi / 2)
-    text = (f"basis TOY : RX RZ CZ\n"
-            f"H@TOY : RZ(q, {half}) RX(q, {half}) RZ(q, {half})\n")
-    gates.load_rules_config(text)
+    half = math.pi / 2
+    gates.register_basis("TOY", {K.RX, K.RZ, K.CZ})
+    rz, rx = (gates.RuleGate(k, ("q",), 0.0, half) for k in (K.RZ, K.RX))
+    gates.register_rule(K.H, "TOY", [rz, rx, rz])
     want, got = _lower_one(K.H, None, "TOY")
     assert abs(np.sum(want.conj() * got)) / 2 == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="fails unitary check"):
+        gates.register_rule(K.H, "TOY", [rz, rx])

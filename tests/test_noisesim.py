@@ -121,8 +121,8 @@ def test_evaluate_noisy_zero_noise_equals_ideal():
     model = qnn.init_model("c15", 2, scheme, seed=1, scaler=scaler)
     x, y = ds.val_features[:10], ds.val_labels[:10]
     ideal = qnn.evaluate(model, x, y)
-    noiseless = qnn.evaluate(model, x, y, backend="noisy",
-                             profile=noisesim.zero_noise_profile())
+    noiseless = noisesim.evaluate_noisy(model, x, y,
+                                        noisesim.zero_noise_profile())
     assert noiseless == pytest.approx(ideal, abs=1e-9)
 
 

@@ -49,13 +49,6 @@ def test_as_matrix_rejects_non_square():
         qmath.as_matrix(np.zeros((2, 3)))
 
 
-def test_fidelity_zero_plus_half():
-    zero = np.array([1, 0], dtype=complex)
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    assert qmath.fidelity(zero, plus) == pytest.approx(0.5)
-    assert qmath.fidelity(zero, zero) == pytest.approx(1.0)
-
-
 def test_as_state_rejects_empty():
     with pytest.raises(ValueError):
         qmath.as_state([])

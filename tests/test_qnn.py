@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdistill import circuit as circ, data, encoding, qnn
+from qdistill import circuit as circ, data, encoding, noisesim, qnn
 from qdistill.encoding import EncodingScheme
 
 
@@ -138,8 +138,6 @@ def test_training_is_deterministic():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         qnn.TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        qnn.TrainConfig(beta1=1.5)
 
 
 def test_model_shape_validation():
@@ -175,13 +173,16 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 
 def test_evaluate_backends():
-    model, _, _, ds = small_problem()
-    ideal = qnn.evaluate(model, ds.val_features, ds.val_labels)
-    assert 0.0 <= ideal <= 1.0
-    with pytest.raises(ValueError):
-        qnn.evaluate(model, ds.val_features, ds.val_labels, backend="noisy")
-    with pytest.raises(ValueError):
-        qnn.evaluate(model, ds.val_features, ds.val_labels, backend="magic")
+    """Both backends take raw features and apply the model's scaler."""
+    model, x, y, ds = small_problem()
+    raw = ds.train_features[:len(y)]
+    ideal = qnn.evaluate(model, raw, y)
+    assert ideal == qnn.accuracy(model, x, y)
+    profile = noisesim.load_profile("melbourne")
+    noisy = noisesim.evaluate_noisy(model, raw, y, profile)
+    z = noisesim.noisy_z_features(model, x, profile)
+    pred = qnn.softmax(z @ model.W.T + model.b).argmax(axis=1)
+    assert noisy == np.mean(pred == y)
 
 
 def test_init_model_seeded():

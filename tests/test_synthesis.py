@@ -294,3 +294,17 @@ def test_distill_returns_student_and_record():
     assert record["budget"] == 500
     assert np.array_equal(student.W, teacher.W)
     assert record["distance"] <= 0.05
+
+
+@pytest.mark.parametrize("method", syn.POLISH_METHODS)
+def test_synthesize_multi_process_pool_matches_serial(method):
+    u, tpl, _ = template_unitary("c2", 2, 1, seed=6)
+    prob = syn.SynthesisProblem(u, tpl, budget=300)
+    cfg = syn.AnnealConfig(polish_method=method)
+    serial = syn.synthesize_multi(prob, cfg, seeds=[0, 1, 2])
+    pooled = syn.synthesize_multi(prob, cfg, seeds=[0, 1, 2], jobs=2)
+    assert np.array_equal(pooled.theta_star, serial.theta_star)
+    assert pooled.distance == serial.distance
+    assert pooled.evaluations == serial.evaluations
+    assert pooled.improvements == serial.improvements
+    assert pooled.seed == serial.seed
