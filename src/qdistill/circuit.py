@@ -1,10 +1,10 @@
 """Circuit IR, parametric-layer template registry, binding, and ideal simulation.
 
 A circuit is an ordered gate list over ``n_qubits``.  Gate angles are either
-literal floats or :class:`Param` references (affine in one parameter slot so
-that transpilation can carry symbolic angles through rewrites).  Gates apply
-left to right: the earliest op in the list acts first on the state, i.e. it
-is the rightmost factor of the circuit unitary.
+literal floats or :class:`Param` references (affine in one parameter slot, so
+one slot can drive several scaled or offset angles).  Gates apply left to
+right: the earliest op in the list acts first on the state, i.e. it is the
+rightmost factor of the circuit unitary.
 
 Templates are data: a layer is a list of (gate kind, placement) pairs.  The
 shipped catalog covers the layer architectures used throughout this package

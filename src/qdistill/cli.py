@@ -66,6 +66,8 @@ def _str_list(text: str):
 
 def _load_dataset(data, classes, seed):
     if str(data).lower() == "iris":
+        if classes is not None:
+            raise ValueError("--classes applies to CSV datasets, not iris")
         return load_iris(seed=seed)
     if not os.path.exists(data):
         raise DataError(f"dataset not found: {data}")
@@ -335,7 +337,7 @@ def _config_actions(command: str) -> list:
 
 
 def _mistyped_keys(command: str, config: dict) -> list:
-    """Config keys whose values do not survive a round trip through the parser."""
+    """Config keys whose values fail the parser's round trip or choices."""
     bad = []
     for action in _config_actions(command):
         value = config.get(action.dest)
@@ -348,7 +350,8 @@ def _mistyped_keys(command: str, config: dict) -> list:
             same = (action.type or str)(text) == value
         except (ValueError, argparse.ArgumentTypeError):
             same = False
-        if not same:
+        if not same or (action.choices is not None
+                        and value not in action.choices):
             bad.append(action.dest)
     return bad
 

@@ -13,14 +13,14 @@ call, and ``circuit.apply_matrix`` contracts it into rho's ket and bra axes.
 A trailing batch axis on rho evolves many density matrices at once.
 
 Circuits are lowered to the profile's basis before evaluation, so noise is
-charged per physical gate, not per logical gate.  With 1q-run merging, a
-row's encoding gates can only fuse into each qubit's leading run of 1q gates,
-before that qubit's first 2q gate; everything after is the PQC's own lowering.
-There is no idle noise, so the channels of gates on disjoint qubits commute
-exactly, and each row's circuit equals its per-qubit prefix followed by one
-suffix shared by all rows.  ``noisy_z_features`` runs each prefix alone, then
-the shared suffix once on the stacked batch, and checks per row that the
-suffix really is the shared one.
+charged per physical gate, not per logical gate.  1q-run merging buffers each
+qubit's 1q gates and flushes them at its next 2q gate, so a row's encoding
+can only fuse into each qubit's leading physical PQC gates (``lead``); the
+merged rest of the PQC (``shared``) is the same for every row.  So the PQC is
+lowered once, and each row lowers only its 1q-only encoding plus ``lead``,
+emitted in the order the full merge flushes it.  There is no idle noise, so
+channels on disjoint qubits commute exactly: ``noisy_z_features`` runs each
+row's prefix alone, then ``shared`` once on the stacked batch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .circuit import Circuit, apply_matrix, bind
 from .encoding import apply_scaler, encode
 from .gates import PAULI, gate_matrix
-from .qnn import softmax
+from .qnn import _hit_rate, softmax
 from .transpile import lower
 
 _CPTP_TOL = 1e-10
@@ -265,24 +265,31 @@ def _split_entangled(ops):
     return prefix, suffix
 
 
+def _lowered_rows(model, rows, basis):
+    """(prefixes, shared): each row's merged 1q prefix; the shared PQC tail."""
+    n = model.n_qubits
+    physical = lower(bind(model.pqc, model.theta), basis)
+    lead, _ = _split_entangled(physical.ops)
+    _, shared = _split_entangled(lower(physical, basis, merge_1q=True).ops)
+    # the full merge flushes a prefix at its qubit's first 2q gate, others last
+    order = list(dict.fromkeys([q for op in shared for q in op.qubits]
+                               + list(range(n))))
+    prefixes = []
+    for row in rows:
+        runs = lower(Circuit(n, list(encode(row, model.scheme).ops) + lead),
+                     basis, merge_1q=True).ops
+        prefixes.append(sorted(runs,
+                               key=lambda op: order.index(op.qubits[0])))
+    return prefixes, shared
+
+
 def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     """Readout-corrected per-qubit <Z> rows for pre-scaled feature rows."""
-    from .gates import get_basis
-
-    basis = get_basis(profile.basis)
     n = model.n_qubits
-    bound_pqc = bind(model.pqc, model.theta)
-    _, shared = _split_entangled(lower(bound_pqc, basis, merge_1q=True).ops)
     x = np.atleast_2d(np.asarray(features_scaled, float))
+    prefixes, shared = _lowered_rows(model, x, profile.basis)
     rho = np.empty((2 ** n, 2 ** n, x.shape[0]), dtype=complex)
-    for i, row in enumerate(x):
-        full = encode(row, model.scheme)
-        circuit = Circuit(n, list(full.ops) + list(bound_pqc.ops))
-        prefix, suffix = _split_entangled(
-            lower(circuit, basis, merge_1q=True).ops)
-        if suffix != shared:
-            raise ValueError(f"row {i}: lowered circuit does not end in the "
-                             "shared PQC tail")
+    for i, prefix in enumerate(prefixes):
         rho[..., i] = run_noisy(Circuit(n, prefix), profile)
     rho = run_noisy(Circuit(n, shared), profile, rho)
     return np.stack([measure_z_noisy(rho, q, profile) for q in range(n)],
@@ -295,6 +302,4 @@ def evaluate_noisy(model, features, labels, profile: DeviceProfile) -> float:
     if model.scaler is not None:
         features = apply_scaler(model.scaler, features)
     z = noisy_z_features(model, features, profile)
-    probs = softmax(z @ model.W.T + model.b)
-    pred = probs.argmax(axis=1)
-    return float(np.mean(pred == np.asarray(labels, int).ravel()))
+    return _hit_rate(softmax(z @ model.W.T + model.b), labels)

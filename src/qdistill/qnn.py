@@ -141,12 +141,20 @@ def _one_hot(labels) -> np.ndarray:
     return y
 
 
-def loss(model: HybridModel, features_scaled, labels) -> float:
-    """Mean categorical cross-entropy over the batch."""
-    probs, _, _ = forward_batch(model, features_scaled)
+def _cross_entropy(probs, labels) -> float:
     y = _one_hot(labels)
     return float(-np.mean(np.sum(y * np.log(np.maximum(probs, _PROB_FLOOR)),
                                  axis=1)))
+
+
+def _hit_rate(probs, labels) -> float:
+    pred = probs.argmax(axis=1)
+    return float(np.mean(pred == np.asarray(labels, int).ravel()))
+
+
+def loss(model: HybridModel, features_scaled, labels) -> float:
+    """Mean categorical cross-entropy over the batch."""
+    return _cross_entropy(forward_batch(model, features_scaled)[0], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +194,7 @@ def gradients(model: HybridModel, features_scaled, labels):
 # Training and evaluation
 
 def accuracy(model: HybridModel, features_scaled, labels) -> float:
-    probs, _, _ = forward_batch(model, features_scaled)
-    pred = probs.argmax(axis=1)
-    return float(np.mean(pred == np.asarray(labels, int).ravel()))
+    return _hit_rate(forward_batch(model, features_scaled)[0], labels)
 
 
 def evaluate(model: HybridModel, features, labels) -> float:
@@ -200,12 +206,16 @@ def evaluate(model: HybridModel, features, labels) -> float:
 
 
 def _epoch_metrics(model, xt, yt, xv, yv) -> dict:
-    return {
-        "train_loss": loss(model, xt, yt),
-        "train_acc": accuracy(model, xt, yt),
-        "val_loss": loss(model, xv, yv) if len(yv) else float("nan"),
-        "val_acc": accuracy(model, xv, yv) if len(yv) else float("nan"),
-    }
+    """Loss and accuracy of both splits, from one forward pass per split."""
+    metrics = {}
+    for split, x, y in (("train", xt, yt), ("val", xv, yv)):
+        if len(y):
+            probs = forward_batch(model, x)[0]
+            metrics[f"{split}_loss"] = _cross_entropy(probs, y)
+            metrics[f"{split}_acc"] = _hit_rate(probs, y)
+        else:
+            metrics[f"{split}_loss"] = metrics[f"{split}_acc"] = float("nan")
+    return metrics
 
 
 def train(model: HybridModel, dataset, config: TrainConfig):

@@ -1,14 +1,13 @@
-"""Lowering of circuits to a basis gate set, plus depth/gate-count metrics.
+"""Lowering of bound circuits to a basis gate set, plus depth/gate-count metrics.
 
 Depth is the number of moments under greedy ASAP layering: a gate enters the
 earliest moment in which all of its qubits are free.  No commutation-aware
 scheduling and no routing (all-to-all coupling is assumed).
 
-``lower`` preserves free parameters symbolically: rewrite rules are affine in
-the source angle, so a slot reference passes through as ``slot*scale+offset``.
-The optional ``merge_1q`` pass collapses runs of adjacent literal single-qubit
-gates into a minimal native Euler sequence (and coalesces same-axis rotations,
-which also works on symbolic angles).  It is applied after lowering.
+``lower`` takes bound circuits only; bind a template's parameters first.
+The optional ``merge_1q`` pass collapses each run of adjacent single-qubit
+gates into a minimal native Euler sequence, after coalescing same-axis
+rotations.  It is applied after lowering.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, Op, Param
-from .gates import ARITY, PARAMETERIZED, GateKind, gate_matrix, get_basis
-
-_TOL = 1e-12
+from .circuit import Circuit, Op
+from .gates import GateKind, gate_matrix, get_basis
 
 
 @dataclass(frozen=True)
@@ -49,16 +46,6 @@ def metrics(circuit: Circuit, basis: str = "") -> CompileReport:
     return CompileReport(basis, depth, g1 + g2, g1, g2)
 
 
-def _rule_angle(rg: gates.RuleGate, angle):
-    if rg.kind not in PARAMETERIZED:
-        return None
-    if isinstance(angle, Param):
-        return Param(angle.slot, rg.scale * angle.scale,
-                     rg.scale * angle.offset + rg.offset)
-    a = 0.0 if angle is None else float(angle)
-    return rg.scale * a + rg.offset
-
-
 def _expand_op(kind, qubits, angle, basis, depth=0):
     if depth > 8:
         raise ValueError(f"decomposition of {kind} does not terminate")
@@ -77,13 +64,15 @@ def _expand_op(kind, qubits, angle, basis, depth=0):
         else:
             sub_qubits = tuple(qubits[0] if r == "c" else qubits[1]
                                for r in rg.roles)
-        out.extend(_expand_op(rg.kind, sub_qubits, _rule_angle(rg, angle),
+        out.extend(_expand_op(rg.kind, sub_qubits, rg.angle_for(angle),
                               basis, depth + 1))
     return out
 
 
 def lower(circuit: Circuit, basis, merge_1q: bool = False) -> Circuit:
     """Rewrite all gates into basis gates, preserving unitary up to phase."""
+    if not circuit.is_bound:
+        raise ValueError("circuit must be bound before lowering")
     basis = get_basis(basis)
     ops = []
     for op in circuit.ops:
@@ -140,66 +129,35 @@ def _euler_native(u: np.ndarray, basis) -> list[Op] | None:
 
 
 def _coalesce_rotations(run: list[Op]) -> list[Op]:
-    """Merge adjacent same-axis rotations; supports symbolic angles."""
+    """Merge adjacent same-axis rotations; drop identities and zero rotations."""
     out: list[Op] = []
     for op in run:
         if op.kind is GateKind.ID:
             continue
-        prev = out[-1] if out else None
-        if (prev is not None and op.kind is prev.kind
-                and op.kind in _AXIS_OF):
-            a, b = prev.angle, op.angle
-            merged = None
-            if isinstance(a, Param) and isinstance(b, Param):
-                if a.slot == b.slot:
-                    merged = Param(a.slot, a.scale + b.scale, a.offset + b.offset)
-            elif isinstance(a, Param):
-                merged = Param(a.slot, a.scale, a.offset + float(b))
-            elif isinstance(b, Param):
-                merged = Param(b.slot, b.scale, b.offset + float(a))
-            else:
-                merged = float(a) + float(b)
-            if merged is not None:
-                out.pop()
-                if not (isinstance(merged, float) and _is_zero_angle(merged)):
-                    out.append(Op(op.kind, op.qubits, merged))
-                continue
-        if isinstance(op.angle, float) and op.kind in _AXIS_OF and _is_zero_angle(op.angle):
+        if op.kind in _AXIS_OF:
+            if out and out[-1].kind is op.kind:
+                angle = float(out.pop().angle) + float(op.angle)
+                op = Op(op.kind, op.qubits, angle)
+            if not _is_zero_angle(op.angle):
+                out.append(op)
             continue
         out.append(op)
     return out
 
 
 def _resynthesize_run(run: list[Op], basis) -> list[Op]:
+    """One qubit's run as its native Euler sequence, where that is no longer."""
     run = _coalesce_rotations(run)
-    if not run:
-        return []
-    qubit = run[0].qubits[0]
-    out: list[Op] = []
-    segment: list[Op] = []
-
-    def flush_segment():
-        nonlocal segment
-        if not segment:
-            return
-        if len(segment) >= 2:
-            u = np.eye(2, dtype=complex)
-            for op in segment:
-                u = gate_matrix(op.kind, op.angle) @ u
-            native = _euler_native(u, basis)
-            if native is not None and len(native) <= len(segment):
-                segment = [Op(op.kind, (qubit,), op.angle) for op in native]
-        out.extend(segment)
-        segment = []
-
+    if len(run) < 2:
+        return run
+    u = np.eye(2, dtype=complex)
     for op in run:
-        if isinstance(op.angle, Param):
-            flush_segment()
-            out.append(op)
-        else:
-            segment.append(op)
-    flush_segment()
-    return out
+        u = gate_matrix(op.kind, op.angle) @ u
+    native = _euler_native(u, basis)
+    if native is None or len(native) > len(run):
+        return run
+    qubit = run[0].qubits[0]
+    return [Op(op.kind, (qubit,), op.angle) for op in native]
 
 
 def _merge_1q_runs(ops, n_qubits: int, basis):
@@ -231,8 +189,7 @@ def _generic_binding(n_params: int) -> np.ndarray:
     return 0.31 + 0.137 * np.arange(n_params)
 
 
-def overhead_table(template_ids, basis_list, n_qubits: int,
-                   merge_1q: bool = True) -> list[dict]:
+def overhead_table(template_ids, basis_list, n_qubits: int) -> list[dict]:
     """One row per (template, basis): depth and gate counts of a single layer.
 
     Templates are bound at fixed generic angles before lowering so that the
@@ -246,7 +203,7 @@ def overhead_table(template_ids, basis_list, n_qubits: int,
         tpl = build_template(tid, n_qubits, 1)
         bound = bind(tpl, _generic_binding(tpl.n_params))
         for basis_name in basis_list:
-            lowered = lower(bound, basis_name, merge_1q=merge_1q)
+            lowered = lower(bound, basis_name, merge_1q=True)
             rep = metrics(lowered, str(basis_name))
             rows.append({"template": tid, "basis": str(basis_name),
                          "depth": rep.depth, "total": rep.total_gates,

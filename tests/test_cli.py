@@ -67,6 +67,35 @@ def test_distill_and_replay_round_trip(trained_dir, tmp_path):
     assert doc["fine_tuned"] is False
 
 
+_REPLAY_ARGS = {
+    "train": ["--template", "c2", "--layers", "1", "--epochs", "1",
+              "--seed", "3"],
+    "distill": ["--teacher", "{teacher}", "--template", "c2", "--layers", "1",
+                "--budget", "100"],
+    "finetune": ["--checkpoint", "{teacher}", "--epochs", "1"],
+    "transpile-report": ["--templates", "c2,c6", "--qubits", "3"],
+    "noise-eval": ["--checkpoints", "{teacher}", "--profile", "almaden"],
+    "fidelity-sweep": ["--qubits", "2", "--instances", "1", "--budget", "50",
+                       "--layers", "1", "--student-layers", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY_ARGS))
+def test_replay_reproduces_every_artifact(trained_dir, tmp_path, command):
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
+    args = [a.format(teacher=teacher) for a in _REPLAY_ARGS[command]]
+    assert run([command, *args, "--out", str(d1)]) == 0
+    assert run(["replay", "--manifest", str(d1 / "manifest.json"),
+                "--out", str(d2)]) == 0
+    first = json.loads((d1 / "manifest.json").read_text())
+    again = json.loads((d2 / "manifest.json").read_text())
+    assert again["config"] == first["config"]
+    assert again["artifacts"] == first["artifacts"]
+    for name in first["artifacts"]:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 def test_finetune_reports_recovery_columns(trained_dir, tmp_path):
     d = str(tmp_path / "ft")
     ckpt = os.path.join(trained_dir, "c2_1l_seed7.json")
@@ -165,6 +194,14 @@ def test_classes_count_is_a_usage_error(tmp_path):
         assert rc == cli.EXIT_USAGE
 
 
+def test_classes_with_iris_is_a_usage_error(tmp_path):
+    out = tmp_path / "out"
+    rc = run(["train", "--data", "iris", "--classes", "7,8,9", "--epochs", "1",
+              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
@@ -246,13 +283,7 @@ def test_malformed_manifest_fails_cleanly(tmp_path, capsys, case):
     doc = _BAD_MANIFESTS[case]
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = run(["replay", "--manifest", str(path), "--out", str(tmp_path / "o")])
-    if case == "removed_polish_method":
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_USAGE
-        assert "Traceback" not in err
-        assert "grad-lbfgs" in err and "rotation-solve" in err
-    else:
-        _assert_data_error(rc, capsys, path)
+    _assert_data_error(rc, capsys, path)
 
 
 def test_well_typed_manifest_replays(tmp_path):

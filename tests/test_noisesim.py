@@ -169,19 +169,25 @@ def test_noisy_z_features_edge_shapes():
     assert np.max(np.abs(one[0] - many[0])) <= 1e-12
 
 
-def test_noisy_z_features_rejects_row_without_shared_tail(monkeypatch):
-    model, x = _iris_model()
-    calls = []
-
-    def lower_with_extra_gate(circuit, basis, merge_1q=False):
-        calls.append(circuit)
-        out = lower(circuit, basis, merge_1q=merge_1q)
-        extra = [Op(K.CX, (0, 1))] if len(calls) > 1 else []
-        return Circuit(out.n_qubits, list(out.ops) + extra)
-
-    monkeypatch.setattr(noisesim, "lower", lower_with_extra_gate)
-    with pytest.raises(ValueError, match="shared PQC tail"):
-        noisesim.noisy_z_features(model, x, MELBOURNE)
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["c1", "c2", "c6", "c9", "c12", "c15"]),
+       st.integers(1, 2), st.sampled_from(["1:1", "2:1"]),
+       st.sampled_from(["IBM", "RIGETTI"]), st.integers(0, 10_000))
+@example("c12", 2, "2:1", "IBM", 0)   # flush order differs from qubit order
+def test_row_prefix_and_shared_tail_equal_full_lowering(template, layers, mode,
+                                                        basis, seed):
+    scheme = encoding.EncodingScheme(mode, 4)
+    model = qnn.init_model(template, layers, scheme, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-math.pi, math.pi, (3, scheme.capacity))
+    prefixes, shared = noisesim._lowered_rows(model, rows, basis)
+    bound = circ.bind(model.pqc, model.theta)
+    for row, prefix in zip(rows, prefixes):
+        full = Circuit(4, list(encoding.encode(row, scheme).ops)
+                       + list(bound.ops))
+        want, tail = noisesim._split_entangled(
+            lower(full, basis, merge_1q=True).ops)
+        assert prefix + shared == want + tail
 
 
 def _embedded(m, qubits, units):

@@ -68,26 +68,10 @@ def test_merge_pass_preserves_unitary(tid, seed):
         assert transpile.metrics(merged).gates_1q <= transpile.metrics(plain).gates_1q
 
 
-def test_merge_pass_on_symbolic_circuit():
-    # symbolic runs cannot be resynthesized, but the result must still bind
+def test_lower_rejects_unbound_circuit():
     tpl = circ.build_template("c2", 3, 1)
-    merged = transpile.lower(tpl, "IBM", merge_1q=True)
-    assert merged.n_params == tpl.n_params
-    theta = np.linspace(-1, 1, tpl.n_params)
-    want = circ.unitary_of(circ.bind(tpl, theta))
-    got = circ.unitary_of(circ.bind(merged, theta))
-    assert overlap(want, got) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_symbolic_lowering_keeps_slots():
-    tpl = circ.build_template("c2", 3, 1)
-    lowered = transpile.lower(tpl, "RIGETTI")
-    assert lowered.n_params == tpl.n_params
-    rng = np.random.default_rng(9)
-    theta = rng.uniform(-math.pi, math.pi, tpl.n_params)
-    want = circ.unitary_of(circ.bind(tpl, theta))
-    got = circ.unitary_of(circ.bind(lowered, theta))
-    assert overlap(want, got) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ValueError, match="must be bound"):
+        transpile.lower(tpl, "IBM", merge_1q=True)
 
 
 def test_metrics_depth_oracle():
