@@ -183,6 +183,18 @@ class _Rotation:
     def generate(self, x):
         return self.phase * (x if self.perm is None else x[self.perm])
 
+    def overlap_terms(self, lam, x):
+        """(C, P, Q) with <lam, R(a) x> = C + cos(a/2) P - i sin(a/2) Q.
+
+        C is the overlap on the rows a controlled rotation leaves alone (0
+        for a plain one); P and Q are <lam, x> and <lam, G x> on the rest.
+        """
+        q = np.vdot(lam, self.generate(x))
+        if self.mask is None:
+            return 0.0, np.vdot(lam, x), q
+        on = self.mask * x
+        return np.vdot(lam, x - on), np.vdot(lam, on), q
+
     def apply(self, x, theta, adjoint=False):
         a = self.param.value(theta)
         c, s = math.cos(a / 2), math.sin(a / 2)
@@ -254,6 +266,13 @@ class StepList:
             if step.param is not None:
                 yield step.param, np.vdot(lam, step.generate(x))
             lam = step.apply(lam, theta, adjoint=True)
+
+    def pullbacks(self, lam, theta):
+        """lam_k for every step k: lam pulled back through the steps after k."""
+        lams = [lam]
+        for step in reversed(self.steps[1:]):
+            lams.append(step.apply(lams[-1], theta, adjoint=True))
+        return lams[::-1]
 
 
 def z_expectations(states, n_qubits: int) -> np.ndarray:

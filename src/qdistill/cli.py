@@ -210,24 +210,22 @@ def run_finetune(config: dict, out_dir: str):
     if model.scaler is None:
         raise DataError("checkpoint has no scaler; train or distill it first")
 
-    splits = {"train": (dataset.train_features, dataset.train_labels),
-              "val": (dataset.val_features, dataset.val_labels)}
-    approx = {name: qnn.evaluate(model, x, y) for name, (x, y) in splits.items()}
     tc = qnn.TrainConfig(epochs=config["epochs"], seed=config["seed"],
                          batch_size=config.get("batch_size"))
     tuned, history = qnn.train(model, dataset, tc)
     tuned.fine_tuned = True
     _check_finite(tuned)
-    final = {name: qnn.evaluate(tuned, x, y) for name, (x, y) in splits.items()}
 
     stem = os.path.splitext(os.path.basename(ckpt_path))[0] + "_ft"
     qnn.save_checkpoint(tuned, os.path.join(out_dir, f"{stem}.json"))
     prov = (f"finetune checkpoint={os.path.basename(ckpt_path)} "
             f"epochs={config['epochs']} seed={config['seed']} "
             f"data={dataset.provenance}")
+    # history[0] scores the loaded model, history[-1] the tuned one
     lines = [f"# {prov}", "split,approx_acc,finetuned_acc"]
-    for name in splits:
-        lines.append(f"{name},{approx[name]!r},{final[name]!r}")
+    for name in ("train", "val"):
+        key = f"{name}_acc"
+        lines.append(f"{name},{history[0][key]!r},{history[-1][key]!r}")
     _write_text(os.path.join(out_dir, f"{stem}_report.csv"),
                 "\n".join(lines) + "\n")
     return [f"{stem}.json", f"{stem}_report.csv"]

@@ -21,8 +21,10 @@ collapses.  Its constants (initial temperature 5230.0, restart
 ratio 2e-5, visit 2.62, accept -5.0) are fixed.  A local polish then runs
 from the best point, one of `POLISH_METHODS`: grad-lbfgs (default; L-BFGS-B
 on the exact gradient, charged two evaluations per call) or rotation-solve
-(closed-form coordinate updates).  Its evaluations are capped so the total
-stays within budget + 200.
+(closed-form coordinate updates, visited in step order, where one charged
+evaluation is one closed-form probe from cached adjoint environments rather
+than a circuit run).  Its evaluations are capped so the total stays within
+budget + 200.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Param, bind, build_template, unitary_of
-from .gates import CONTROLLED
 from .qmath import as_matrix, hs_trace_overlap, is_unitary
 
 TAIL_LIMIT = 1e8
@@ -48,6 +49,8 @@ INITIAL_TEMP = 5230.0
 RESTART_TEMP_RATIO = 2e-5
 VISIT = 2.62
 ACCEPT = -5.0
+# rotation-solve's search grid for the controlled-rotation maximizer
+_GRID = np.linspace(-math.pi, math.pi, 721)
 
 
 def hs_distance(u, v) -> float:
@@ -128,14 +131,14 @@ class _Evaluator:
         self.n_params = student.n_params
         self.steps = student.steps
 
-    def _distance(self, t):
+    def distance(self, t):
         return max(0.0, 1.0 - self.norm * abs(t))
 
     def overlap(self, theta) -> complex:
         return complex(np.vdot(self.target, self.steps.run(self.start, theta)))
 
     def value(self, theta) -> float:
-        return self._distance(self.overlap(theta))
+        return self.distance(self.overlap(theta))
 
     def value_and_grad(self, theta):
         blocks = self.steps.run(self.start, theta, keep=True)
@@ -147,7 +150,7 @@ class _Evaluator:
         weight = -self.norm * np.conj(t) / mag   # d distance / dt, as Re(w dt)
         for p, c in self.steps.reverse(self.target, blocks, theta):
             grad[p.slot] += p.scale * np.real(weight * (-0.5j * c))
-        return self._distance(t), grad
+        return self.distance(t), grad
 
 
 class _CostTracker:
@@ -173,10 +176,16 @@ class _CostTracker:
             self.improvements.append((self.nfev, float(e)))
 
     def __call__(self, x):
-        if self.nfev >= self.max_evals:
+        if self.exhausted:
             # budget exhausted: report a flat landscape so callers terminate
             return self.best_e
-        e = self._fun(x)
+        return self.charge(x, self._fun(x))
+
+    def charge(self, x, e):
+        """`__call__` for a value computed elsewhere: one evaluation, or,
+        once the budget is spent, no charge and the best value so far."""
+        if self.exhausted:
+            return self.best_e
         self.record(x, e)
         return e
 
@@ -303,88 +312,107 @@ def _wrap_angle(a: float) -> float:
     return math.remainder(a, 2.0 * math.pi)
 
 
-def _rotation_solve(cost, bounds, slot_kinds, rng):
-    """Cyclic exact line search over rotation angles.
+def _best_angle(probe, a0, d0, controlled):
+    """One coordinate's maximizer of the squared overlap (1 - d)^2, rebuilt
+    from its distance d0 at a0 and probes at shifted angles; None when the
+    overlap does not depend on it.
 
-    With every parameter driving exactly one rotation gate, the squared trace
-    overlap is a low-order trigonometric polynomial of each angle: period 2pi
-    with 3 coefficients for plain rotations, period 4pi with 5 for controlled
-    ones.  Each coordinate is probed at 2 (resp. 4) extra points, the
-    polynomial is reconstructed exactly, and the coordinate jumps straight to
-    its constrained maximizer.  Restarts from random points spend any budget
-    left after convergence.
+    The squared overlap is a low-order trigonometric polynomial of the angle:
+    period 2pi with 3 coefficients for plain rotations (2 probes), period 4pi
+    with 5 for controlled ones (4 probes, maximized on a grid).
     """
-    n = bounds.shape[0]
-    grid = np.linspace(-math.pi, math.pi, 721)
+    y0 = (1.0 - d0) ** 2
+    if controlled:
+        offsets = [4.0 * math.pi * k / 5.0 for k in range(1, 5)]
+        ys = [y0] + [(1.0 - probe(a0 + off)) ** 2 for off in offsets]
+        angles = np.array([a0] + [a0 + off for off in offsets])
+        design = np.column_stack([
+            np.ones(5), np.cos(angles), np.sin(angles),
+            np.cos(angles / 2.0), np.sin(angles / 2.0)])
+        coef = np.linalg.solve(design, np.array(ys))
+        vals = (coef[0] + coef[1] * np.cos(_GRID) + coef[2] * np.sin(_GRID)
+                + coef[3] * np.cos(_GRID / 2.0)
+                + coef[4] * np.sin(_GRID / 2.0))
+        return float(_GRID[np.argmax(vals)])
+    y1 = (1.0 - probe(a0 + math.pi)) ** 2
+    y2 = (1.0 - probe(a0 + math.pi / 2.0)) ** 2
+    alpha = 0.5 * (y0 + y1)
+    u, v = y0 - alpha, y2 - alpha
+    beta = u * math.cos(a0) - v * math.sin(a0)
+    gamma = u * math.sin(a0) + v * math.cos(a0)
+    if beta == 0.0 and gamma == 0.0:
+        return None
+    return _wrap_angle(math.atan2(gamma, beta))
 
-    def overlap_sq(d):
-        return (1.0 - d) ** 2
 
+def _rotation_solve(cost, bounds, evaluator, rng):
+    """Cyclic exact line search over rotation angles (Rotosolve).
+
+    With every parameter driving exactly one rotation gate, each coordinate
+    jumps straight to its constrained maximizer (`_best_angle`).  Restarts
+    from random points spend any budget left after convergence.
+
+    No probe runs the circuit (Ostaszewski et al. 2021, arXiv:1905.09692).
+    Each pass pulls the target back through the step list once, at its
+    starting theta, for lam_k at every step k, then walks the steps in order
+    carrying the block x_k that enters step k.  At angle a = scale*theta +
+    offset the overlap is C + cos(a/2) P - i sin(a/2) Q
+    (`_Rotation.overlap_terms`), so each charged evaluation, probe or
+    confirm, is one closed-form value.  lam_k stays exact because the steps
+    after k are still at their pass-start angles when k is visited.
+    Coordinates are therefore visited in step order: slot order for every
+    registered template, op order for a `from_text` student whose slots are
+    numbered out of op order.
+    """
+    steps = evaluator.steps
     x = np.array(cost.best_x, float, copy=True)
     d_cur = cost.best_e
     while not cost.exhausted:
         improved = False
-        for j in range(n):
-            if cost.exhausted:
-                break
-            a0 = x[j]
-            y0 = overlap_sq(d_cur)
-            if slot_kinds[j] in CONTROLLED:
-                # 5-point reconstruction over the 4pi period
-                offsets = [4.0 * math.pi * k / 5.0 for k in range(1, 5)]
-                ys = [y0]
-                for off in offsets:
-                    x[j] = a0 + off
-                    ys.append(overlap_sq(cost(x)))
-                angles = np.array([a0] + [a0 + off for off in offsets])
-                design = np.column_stack([
-                    np.ones(5), np.cos(angles), np.sin(angles),
-                    np.cos(angles / 2.0), np.sin(angles / 2.0)])
-                coef = np.linalg.solve(design, np.array(ys))
-                vals = (coef[0] + coef[1] * np.cos(grid)
-                        + coef[2] * np.sin(grid)
-                        + coef[3] * np.cos(grid / 2.0)
-                        + coef[4] * np.sin(grid / 2.0))
-                a_star = float(grid[np.argmax(vals)])
-            else:
-                x[j] = a0 + math.pi
-                y1 = overlap_sq(cost(x))
-                x[j] = a0 + math.pi / 2.0
-                y2 = overlap_sq(cost(x))
-                alpha = 0.5 * (y0 + y1)
-                u, v = y0 - alpha, y2 - alpha
-                beta = u * math.cos(a0) - v * math.sin(a0)
-                gamma = u * math.sin(a0) + v * math.cos(a0)
-                if beta == 0.0 and gamma == 0.0:
+        block = evaluator.start
+        for step, lam in zip(steps.steps,
+                             steps.pullbacks(evaluator.target, x)):
+            p = step.param
+            if p is not None:
+                if cost.exhausted:
+                    break
+                j = p.slot
+                a0 = x[j]
+                c, pk, qk = step.overlap_terms(lam, block)
+
+                def probe(value):
+                    x[j] = value
+                    a = p.scale * value + p.offset
+                    t = c + math.cos(a / 2) * pk - 1j * math.sin(a / 2) * qk
+                    return cost.charge(x, evaluator.distance(t))
+
+                a_star = _best_angle(probe, a0, d_cur, step.mask is not None)
+                d_new = math.inf if a_star is None else probe(a_star)
+                if d_new <= d_cur:
+                    if d_new < d_cur - 1e-14:
+                        improved = True
+                    d_cur = d_new
+                else:   # reconstruction says no gain is possible here
                     x[j] = a0
-                    continue
-                a_star = _wrap_angle(math.atan2(gamma, beta))
-            x[j] = a_star
-            d_new = cost(x)
-            if d_new <= d_cur:
-                if d_new < d_cur - 1e-14:
-                    improved = True
-                d_cur = d_new
-            else:   # reconstruction says no gain is possible here
-                x[j] = a0
+            block = step.apply(block, x)
         if not improved:
-            if cost.max_evals - cost.nfev > 10 * n:
+            if cost.max_evals - cost.nfev > 10 * bounds.shape[0]:
                 x = rng.uniform(bounds[:, 0], bounds[:, 1])
                 d_cur = cost(x)
             else:
                 return
 
 
-def _slot_kinds(circuit: Circuit):
-    """Gate kind per parameter slot, or None if slots are shared or scaled."""
-    kinds = {}
+def _one_rotation_per_slot(circuit: Circuit) -> bool:
+    """Whether every slot drives exactly one rotation, scaled by +-1."""
+    seen = set()
     for op in circuit.ops:
         if isinstance(op.angle, Param):
             p = op.angle
-            if p.slot in kinds or abs(p.scale) != 1.0:
-                return None
-            kinds[p.slot] = op.kind
-    return [kinds[s] for s in range(circuit.n_params)]
+            if p.slot in seen or abs(p.scale) != 1.0:
+                return False
+            seen.add(p.slot)
+    return True
 
 
 def _grad_polish(cost, bounds, rng, fg):
@@ -447,8 +475,7 @@ def synthesize(problem: SynthesisProblem,
                                seed=config.seed, improvements=[(1, d)])
 
     rotation = config.polish_method.lower() == "rotation-solve"
-    slot_kinds = _slot_kinds(student) if rotation else None
-    if rotation and slot_kinds is None:
+    if rotation and not _one_rotation_per_slot(student):
         raise ValueError("rotation-solve polish needs each parameter to "
                          "drive exactly one unscaled rotation")
 
@@ -464,7 +491,7 @@ def synthesize(problem: SynthesisProblem,
     _anneal(cost, bounds, rng, anneal_evals)
 
     if rotation and not cost.exhausted:
-        _rotation_solve(cost, bounds, slot_kinds, rng)
+        _rotation_solve(cost, bounds, evaluator, rng)
     elif not cost.exhausted:
         _grad_polish(cost, bounds, rng, evaluator.value_and_grad)
 

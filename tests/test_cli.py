@@ -111,6 +111,27 @@ def test_finetune_reports_recovery_columns(trained_dir, tmp_path):
     assert doc["fine_tuned"] is True
 
 
+def test_finetune_report_is_the_training_history(trained_dir, tmp_path,
+                                                 monkeypatch):
+    # the report's columns are epoch 0 and the last epoch of the history;
+    # finetune never scores the model separately
+    from qdistill import qnn
+
+    def no_evaluate(*args):
+        raise AssertionError("finetune called qnn.evaluate")
+
+    monkeypatch.setattr(qnn, "evaluate", no_evaluate)
+    d = tmp_path / "ft"
+    ckpt = os.path.join(trained_dir, "c2_1l_seed7.json")
+    assert run(["finetune", "--checkpoint", ckpt, "--epochs", "2",
+                "--out", str(d)]) == 0
+    history = json.loads((d / "c2_1l_seed7_ft.json").read_text())["history"]
+    lines = (d / "c2_1l_seed7_ft_report.csv").read_text().splitlines()[2:]
+    assert lines == [f"{split},{history[0][split + '_acc']!r},"
+                     f"{history[-1][split + '_acc']!r}"
+                     for split in ("train", "val")]
+
+
 def test_transpile_report_rows(tmp_path):
     d = str(tmp_path)
     rc = run(["transpile-report", "--qubits", "4", "--out", d])

@@ -308,3 +308,119 @@ def test_synthesize_multi_process_pool_matches_serial(method):
     assert pooled.evaluations == serial.evaluations
     assert pooled.improvements == serial.improvements
     assert pooled.seed == serial.seed
+
+
+# every slot drives one rotation: +-1 scales, offsets, plain and controlled
+_ROTATION_TEXT = """\
+qubits 3
+H 0
+RX 0 @{0}*-1
+RY 1 @{1}+0.3
+CRY 0,2 @{2}*-1-0.4
+CX 2,0
+CRZ 1,0 @{3}+1.1
+CRX 2,1 @{4}
+RZ 2 @{5}*-1
+SX 1
+"""
+_ROTATION_STUDENTS = {
+    "c2": circ.build_template("c2", 3, 1),
+    "c6": circ.build_template("c6", 3, 1),
+    "text": circ.from_text(_ROTATION_TEXT.format(*range(6))),
+    # slots numbered out of op order: visited in op order all the same
+    "text-shuffled": circ.from_text(_ROTATION_TEXT.format(3, 0, 5, 1, 4, 2)),
+}
+
+
+def _check_charges(monkeypatch):
+    """Check every value a tracker is charged against a full circuit run."""
+    seen = {"charged": 0, "after_budget": 0}
+    charge = syn._CostTracker.charge
+
+    def checked(self, x, e):
+        assert abs(self._fun(x) - e) <= 1e-13
+        seen["charged"] += 1
+        seen["after_budget"] += self.exhausted
+        return charge(self, x, e)
+
+    monkeypatch.setattr(syn._CostTracker, "charge", checked)
+    return seen
+
+
+@pytest.mark.parametrize("state_prep", [False, True])
+@pytest.mark.parametrize("student", sorted(_ROTATION_STUDENTS))
+def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
+                                              state_prep):
+    seen = _check_charges(monkeypatch)
+    problem = syn.SynthesisProblem(random_unitary(8, 3),
+                                   _ROTATION_STUDENTS[student], budget=300,
+                                   state_prep=state_prep)
+    cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
+                           anneal_fraction=0.2)
+    res = syn.synthesize(problem, cfg)
+    assert seen["charged"] >= res.evaluations > 300 * 0.2
+
+
+@pytest.mark.filterwarnings("ignore:budget")
+@pytest.mark.parametrize("student", ["c6", "text-shuffled"])
+def test_rotation_solve_budget_runs_out_mid_coordinate(monkeypatch, student):
+    seen = _check_charges(monkeypatch)
+    problem = syn.SynthesisProblem(random_unitary(8, 4),
+                                   _ROTATION_STUDENTS[student], budget=5)
+    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve")
+    res = syn.synthesize(problem, cfg)
+    # probes made after the budget ran out are returned but not charged
+    assert seen["after_budget"] > 0
+    assert res.evaluations <= 5 + syn.POLISH_ALLOWANCE
+
+
+def _above_rounding_floor(improvements):
+    """The improvement trace without steps smaller than 1e-12."""
+    kept = []
+    for evaluation, d in improvements:
+        if not kept or d < kept[-1][1] - 1e-12:
+            kept.append((evaluation, d))
+    return kept
+
+
+# fidelity-sweep instances at seed 0 (c2x6 -> c2x4, budget 1000, state prep,
+# anneal fraction 0.05), as computed when every probe ran the whole circuit:
+# (n, instance, evaluations, fidelity, improvements above the rounding floor:
+# count, digest of their evaluation indices, sum of their distances)
+_SWEEP_SEED0 = [
+    (2, 0, 1200, 1.0, 62, "9d2d82fc4dc97c26", 2.143855604680506),
+    (2, 1, 1200, 1.0, 78, "07fbe1f801300f2a", 1.9759435507847527),
+    (3, 0, 1200, 0.9999681840760909, 391, "b23379332f104fca",
+     7.608465625697669),
+    (3, 1, 1200, 0.9999366688910077, 386, "b6ffdc352325005b",
+     4.576901936551522),
+    (4, 0, 1200, 0.9531598257014433, 389, "f85327d1cb5c3b6d",
+     28.953538063090242),
+    (4, 1, 1200, 0.9436912794597561, 387, "9cb90f4579223d3e",
+     31.112996560757015),
+]
+
+
+@pytest.mark.parametrize("n,inst,evaluations,fidelity,count,digest,total",
+                         _SWEEP_SEED0)
+def test_rotation_solve_sweep_matches_full_run_probes(n, inst, evaluations,
+                                                      fidelity, count, digest,
+                                                      total):
+    import hashlib
+
+    teacher = circ.build_template("c2", n, 6)
+    rng = np.random.default_rng(1000 * n + inst)
+    target = circ.unitary_of(circ.bind(
+        teacher, rng.uniform(-math.pi, math.pi, teacher.n_params)))
+    problem = syn.SynthesisProblem(target, circ.build_template("c2", n, 4),
+                                   budget=1000, state_prep=True)
+    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve",
+                           anneal_fraction=0.05)
+    res = syn.synthesize(problem, cfg)
+    assert res.evaluations == evaluations
+    assert abs(min(1.0, abs(res.trace_of_best) ** 2) - fidelity) <= 1e-12
+    kept = _above_rounding_floor(res.improvements)
+    assert len(kept) == count
+    indices = ",".join(str(e) for e, _ in kept).encode()
+    assert hashlib.sha256(indices).hexdigest()[:16] == digest
+    assert abs(sum(d for _, d in kept) - total) <= count * 1e-12
