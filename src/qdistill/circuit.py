@@ -1,4 +1,4 @@
-"""Circuit IR, parametric-layer template registry, binding, and ideal simulation.
+"""Circuit IR, parametric-layer template catalog, binding, and ideal simulation.
 
 A circuit is an ordered gate list over ``n_qubits``.  Gate angles are either
 literal floats or :class:`Param` references (affine in one parameter slot, so
@@ -6,9 +6,8 @@ one slot can drive several scaled or offset angles).  Gates apply left to
 right: the earliest op in the list acts first on the state, i.e. it is the
 rightmost factor of the circuit unitary.
 
-Templates are data: a layer is a list of (gate kind, placement) pairs.  The
-shipped catalog covers the layer architectures used throughout this package
-(c1, c2, c6, c9, c12, c15); `register_template` adds more.
+Templates are data: `TEMPLATES` maps each id (c1, c2, c6, c9, c12, c15) to
+one layer, a tuple of (gate kind, placement) pairs.
 """
 
 from __future__ import annotations
@@ -262,17 +261,19 @@ class StepList:
     def reverse(self, lam, blocks, theta):
         """Yield (param, <lam_k, G x_(k+1)>) per rotation, last step first."""
         # zip stops before the input block, so each step meets its output
-        for step, x in zip(reversed(self.steps), reversed(blocks)):
+        for step, lam_k, x in zip(reversed(self.steps),
+                                  self.pullbacks(lam, theta),
+                                  reversed(blocks)):
             if step.param is not None:
-                yield step.param, np.vdot(lam, step.generate(x))
-            lam = step.apply(lam, theta, adjoint=True)
+                yield step.param, np.vdot(lam_k, step.generate(x))
 
     def pullbacks(self, lam, theta):
-        """lam_k for every step k: lam pulled back through the steps after k."""
-        lams = [lam]
+        """Yield lam_k, lam pulled back through the steps after k, for every
+        step k, last step first."""
+        yield lam
         for step in reversed(self.steps[1:]):
-            lams.append(step.apply(lams[-1], theta, adjoint=True))
-        return lams[::-1]
+            lam = step.apply(lam, theta, adjoint=True)
+            yield lam
 
 
 def z_expectations(states, n_qubits: int) -> np.ndarray:
@@ -291,7 +292,7 @@ def z_expectations(states, n_qubits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Template registry ("cX" catalog)
+# Template catalog ("cX")
 
 def _place_all(n):
     return [(q,) for q in range(n)]
@@ -334,63 +335,40 @@ _PLACEMENTS = {
 }
 
 
-@dataclass(frozen=True)
-class TemplateSpec:
-    """Data-driven description of one parametric-layer architecture."""
+_K = GateKind
 
-    id: str
-    pattern: tuple  # of (GateKind, placement-name)
-
-    def expand_layer(self, n_qubits: int):
-        """Yield (kind, qubits, parameterized) for one layer."""
-        for kind, placement in self.pattern:
-            for qubits in _PLACEMENTS[placement](n_qubits):
-                yield kind, qubits, kind in PARAMETERIZED
-
-
-TEMPLATES: dict[str, TemplateSpec] = {}
-
-
-def register_template(tid: str, pattern) -> TemplateSpec:
-    spec = TemplateSpec(tid, tuple(pattern))
-    for _, placement in spec.pattern:
-        if placement not in _PLACEMENTS:
-            raise ValueError(f"unknown placement {placement!r}")
-    TEMPLATES[tid] = spec
-    return spec
+# One layer of each template: (gate kind, placement) pairs, applied in order.
+TEMPLATES = {
+    "c1": ((_K.RX, "all"), (_K.RZ, "all")),
+    "c2": ((_K.RX, "all"), (_K.RZ, "all"), (_K.CX, "chain")),
+    "c6": ((_K.RX, "all"), (_K.RZ, "all"), (_K.CRX, "all_to_all"),
+           (_K.RX, "all"), (_K.RZ, "all")),
+    "c9": ((_K.H, "all"), (_K.CZ, "chain"), (_K.RX, "all")),
+    "c12": ((_K.RY, "all"), (_K.RZ, "all"), (_K.CZ, "pairs"),
+            (_K.RY, "inner"), (_K.RZ, "inner"), (_K.CZ, "bridge")),
+    "c15": ((_K.RY, "all"), (_K.CX, "ring")),
+}
 
 
 def build_template(tid: str, n_qubits: int, layers: int) -> Circuit:
-    """Build ``layers`` repetitions of a registered layer pattern."""
+    """Build ``layers`` repetitions of a template's layer pattern."""
     if tid not in TEMPLATES:
-        raise ValueError(f"unknown template {tid!r}; registered: {sorted(TEMPLATES)}")
+        raise ValueError(f"unknown template {tid!r}; known: {sorted(TEMPLATES)}")
     if n_qubits < 2:
         raise ValueError("n_qubits must be >= 2")
     if layers < 1:
         raise ValueError("layers must be >= 1")
-    spec = TEMPLATES[tid]
     ops = []
     slot = 0
     for _ in range(layers):
-        for kind, qubits, parameterized in spec.expand_layer(n_qubits):
-            if parameterized:
-                ops.append(Op(kind, qubits, Param(slot)))
-                slot += 1
-            else:
-                ops.append(Op(kind, qubits))
+        for kind, placement in TEMPLATES[tid]:
+            for qubits in _PLACEMENTS[placement](n_qubits):
+                if kind in PARAMETERIZED:
+                    ops.append(Op(kind, qubits, Param(slot)))
+                    slot += 1
+                else:
+                    ops.append(Op(kind, qubits))
     return Circuit(n_qubits, ops)
-
-
-_K = GateKind
-
-register_template("c1", [(_K.RX, "all"), (_K.RZ, "all")])
-register_template("c2", [(_K.RX, "all"), (_K.RZ, "all"), (_K.CX, "chain")])
-register_template("c6", [(_K.RX, "all"), (_K.RZ, "all"), (_K.CRX, "all_to_all"),
-                         (_K.RX, "all"), (_K.RZ, "all")])
-register_template("c9", [(_K.H, "all"), (_K.CZ, "chain"), (_K.RX, "all")])
-register_template("c12", [(_K.RY, "all"), (_K.RZ, "all"), (_K.CZ, "pairs"),
-                          (_K.RY, "inner"), (_K.RZ, "inner"), (_K.CZ, "bridge")])
-register_template("c15", [(_K.RY, "all"), (_K.CX, "ring")])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os

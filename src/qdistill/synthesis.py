@@ -315,7 +315,8 @@ def _wrap_angle(a: float) -> float:
 def _best_angle(probe, a0, d0, controlled):
     """One coordinate's maximizer of the squared overlap (1 - d)^2, rebuilt
     from its distance d0 at a0 and probes at shifted angles; None when the
-    overlap does not depend on it.
+    overlap does not depend on it, i.e. when its oscillation is within 1e-12
+    of its mean, as rounding leaves a flat coordinate's probes.
 
     The squared overlap is a low-order trigonometric polynomial of the angle:
     period 2pi with 3 coefficients for plain rotations (2 probes), period 4pi
@@ -340,7 +341,7 @@ def _best_angle(probe, a0, d0, controlled):
     u, v = y0 - alpha, y2 - alpha
     beta = u * math.cos(a0) - v * math.sin(a0)
     gamma = u * math.sin(a0) + v * math.cos(a0)
-    if beta == 0.0 and gamma == 0.0:
+    if math.hypot(beta, gamma) <= 1e-12 * alpha:
         return None
     return _wrap_angle(math.atan2(gamma, beta))
 
@@ -361,7 +362,7 @@ def _rotation_solve(cost, bounds, evaluator, rng):
     confirm, is one closed-form value.  lam_k stays exact because the steps
     after k are still at their pass-start angles when k is visited.
     Coordinates are therefore visited in step order: slot order for every
-    registered template, op order for a `from_text` student whose slots are
+    catalog template, op order for a `from_text` student whose slots are
     numbered out of op order.
     """
     steps = evaluator.steps
@@ -370,8 +371,8 @@ def _rotation_solve(cost, bounds, evaluator, rng):
     while not cost.exhausted:
         improved = False
         block = evaluator.start
-        for step, lam in zip(steps.steps,
-                             steps.pullbacks(evaluator.target, x)):
+        lams = list(steps.pullbacks(evaluator.target, x))
+        for step, lam in zip(steps.steps, reversed(lams)):
             p = step.param
             if p is not None:
                 if cost.exhausted:
@@ -477,7 +478,7 @@ def synthesize(problem: SynthesisProblem,
     rotation = config.polish_method.lower() == "rotation-solve"
     if rotation and not _one_rotation_per_slot(student):
         raise ValueError("rotation-solve polish needs each parameter to "
-                         "drive exactly one unscaled rotation")
+                         "drive exactly one rotation, scaled by +1 or -1")
 
     if problem.budget < 10 * n:
         warnings.warn(

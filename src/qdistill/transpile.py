@@ -1,5 +1,12 @@
 """Lowering of bound circuits to a basis gate set, plus depth/gate-count metrics.
 
+The basis sets (`BASES`) and the rewrite rules into them (`_RULES`) are
+constant tables.  A rule replaces one source gate with a sequence over its
+qubits, each gate's angle a literal or affine in the source angle; rule
+gates outside the basis are rewritten in turn.  A test lowers every gate
+kind into every basis at 20 seeded angles and checks that the result is
+native and equals the source unitary up to global phase.
+
 Depth is the number of moments under greedy ASAP layering: a gate enters the
 earliest moment in which all of its qubits are free.  No commutation-aware
 scheduling and no routing (all-to-all coupling is assumed).
@@ -17,9 +24,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates
-from .circuit import Circuit, Op
-from .gates import GateKind, gate_matrix, get_basis
+from .circuit import Circuit, Op, Param
+from .gates import GateKind, gate_matrix
+
+_K = GateKind
+_HALF = math.pi / 2
+
+# The vendor never publishes Rigetti's single-qubit natives in one place;
+# {RX, RZ, CZ} is the conventional CZ-native set.
+BASES = {
+    "IBM": frozenset({_K.ID, _K.RZ, _K.SX, _K.X, _K.CX}),
+    "RIGETTI": frozenset({_K.RX, _K.RZ, _K.CZ}),
+}
+
+# Qubit 0 is a 1q source's qubit or a 2q source's control, 1 its target;
+# Param(0, scale, offset) is the angle scale * source_angle + offset.
+_CRZ = (Op(_K.RZ, (1,), Param(0, 0.5)), Op(_K.CX, (0, 1)),
+        Op(_K.RZ, (1,), Param(0, -0.5)), Op(_K.CX, (0, 1)))
+_CONTROLLED_RULES = {
+    _K.CRZ: _CRZ,
+    _K.CRX: (Op(_K.H, (1,)),) + _CRZ + (Op(_K.H, (1,)),),
+    _K.CRY: (Op(_K.RX, (1,), _HALF),) + _CRZ + (Op(_K.RX, (1,), -_HALF),),
+}
+_RULES = {
+    (_K.H, "IBM"): (Op(_K.RZ, (0,), _HALF), Op(_K.SX, (0,)),
+                    Op(_K.RZ, (0,), _HALF)),
+    (_K.RX, "IBM"): (Op(_K.RZ, (0,), _HALF), Op(_K.SX, (0,)),
+                     Op(_K.RZ, (0,), Param(0, 1.0, math.pi)), Op(_K.SX, (0,)),
+                     Op(_K.RZ, (0,), _HALF)),
+    (_K.RY, "IBM"): (Op(_K.SX, (0,)), Op(_K.RZ, (0,), Param(0, 1.0, math.pi)),
+                     Op(_K.SX, (0,)), Op(_K.RZ, (0,), math.pi)),
+    (_K.CZ, "IBM"): (Op(_K.H, (1,)), Op(_K.CX, (0, 1)), Op(_K.H, (1,))),
+    (_K.ID, "RIGETTI"): (),
+    (_K.X, "RIGETTI"): (Op(_K.RX, (0,), math.pi),),
+    (_K.SX, "RIGETTI"): (Op(_K.RX, (0,), _HALF),),
+    (_K.H, "RIGETTI"): (Op(_K.RZ, (0,), _HALF), Op(_K.RX, (0,), _HALF),
+                        Op(_K.RZ, (0,), _HALF)),
+    (_K.RY, "RIGETTI"): (Op(_K.RZ, (0,), -_HALF), Op(_K.RX, (0,), Param(0)),
+                         Op(_K.RZ, (0,), _HALF)),
+    (_K.CX, "RIGETTI"): (Op(_K.H, (1,)), Op(_K.CZ, (0, 1)), Op(_K.H, (1,))),
+    **{(kind, basis): rule for kind, rule in _CONTROLLED_RULES.items()
+       for basis in BASES},
+}
 
 
 @dataclass(frozen=True)
@@ -46,39 +92,34 @@ def metrics(circuit: Circuit, basis: str = "") -> CompileReport:
     return CompileReport(basis, depth, g1 + g2, g1, g2)
 
 
-def _expand_op(kind, qubits, angle, basis, depth=0):
-    if depth > 8:
-        raise ValueError(f"decomposition of {kind} does not terminate")
-    if kind in basis:
+def _expand_op(kind, qubits, angle, basis):
+    if kind in BASES[basis]:
         return [Op(kind, qubits, angle)]
-    rule = gates.get_rule(kind, basis.name)
-    if rule is None:
-        raise ValueError(
-            f"no decomposition rule for gate {kind} into basis {basis.name}")
     out = []
-    for rg in rule:
-        if len(qubits) == 1:
-            sub_qubits = qubits
-        elif len(rg.roles) == 1:
-            sub_qubits = (qubits[0],) if rg.roles[0] == "c" else (qubits[1],)
-        else:
-            sub_qubits = tuple(qubits[0] if r == "c" else qubits[1]
-                               for r in rg.roles)
-        out.extend(_expand_op(rg.kind, sub_qubits, rg.angle_for(angle),
-                              basis, depth + 1))
+    for r in _RULES[kind, basis]:
+        a = r.angle
+        if isinstance(a, Param):
+            a = a.scale * angle + a.offset
+        out.extend(_expand_op(r.kind, tuple(qubits[i] for i in r.qubits), a,
+                              basis))
     return out
 
 
-def lower(circuit: Circuit, basis, merge_1q: bool = False) -> Circuit:
-    """Rewrite all gates into basis gates, preserving unitary up to phase."""
+def lower(circuit: Circuit, basis: str, merge_1q: bool = False) -> Circuit:
+    """Rewrite all gates into basis gates, preserving unitary up to phase.
+
+    ``basis`` is a key of `BASES`, in any letter case.
+    """
     if not circuit.is_bound:
         raise ValueError("circuit must be bound before lowering")
-    basis = get_basis(basis)
+    name = str(basis).upper()
+    if name not in BASES:
+        raise ValueError(f"unknown basis {basis!r}; known: {sorted(BASES)}")
     ops = []
     for op in circuit.ops:
-        ops.extend(_expand_op(op.kind, op.qubits, op.angle, basis))
+        ops.extend(_expand_op(op.kind, op.qubits, op.angle, name))
     if merge_1q:
-        ops = _merge_1q_runs(ops, circuit.n_qubits, basis)
+        ops = _merge_1q_runs(ops, circuit.n_qubits, BASES[name])
     return Circuit(circuit.n_qubits, ops)
 
 

@@ -186,7 +186,8 @@ def test_rotation_solve_rejects_shared_slots_before_annealing(monkeypatch):
 
     monkeypatch.setattr(syn, "_anneal", no_anneal)
     cfg = syn.AnnealConfig(polish_method="rotation-solve")
-    with pytest.raises(ValueError, match="exactly one unscaled rotation"):
+    with pytest.raises(ValueError,
+                       match=r"exactly one rotation, scaled by \+1 or -1"):
         syn.synthesize(syn.SynthesisProblem(u, student, budget=20000), cfg)
 
 
@@ -359,6 +360,31 @@ def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
                            anneal_fraction=0.2)
     res = syn.synthesize(problem, cfg)
     assert seen["charged"] >= res.evaluations > 300 * 0.2
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_rotation_solve_skips_flat_coordinate(monkeypatch, seed):
+    # slot 0 is RX right after H on |0>: |+> is an X eigenstate, so the
+    # overlap does not depend on it, though rounding moves its probes
+    solved = []
+    best_angle = syn._best_angle
+
+    def spy(*args):
+        solved.append(best_angle(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(syn, "_best_angle", spy)
+    problem = syn.SynthesisProblem(random_unitary(8, 3),
+                                   _ROTATION_STUDENTS["text"], budget=600,
+                                   state_prep=True)
+    cfg = syn.AnnealConfig(seed=seed, polish_method="rotation-solve",
+                           anneal_fraction=0.2)
+    syn.synthesize(problem, cfg)
+    # each pass visits all six slots in op order, so slot 0 is every sixth
+    # call; a flat coordinate gets no maximizer, hence no confirm evaluation
+    assert len(solved) > 6
+    assert all(a is None for a in solved[::6])
+    assert all(a is not None for a in solved[1::6])
 
 
 @pytest.mark.filterwarnings("ignore:budget")

@@ -35,11 +35,9 @@ def test_cz_to_ibm_exact_counts():
 def test_lowered_gates_stay_in_basis():
     tpl = circ.build_template("c6", 4, 1)
     bound = circ.bind(tpl, np.linspace(0.1, 2.0, tpl.n_params))
-    from qdistill.gates import get_basis
     for name in ("IBM", "RIGETTI"):
         lowered = transpile.lower(bound, name)
-        b = get_basis(name)
-        assert all(op.kind in b for op in lowered.ops)
+        assert all(op.kind in transpile.BASES[name] for op in lowered.ops)
 
 
 @settings(max_examples=15, deadline=None)
