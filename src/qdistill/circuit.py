@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from . import qmath
-from .gates import (ARITY, CONTROLLED, GENERATOR, PARAMETERIZED, GateKind,
-                    gate_matrix)
+from .gates import (ARITY, CONTROLLED, PARAMETERIZED, SIGNED_PERMUTATION,
+                    GateKind, gate_matrix)
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary; earliest gate is the rightmost matrix factor."""
     n = circuit.n_qubits
     dim = 2 ** n
+    if dim > qmath.MAX_DIM:
+        raise ValueError(f"a {n}-qubit unitary has dimension {dim}, above "
+                         f"the dense limit qmath.MAX_DIM = {qmath.MAX_DIM}")
     # evolve all basis states at once: tensor of shape (2,)*n + (dim,) where
     # the trailing axis indexes the input basis state (matrix column).
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
@@ -159,20 +162,19 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 class _Rotation:
     """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block.
 
-    Every catalog generator is a signed permutation on the target bit, so
-    G x = phase * x[perm] (perm is None for the diagonal RZ and CRZ).  For a
-    controlled rotation the phase is zero on the rows whose control bit is 0,
-    which the gate leaves alone.
+    G acts on the target bit as the signed permutation of
+    `gates.SIGNED_PERMUTATION`, so G x = phase * x[perm] (perm is None for the
+    diagonal RZ and CRZ).  For a controlled rotation the phase is zero on the
+    rows whose control bit is 0, which the gate leaves alone.
     """
 
     def __init__(self, op, dim):
         self.param = op.angle
-        g = GENERATOR[op.kind]
-        col = np.argmax(np.abs(g), axis=1)    # local column of each row's entry
+        col, local_phase = SIGNED_PERMUTATION[op.kind]
         b = np.arange(dim)
         bit = (b >> op.qubits[-1]) & 1
         self.perm = None if col[0] == 0 else b ^ (1 << op.qubits[-1])
-        phase = g[bit, col[bit]]
+        phase = local_phase[bit]
         self.mask = None
         if op.kind in CONTROLLED:
             self.mask = ((b >> op.qubits[0]) & 1).astype(float)[:, None]

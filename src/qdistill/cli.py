@@ -271,6 +271,8 @@ def run_fidelity_sweep(config: dict, out_dir: str):
     tid = config["template"]
     if tid not in TEMPLATES:
         raise DataError(f"unknown template {tid!r}")
+    if config["instances"] < 1:
+        raise ValueError(f"instances must be >= 1, got {config['instances']}")
     rng_base = config["seed"]
     lines_raw = []
     summary = []

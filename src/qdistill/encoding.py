@@ -2,8 +2,12 @@
 
 Angle encoding in two flavors: 1:1 (one feature per qubit, H then RZ) and
 2:1 (two features per qubit, H then RZ then a second rotation on a
-non-commuting axis, RY by default).  Features must be pre-scaled into
-[-pi, pi]; :class:`Scaler` provides the min-max map fitted on training data.
+non-commuting axis, RY by default).  `EncodingScheme.rotations` is the one
+statement of each qubit's gates after H, and one check admits the features,
+which must be pre-scaled into [-pi, pi]; :class:`Scaler` provides the
+min-max map fitted on training data.  Two functions read the list: `encode`
+builds one row's circuit (for noisy evaluation) and `encode_states` all
+rows' product states at once (for the ideal model).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Op
-from .gates import GateKind
+from .gates import SIGNED_PERMUTATION, GateKind
 
 ONE_PER_QUBIT = "1:1"
 TWO_PER_QUBIT = "2:1"
@@ -34,31 +38,64 @@ class EncodingScheme:
             raise ValueError("second rotation axis must be RX or RY")
 
     @property
+    def rotations(self) -> tuple:
+        """The rotation kinds every qubit takes after its H, in order: qubit
+        q's j-th rotation reads feature column q * len(rotations) + j."""
+        if self.mode == ONE_PER_QUBIT:
+            return (GateKind.RZ,)
+        return (GateKind.RZ, self.second_axis)
+
+    @property
     def capacity(self) -> int:
-        return self.n_qubits if self.mode == ONE_PER_QUBIT else 2 * self.n_qubits
+        return self.n_qubits * len(self.rotations)
 
 
 _RANGE_TOL = 1e-9
 
 
-def encode(features, scheme: EncodingScheme) -> Circuit:
-    """Deterministic encoder circuit for one pre-scaled feature vector."""
-    features = np.asarray(features, dtype=float).ravel()
-    if features.size != scheme.capacity:
+def _checked_rows(features, scheme: EncodingScheme) -> np.ndarray:
+    """Pre-scaled features as (rows, capacity) floats, or a ValueError."""
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    if x.ndim != 2 or x.shape[1] != scheme.capacity:
         raise ValueError(
             f"expected {scheme.capacity} features for {scheme.mode} on "
-            f"{scheme.n_qubits} qubits, got {features.size}")
-    if np.any(np.abs(features) > math.pi + _RANGE_TOL):
+            f"{scheme.n_qubits} qubits, got {x.shape[-1]}")
+    if np.any(np.abs(x) > math.pi + _RANGE_TOL):
         raise ValueError("features must be scaled into [-pi, pi]")
+    return x
+
+
+def encode(features, scheme: EncodingScheme) -> Circuit:
+    """Deterministic encoder circuit for one pre-scaled feature vector."""
+    row = _checked_rows(np.ravel(features), scheme)[0]
+    rotations = scheme.rotations
     ops = []
     for q in range(scheme.n_qubits):
         ops.append(Op(GateKind.H, (q,)))
-        if scheme.mode == ONE_PER_QUBIT:
-            ops.append(Op(GateKind.RZ, (q,), float(features[q])))
-        else:
-            ops.append(Op(GateKind.RZ, (q,), float(features[2 * q])))
-            ops.append(Op(scheme.second_axis, (q,), float(features[2 * q + 1])))
+        ops += [Op(kind, (q,), float(row[q * len(rotations) + j]))
+                for j, kind in enumerate(rotations)]
     return Circuit(scheme.n_qubits, ops)
+
+
+def encode_states(features, scheme: EncodingScheme) -> np.ndarray:
+    """Vectorized encoder: (B, capacity) pre-scaled features -> (B, 2^n) states.
+
+    Every qubit of every row starts in H|0>, a (B, n, 2) block, and the
+    block takes each rotation as cos(a/2) v - i sin(a/2) G v, with
+    G v = phase * v[..., col] read from `gates.SIGNED_PERMUTATION`.
+    """
+    x = _checked_rows(features, scheme)
+    bsz, n = x.shape[0], scheme.n_qubits
+    half = (x / 2).reshape(bsz, n, len(scheme.rotations))
+    v = np.full((bsz, n, 2), 1 / math.sqrt(2), dtype=complex)
+    for j, kind in enumerate(scheme.rotations):
+        col, phase = SIGNED_PERMUTATION[kind]
+        a = half[:, :, j, None]
+        v = np.cos(a) * v + (np.sin(a) * (-1j * phase)) * v[:, :, col]
+    out = np.ones((bsz, 1), dtype=complex)
+    for q in range(n - 1, -1, -1):
+        out = np.einsum("bi,bj->bij", out, v[:, q]).reshape(bsz, -1)
+    return out
 
 
 @dataclass

@@ -1,5 +1,11 @@
 """Gate vocabulary and matrices.
 
+`GENERATOR` is the one statement of what a rotation is: each parameterized
+kind is exp(-i a G / 2) for a Pauli G, on the target of a controlled kind.
+`gate_matrix` builds every rotation from it, `SIGNED_PERMUTATION` reads each
+G as a signed permutation for the step list (`circuit`) and the batched
+encoder (`encoding`), and the fixed gates are one constant table.
+
 Two-qubit matrices follow the register convention of :mod:`qdistill.qmath`:
 for a 4x4 gate matrix the control is index bit 1 and the target is index
 bit 0, i.e. CX permutes |10> <-> |11>.
@@ -41,12 +47,6 @@ ARITY = {
     GateKind.CRX: 2, GateKind.CRY: 2, GateKind.CRZ: 2,
 }
 
-PARAMETERIZED = frozenset({
-    GateKind.RX, GateKind.RY, GateKind.RZ,
-    GateKind.CRX, GateKind.CRY, GateKind.CRZ,
-})
-CONTROLLED = frozenset({GateKind.CRX, GateKind.CRY, GateKind.CRZ})
-
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,58 +59,50 @@ GENERATOR = {
     GateKind.RX: PAULI["X"], GateKind.RY: PAULI["Y"], GateKind.RZ: PAULI["Z"],
     GateKind.CRX: PAULI["X"], GateKind.CRY: PAULI["Y"], GateKind.CRZ: PAULI["Z"],
 }
+PARAMETERIZED = frozenset(GENERATOR)
+CONTROLLED = frozenset({GateKind.CRX, GateKind.CRY, GateKind.CRZ})
+
+
+def _signed_permutation(g):
+    col = np.argmax(np.abs(g), axis=1)
+    return col, g[np.arange(2), col]
+
+
+# Every generator is a signed permutation: G v = phase * v[col], row by row.
+SIGNED_PERMUTATION = {kind: _signed_permutation(g)
+                      for kind, g in GENERATOR.items()}
 
 _I2 = PAULI["I"]
-_X = PAULI["X"]
-_SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _P0 = np.diag([1, 0]).astype(complex)
 _P1 = np.diag([0, 1]).astype(complex)
 
 
-def _rx(t):
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+def _controlled(u):
+    return np.kron(_P0, _I2) + np.kron(_P1, u)
 
 
-def _ry(t):
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(t):
-    return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
+_FIXED = {
+    GateKind.ID: _I2,
+    GateKind.X: PAULI["X"],
+    GateKind.SX: 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]),
+    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    GateKind.CX: _controlled(PAULI["X"]),
+    GateKind.CZ: _controlled(PAULI["Z"]),
+}
 
 
 def gate_matrix(kind: GateKind, angle: float | None = None) -> np.ndarray:
-    """Standard matrix of a gate; ``angle`` required iff parameterized."""
-    if kind in PARAMETERIZED:
-        if angle is None:
-            raise ValueError(f"{kind} requires an angle")
-    elif angle is not None:
-        raise ValueError(f"{kind} takes no angle")
-    if kind is GateKind.ID:
-        return _I2.copy()
-    if kind is GateKind.X:
-        return _X.copy()
-    if kind is GateKind.SX:
-        return _SX.copy()
-    if kind is GateKind.H:
-        return _H.copy()
-    if kind is GateKind.RX:
-        return _rx(angle)
-    if kind is GateKind.RY:
-        return _ry(angle)
-    if kind is GateKind.RZ:
-        return _rz(angle)
-    if kind is GateKind.CX:
-        return np.kron(_P0, _I2) + np.kron(_P1, _X)
-    if kind is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if kind is GateKind.CRX:
-        return np.kron(_P0, _I2) + np.kron(_P1, _rx(angle))
-    if kind is GateKind.CRY:
-        return np.kron(_P0, _I2) + np.kron(_P1, _ry(angle))
-    if kind is GateKind.CRZ:
-        return np.kron(_P0, _I2) + np.kron(_P1, _rz(angle))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    """Standard matrix of a gate; ``angle`` required iff parameterized.
+
+    A rotation is cos(a/2) I - i sin(a/2) G for its generator G; a controlled
+    one is |0><0| x I + |1><1| x R(a).
+    """
+    if kind not in PARAMETERIZED:
+        if angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        return _FIXED[kind].copy()
+    if angle is None:
+        raise ValueError(f"{kind} requires an angle")
+    r = (math.cos(angle / 2) * _I2
+         - 1j * math.sin(angle / 2) * GENERATOR[kind])
+    return _controlled(r) if kind in CONTROLLED else r

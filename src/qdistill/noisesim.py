@@ -81,17 +81,6 @@ class DeviceProfile:
         return compose_kraus(phase_damping_kraus(lam),
                              amplitude_damping_kraus(gamma))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceProfile":
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "err_1q": self.err_1q,
-                "err_2q": self.err_2q, "t1_us": self.t1_us,
-                "t2_us": self.t2_us, "dur_1q_ns": self.dur_1q_ns,
-                "dur_2q_ns": self.dur_2q_ns, "meas_err": self.meas_err,
-                "basis": self.basis}
-
 
 def load_profile(name_or_path) -> DeviceProfile:
     """Load a device profile by bundled name (melbourne, almaden) or path."""
@@ -104,9 +93,9 @@ def load_profile(name_or_path) -> DeviceProfile:
         exists = False
     if "/" not in name and exists:
         with ref.open() as fh:
-            return DeviceProfile.from_dict(json.load(fh))
+            return DeviceProfile(**json.load(fh))
     with open(name_or_path) as fh:
-        return DeviceProfile.from_dict(json.load(fh))
+        return DeviceProfile(**json.load(fh))
 
 
 def zero_noise_profile(basis: str = "IBM") -> DeviceProfile:

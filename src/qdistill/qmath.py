@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Largest Hilbert-space dimension we will materialize densely (2^12).
+# Largest Hilbert-space dimension materialized densely (2^12); checked by
+# `circuit.unitary_of`.
 MAX_DIM = 4096
 
 # Unitarity check tolerance; well above double-precision accumulation
@@ -26,17 +27,9 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
-    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
-
-
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
-        raise ValueError(f"kron result dimension {out_dim} exceeds limit {max_dim}")
-    return np.kron(a, b)
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= UNITARY_TOL
 
 
 def hs_trace_overlap(u: np.ndarray, v: np.ndarray) -> complex:

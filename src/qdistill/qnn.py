@@ -1,13 +1,14 @@
 """Hybrid model: angle encoder -> PQC -> per-qubit <Z> -> dense head -> softmax.
 
 The PQC runs as its compiled step list (`circuit.StepList`), the same one
-that synthesis fits, on a (dim, batch) block of encoded states.  Gradients
-are exact: closed-form softmax/cross-entropy backprop for the dense head, and
-one forward plus one reverse (adjoint) sweep of the step list for the circuit
-angles, so shared and scaled parameter slots work.  Training uses Adam with
-fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`, `EPSILON`) and is
-bit-deterministic for a fixed seed.  `evaluate` scores the ideal model;
-`noisesim.evaluate_noisy` scores it under a device profile.
+that synthesis fits, on a (dim, batch) block of states that
+`encoding.encode_states` builds; this module holds no rotation formula.
+Gradients are exact: closed-form softmax/cross-entropy backprop for the
+dense head, and one forward plus one reverse (adjoint) sweep of the step
+list for the circuit angles, so shared and scaled parameter slots work.
+Training uses Adam with fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`,
+`EPSILON`) and is bit-deterministic for a fixed seed.  `evaluate` scores the
+ideal model; `noisesim.evaluate_noisy` scores it under a device profile.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, build_template, z_expectations
-from .encoding import (ONE_PER_QUBIT, EncodingScheme, Scaler, apply_scaler,
+from .encoding import (EncodingScheme, Scaler, apply_scaler, encode_states,
                        fit_scaler)
 from .gates import GateKind
 
@@ -41,6 +42,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1 (or None for the full "
+                             f"batch), got {self.batch_size}")
 
 
 @dataclass
@@ -87,37 +91,6 @@ def init_model(template_id: str, layers: int, scheme: EncodingScheme,
 
 # ---------------------------------------------------------------------------
 # Forward pass (batched internally)
-
-def encode_states(features, scheme: EncodingScheme) -> np.ndarray:
-    """Vectorized encoder: (B, capacity) pre-scaled features -> (B, 2^n) states."""
-    x = np.atleast_2d(np.asarray(features, float))
-    if x.shape[1] != scheme.capacity:
-        raise ValueError(f"expected {scheme.capacity} features, got {x.shape[1]}")
-    if np.any(np.abs(x) > math.pi + 1e-9):
-        raise ValueError("features must be scaled into [-pi, pi]")
-    bsz = x.shape[0]
-    inv_sqrt2 = 1 / math.sqrt(2)
-    per_qubit = []
-    for q in range(scheme.n_qubits):
-        if scheme.mode == ONE_PER_QUBIT:
-            f = x[:, q]
-            v = np.stack([np.exp(-1j * f / 2), np.exp(1j * f / 2)], axis=1) * inv_sqrt2
-        else:
-            f, g = x[:, 2 * q], x[:, 2 * q + 1]
-            v = np.stack([np.exp(-1j * f / 2), np.exp(1j * f / 2)], axis=1) * inv_sqrt2
-            c, s = np.cos(g / 2), np.sin(g / 2)
-            if scheme.second_axis is GateKind.RY:
-                v = np.stack([c * v[:, 0] - s * v[:, 1],
-                              s * v[:, 0] + c * v[:, 1]], axis=1)
-            else:  # RX
-                v = np.stack([c * v[:, 0] - 1j * s * v[:, 1],
-                              -1j * s * v[:, 0] + c * v[:, 1]], axis=1)
-        per_qubit.append(v)
-    out = np.ones((bsz, 1), dtype=complex)
-    for q in range(scheme.n_qubits - 1, -1, -1):
-        out = np.einsum("bi,bj->bij", out, per_qubit[q]).reshape(bsz, -1)
-    return out
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)

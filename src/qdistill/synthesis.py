@@ -41,6 +41,7 @@ from .qmath import as_matrix, hs_trace_overlap, is_unitary
 
 TAIL_LIMIT = 1e8
 _MIN_VISIT_BOUND = 1e-10
+_SPAN = 2.0 * math.pi     # every angle is searched in [-pi, pi]
 POLISH_ALLOWANCE = 200
 POLISH_METHODS = ("grad-lbfgs", "rotation-solve")
 CONVERGE_THRESHOLD = 0.05
@@ -190,13 +191,18 @@ class _CostTracker:
         return e
 
 
+def _wrap(values):
+    """Wrap angles back into [-pi, pi), nudged off the lower edge."""
+    b = np.fmod(values + math.pi, _SPAN) + _SPAN
+    wrapped = np.fmod(b, _SPAN) - math.pi
+    bump = np.fabs(wrapped + math.pi) < _MIN_VISIT_BOUND
+    return np.where(bump, wrapped + _MIN_VISIT_BOUND, wrapped)
+
+
 class _VisitingDistribution:
     """Tsallis heavy-tailed step generator for GSA, parameterized by VISIT."""
 
-    def __init__(self, lower, upper, rng):
-        self.lower = lower
-        self.upper = upper
-        self.span = upper - lower
+    def __init__(self, rng):
         self.rng = rng
         qv = VISIT
         factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
@@ -219,13 +225,6 @@ class _VisitingDistribution:
         den = np.exp((qv - 1.0) * np.log(np.fabs(y)) / (3.0 - qv))
         return x / den
 
-    def _wrap(self, values, lower, span):
-        a = values - lower
-        b = np.fmod(a, span) + span
-        wrapped = np.fmod(b, span) + lower
-        bump = np.fabs(wrapped - lower) < _MIN_VISIT_BOUND
-        return np.where(bump, wrapped + _MIN_VISIT_BOUND, wrapped)
-
     def visiting(self, x, step, temperature):
         dim = x.size
         if step < dim:
@@ -236,7 +235,7 @@ class _VisitingDistribution:
                               visits)
             visits = np.where(visits < -TAIL_LIMIT, -TAIL_LIMIT * lower_sample,
                               visits)
-            return self._wrap(visits + x, self.lower, self.span)
+            return _wrap(visits + x)
         # second half perturbs a single coordinate
         out = np.copy(x)
         index = step - dim
@@ -245,24 +244,21 @@ class _VisitingDistribution:
             visit = TAIL_LIMIT * float(self.rng.uniform())
         elif visit < -TAIL_LIMIT:
             visit = -TAIL_LIMIT * float(self.rng.uniform())
-        out[index] = self._wrap(np.array([visit + x[index]]),
-                                self.lower[index:index + 1],
-                                self.span[index:index + 1])[0]
+        out[index] = _wrap(visit + x[index])
         return out
 
 
-def _anneal(cost, bounds, rng, anneal_evals):
-    """One GSA run; returns when the evaluation cap is hit or chains end."""
-    lower, upper = bounds[:, 0], bounds[:, 1]
-    dim = lower.size
-    visitor = _VisitingDistribution(lower, upper, rng)
+def _anneal(cost, dim, rng, anneal_evals):
+    """One GSA run over dim angles; returns when the evaluation cap is hit or
+    chains end."""
+    visitor = _VisitingDistribution(rng)
     qa = ACCEPT
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     restart_temp = INITIAL_TEMP * RESTART_TEMP_RATIO
     not_improved_max = 1000
 
     def fresh_state():
-        x = rng.uniform(lower, upper)
+        x = rng.uniform(-math.pi, math.pi, dim)
         return x, cost(x)
 
     x_cur, e_cur = fresh_state()
@@ -346,7 +342,7 @@ def _best_angle(probe, a0, d0, controlled):
     return _wrap_angle(math.atan2(gamma, beta))
 
 
-def _rotation_solve(cost, bounds, evaluator, rng):
+def _rotation_solve(cost, evaluator, rng):
     """Cyclic exact line search over rotation angles (Rotosolve).
 
     With every parameter driving exactly one rotation gate, each coordinate
@@ -397,8 +393,8 @@ def _rotation_solve(cost, bounds, evaluator, rng):
                     x[j] = a0
             block = step.apply(block, x)
         if not improved:
-            if cost.max_evals - cost.nfev > 10 * bounds.shape[0]:
-                x = rng.uniform(bounds[:, 0], bounds[:, 1])
+            if cost.max_evals - cost.nfev > 10 * x.size:
+                x = rng.uniform(-math.pi, math.pi, x.size)
                 d_cur = cost(x)
             else:
                 return
@@ -416,7 +412,7 @@ def _one_rotation_per_slot(circuit: Circuit) -> bool:
     return True
 
 
-def _grad_polish(cost, bounds, rng, fg):
+def _grad_polish(cost, rng, fg):
     """Multi-start L-BFGS-B on the exact gradient until the budget runs out.
 
     Each value-and-gradient call is charged two evaluations.  The first
@@ -427,8 +423,7 @@ def _grad_polish(cost, bounds, rng, fg):
     # imported here, so that only runs that polish with grad-lbfgs load scipy
     from scipy.optimize import minimize
 
-    n = bounds.shape[0]
-    bound_pairs = [tuple(b) for b in bounds]
+    n = cost.best_x.size
 
     def counted(x):
         if cost.exhausted:
@@ -448,13 +443,13 @@ def _grad_polish(cost, bounds, rng, fg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             minimize(counted, start, jac=True, method="L-BFGS-B",
-                     bounds=bound_pairs,
+                     bounds=[(-math.pi, math.pi)] * n,
                      options={"maxfun": remaining, "ftol": 1e-14,
                               "gtol": 1e-10})
         if cost.best_e < before - 1e-12:
             start = cost.best_x
         elif cost.max_evals - cost.nfev > 50 * n:
-            start = rng.uniform(bounds[:, 0], bounds[:, 1])
+            start = rng.uniform(-math.pi, math.pi, n)
         else:
             return
 
@@ -485,16 +480,15 @@ def synthesize(problem: SynthesisProblem,
             f"budget {problem.budget} is below the recommended 10x"
             f" parameter count ({10 * n})", stacklevel=2)
 
-    bounds = np.tile([-math.pi, math.pi], (n, 1))
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    _anneal(cost, bounds, rng, anneal_evals)
+    _anneal(cost, n, rng, anneal_evals)
 
     if rotation and not cost.exhausted:
-        _rotation_solve(cost, bounds, evaluator, rng)
+        _rotation_solve(cost, evaluator, rng)
     elif not cost.exhausted:
-        _grad_polish(cost, bounds, rng, evaluator.value_and_grad)
+        _grad_polish(cost, rng, evaluator.value_and_grad)
 
     return SynthesisResult(
         theta_star=cost.best_x,

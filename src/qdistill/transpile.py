@@ -147,26 +147,26 @@ def _is_zero_angle(a: float) -> bool:
     return abs(math.remainder(a, 2.0 * math.pi)) < 1e-9
 
 
-def _euler_native(u: np.ndarray, basis) -> list[Op] | None:
-    """Minimal native 1q sequence for a literal 2x2 unitary (qubit filled later)."""
+def _euler_native(u: np.ndarray, basis) -> list[Op]:
+    """Minimal native 1q sequence for a literal 2x2 unitary (qubit filled later).
+
+    Every basis has RZ, plus RX or SX.
+    """
     theta, phi, lam = _zyz_angles(u)
     half = math.pi / 2
-    rz_ok = GateKind.RZ in basis
 
     def rz(a):
         return [] if _is_zero_angle(a) else [Op(GateKind.RZ, (0,), a)]
 
-    if abs(math.sin(theta / 2.0)) < 1e-9 and rz_ok:
+    if abs(math.sin(theta / 2.0)) < 1e-9:
         return rz(phi + lam)
-    if GateKind.RX in basis and rz_ok:
+    if GateKind.RX in basis:
         # ZXZ: RZ(phi+pi/2) RX(theta) RZ(lam-pi/2)
         return rz(lam - half) + [Op(GateKind.RX, (0,), theta)] + rz(phi + half)
-    if GateKind.SX in basis and rz_ok:
-        if abs(theta - half) < 1e-9:
-            return rz(lam - half) + [Op(GateKind.SX, (0,))] + rz(phi + half)
-        return (rz(lam) + [Op(GateKind.SX, (0,))] + rz(theta + math.pi)
-                + [Op(GateKind.SX, (0,))] + rz(phi + math.pi))
-    return None
+    if abs(theta - half) < 1e-9:
+        return rz(lam - half) + [Op(GateKind.SX, (0,))] + rz(phi + half)
+    return (rz(lam) + [Op(GateKind.SX, (0,))] + rz(theta + math.pi)
+            + [Op(GateKind.SX, (0,))] + rz(phi + math.pi))
 
 
 def _coalesce_rotations(run: list[Op]) -> list[Op]:
@@ -195,7 +195,7 @@ def _resynthesize_run(run: list[Op], basis) -> list[Op]:
     for op in run:
         u = gate_matrix(op.kind, op.angle) @ u
     native = _euler_native(u, basis)
-    if native is None or len(native) > len(run):
+    if len(native) > len(run):
         return run
     qubit = run[0].qubits[0]
     return [Op(op.kind, (qubit,), op.angle) for op in native]

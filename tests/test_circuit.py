@@ -30,6 +30,12 @@ def test_unitary_of_matches_kron_order():
     assert np.allclose(circ.unitary_of(c), np.kron(gate_matrix(K.X), np.eye(2)))
 
 
+def test_unitary_of_refuses_dimension_above_limit():
+    with pytest.raises(ValueError, match="qmath.MAX_DIM = 4096"):
+        circ.unitary_of(Circuit(13, []))
+    assert circ.unitary_of(Circuit(2, [])).shape == (4, 4)
+
+
 def test_op_validation():
     with pytest.raises(ValueError):
         Circuit(2, [Op(K.X, (2,))])

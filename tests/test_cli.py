@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -172,6 +173,37 @@ def test_epoch_zero_rejected(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("batch", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "finetune"])
+def test_bad_batch_size_exits_2(trained_dir, tmp_path, capsys, command,
+                                batch):
+    args = (["--template", "c1", "--layers", "1"] if command == "train" else
+            ["--checkpoint", os.path.join(trained_dir, "c2_1l_seed7.json")])
+    rc = run([command, *args, "--epochs", "2", "--batch-size", batch,
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    want = f"batch size must be >= 1 (or None for the full batch), got {batch}"
+    assert want in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "manifest.json")
+
+
+def test_fidelity_sweep_rejects_zero_instances(tmp_path, capsys):
+    rc = run(["fidelity-sweep", "--qubits", "2", "--instances", "0",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    assert "instances must be >= 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fidelity.csv")
+
+
+def test_fidelity_sweep_rejects_dense_size_above_limit(tmp_path, capsys):
+    # refused before the 8192 x 8192 identity is allocated
+    rc = run(["fidelity-sweep", "--qubits", "13", "--instances", "1",
+              "--layers", "1", "--student-layers", "1",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    assert "qmath.MAX_DIM = 4096" in capsys.readouterr().err
+
+
 def test_data_errors_exit_3(tmp_path):
     d = str(tmp_path)
     assert run(["distill", "--teacher", "/does/not/exist.json",
@@ -240,7 +272,7 @@ _BAD_CHECKPOINTS = {
     "layers_not_int": lambda doc: {**doc, "layers": "two"},
     "top_level_list": lambda doc: [doc],
 }
-_GOOD_PROFILE = noisesim.load_profile("melbourne").to_dict()
+_GOOD_PROFILE = dataclasses.asdict(noisesim.load_profile("melbourne"))
 _BAD_PROFILES = {
     "unknown_key": {**_GOOD_PROFILE, "colour": "red"},
     "missing_keys": {"name": "half"},

@@ -42,6 +42,35 @@ def test_two_to_one_uses_both_axes():
 def test_encode_feature_count_guard():
     with pytest.raises(ValueError):
         encoding.encode([0.1, 0.2], EncodingScheme("1:1", 4))
+    with pytest.raises(ValueError, match="expected 4 features"):
+        encoding.encode_states(np.zeros((3, 2)), EncodingScheme("1:1", 4))
+    with pytest.raises(ValueError, match=r"\[-pi, pi\]"):
+        encoding.encode_states(np.full((3, 4), 3.2), EncodingScheme("1:1", 4))
+
+
+@pytest.mark.parametrize("mode,axis", [("1:1", K.RY), ("2:1", K.RY),
+                                       ("2:1", K.RX)])
+def test_encode_states_matches_expm_oracle(mode, axis):
+    # H, RZ(x_q) [then axis(x_q')] per qubit, from literal Paulis
+    from scipy.linalg import expm
+    pauli = {K.RX: np.array([[0, 1], [1, 0]]),
+             K.RY: np.array([[0, -1j], [1j, 0]]),
+             K.RZ: np.diag([1, -1])}
+    h_zero = np.array([1, 1]) / math.sqrt(2)
+    scheme = EncodingScheme(mode, 3, axis)
+    rows = np.random.default_rng(12).uniform(-math.pi, math.pi,
+                                             (5, scheme.capacity))
+    got = encoding.encode_states(rows, scheme)
+    for row, psi in zip(rows, got):
+        want = np.ones(1)
+        for q in range(3):
+            angles = [(K.RZ, row[q])] if mode == "1:1" else [
+                (K.RZ, row[2 * q]), (axis, row[2 * q + 1])]
+            v = h_zero
+            for kind, a in angles:
+                v = expm(-0.5j * a * pauli[kind]) @ v
+            want = np.kron(v, want)        # qubit 0 is the low index bit
+        assert np.allclose(psi, want, atol=1e-12)
 
 
 def test_fit_scaler_endpoints():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import gates
-from qdistill.circuit import Circuit, Op, unitary_of
+from qdistill.circuit import Circuit, Op, Param, unitary_of
 from qdistill.gates import GateKind as K
 from qdistill.qmath import hs_trace_overlap
 from qdistill.transpile import BASES, lower
@@ -15,6 +15,13 @@ I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1, -1]).astype(complex)
+P1 = np.diag([0, 1]).astype(complex)
+# Written out here rather than read from gates.GENERATOR, which gate_matrix,
+# the step list and the encoder all share: they would agree on a wrong entry.
+ORACLE_GENERATOR = {
+    K.RX: X, K.RY: Y, K.RZ: Z,
+    K.CRX: np.kron(P1, X), K.CRY: np.kron(P1, Y), K.CRZ: np.kron(P1, Z),
+}
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
 
@@ -28,6 +35,20 @@ def test_rotation_at_pi_oracles():
 def test_rotation_at_zero_is_identity():
     for kind in (K.RX, K.RY, K.RZ):
         assert np.allclose(gates.gate_matrix(kind, 0.0), I2)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_GENERATOR), ids=str)
+def test_rotations_match_expm_oracle(kind):
+    from scipy.linalg import expm
+    g = ORACLE_GENERATOR[kind]
+    n = gates.ARITY[kind]
+    # control on qubit 1 (index bit 1), target on qubit 0, as in gate_matrix
+    steps = Circuit(n, [Op(kind, tuple(range(n - 1, -1, -1)), Param(0))]).steps
+    for a in np.random.default_rng(11).uniform(-2 * math.pi, 2 * math.pi, 8):
+        want = expm(-0.5j * a * g)
+        assert np.allclose(gates.gate_matrix(kind, a), want, atol=1e-12)
+        got = steps.run(np.eye(2 ** n, dtype=complex), np.array([a]))
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_sx_squares_to_x():
@@ -86,6 +107,9 @@ def test_basis_membership():
     assert K.CX in ibm and K.CZ not in ibm
     rig = BASES["RIGETTI"]
     assert K.CZ in rig and K.CX not in rig
+    # the 1q-run merge emits RZ plus RX or SX
+    for basis in BASES.values():
+        assert K.RZ in basis and (K.RX in basis or K.SX in basis)
 
 
 def _lower_one(kind, angle, basis):

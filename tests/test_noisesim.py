@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdistill import circuit as circ, data, encoding, noisesim, qmath, qnn
+from qdistill import circuit as circ, data, encoding, noisesim, qnn
 from qdistill.circuit import Circuit, Op
 from qdistill.gates import GateKind as K, gate_matrix
 from qdistill.transpile import lower
@@ -32,7 +32,7 @@ def test_profile_validation():
 
 
 def test_profile_dict_round_trip():
-    back = noisesim.DeviceProfile.from_dict(MELBOURNE.to_dict())
+    back = noisesim.DeviceProfile(**dataclasses.asdict(MELBOURNE))
     assert back == MELBOURNE
 
 
@@ -217,7 +217,7 @@ def _oracle_rho(circuit, profile):
                 cell[r, c] = 1.0
                 full = np.eye(1, dtype=complex)
                 for p in reversed(range(n)):
-                    full = qmath.kron(full, cell if p == q else eye)
+                    full = np.kron(full, cell if p == q else eye)
                 grid[r, c] = full
         units.append(grid)
     rho = noisesim.zero_density(n)

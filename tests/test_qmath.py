@@ -7,7 +7,6 @@ from qdistill import qmath
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1, -1]).astype(complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -21,16 +20,6 @@ def random_unitary(dim, seed):
 def test_is_unitary_accepts_and_rejects():
     assert qmath.is_unitary(H)
     assert not qmath.is_unitary(2 * H)
-
-
-def test_kron_dimension_guard():
-    big = np.eye(qmath.MAX_DIM)
-    with pytest.raises(ValueError):
-        qmath.kron(big, I2)
-
-
-def test_kron_matches_numpy():
-    assert np.array_equal(qmath.kron(X, Z), np.kron(X, Z))
 
 
 def test_trace_overlap_of_identity():

@@ -5,6 +5,7 @@ import pytest
 
 from qdistill import circuit as circ, data, encoding, noisesim, qnn
 from qdistill.encoding import EncodingScheme
+from qdistill.gates import GateKind as K
 
 
 def small_problem(template="c2", layers=1, n_samples=12, seed=0):
@@ -70,10 +71,14 @@ def test_circuit_gradient_with_shared_scaled_slots():
     assert np.max(np.abs(dtheta - fd)) < 1e-7
 
 
-@pytest.mark.parametrize("mode,n_features", [("1:1", 4), ("2:1", 8)])
+@pytest.mark.parametrize(
+    "mode,n_features,axis",
+    [("1:1", 4, K.RY), ("2:1", 8, K.RY), ("2:1", 8, K.RX)],
+    ids=["1:1-4", "2:1-8", "2:1-8-RX"])
 @pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
-def test_forward_matches_gate_by_gate_simulation(template, mode, n_features):
-    scheme = EncodingScheme(mode, 4)
+def test_forward_matches_gate_by_gate_simulation(template, mode, n_features,
+                                                 axis):
+    scheme = EncodingScheme(mode, 4, axis)
     model = qnn.init_model(template, 2, scheme, seed=3)
     rows = np.random.default_rng(4).uniform(-math.pi, math.pi, (6, n_features))
     _, _, z = qnn.forward_batch(model, rows)
