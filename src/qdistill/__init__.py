@@ -8,18 +8,16 @@ classifier training (`qnn`), annealing-based circuit synthesis
 harness (`cli`).
 """
 
-from .circuit import (Circuit, Op, Param, bind, build_template, simulate,
-                      unitary_of, zero_state)
+from .circuit import Circuit, Op, Param, bind, build_template, unitary_of
 from .data import Dataset, load_features_csv, load_iris, stratified_split
 from .encoding import (EncodingScheme, Scaler, apply_scaler, encode,
                        fit_scaler)
 from .gates import GateKind, gate_matrix
 from .noisesim import DeviceProfile, evaluate_noisy, load_profile, run_noisy
-from .qmath import hs_trace_overlap
 from .qnn import (HybridModel, TrainConfig, init_model, load_checkpoint,
                   save_checkpoint, train)
 from .synthesis import (AnnealConfig, SynthesisProblem, SynthesisResult,
-                        distill, hs_distance, synthesize, synthesize_multi)
+                        distill, synthesize)
 from .transpile import CompileReport, lower, metrics, overhead_table
 
 __version__ = "0.1.0"
@@ -29,9 +27,8 @@ __all__ = [
     "EncodingScheme", "GateKind", "HybridModel", "Op", "Param", "Scaler",
     "SynthesisProblem", "SynthesisResult", "TrainConfig", "apply_scaler",
     "bind", "build_template", "distill", "encode", "evaluate_noisy",
-    "fit_scaler", "gate_matrix", "hs_distance", "hs_trace_overlap",
-    "init_model", "load_checkpoint", "load_features_csv", "load_iris",
-    "load_profile", "lower", "metrics", "overhead_table", "run_noisy",
-    "save_checkpoint", "simulate", "stratified_split", "synthesize",
-    "synthesize_multi", "train", "unitary_of", "zero_state",
+    "fit_scaler", "gate_matrix", "init_model", "load_checkpoint",
+    "load_features_csv", "load_iris", "load_profile", "lower", "metrics",
+    "overhead_table", "run_noisy", "save_checkpoint", "stratified_split",
+    "synthesize", "train", "unitary_of",
 ]

@@ -13,7 +13,6 @@ one layer, a tuple of (gate kind, placement) pairs.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,37 +110,6 @@ def apply_matrix(tensor, m, qubits, n):
     return np.moveaxis(out, list(range(k)), axes)
 
 
-def _op_matrix(op: Op) -> np.ndarray:
-    angle = op.angle
-    if isinstance(angle, Param):
-        raise ValueError(f"circuit is not fully bound: {op}")
-    return gate_matrix(op.kind, angle)
-
-
-def apply_ops(ops, tensor, n_qubits):
-    """Apply bound ops in order to a state tensor (trailing axes are batch)."""
-    for op in ops:
-        tensor = apply_matrix(tensor, _op_matrix(op), op.qubits, n_qubits)
-    return tensor
-
-
-def simulate(circuit: Circuit, state) -> np.ndarray:
-    """Apply the circuit gate-by-gate to a state vector (O(gates * 2^n))."""
-    state = qmath.as_state(state)
-    n = circuit.n_qubits
-    if state.size != 2 ** n:
-        raise ValueError(f"state dim {state.size} != 2^{n}")
-    tensor = state.reshape((2,) * n)
-    tensor = apply_ops(circuit.ops, tensor, n)
-    return tensor.reshape(-1)
-
-
-def zero_state(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(2 ** n_qubits, dtype=complex)
-    psi[0] = 1.0
-    return psi
-
-
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary; earliest gate is the rightmost matrix factor."""
     n = circuit.n_qubits
@@ -152,7 +120,11 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     # evolve all basis states at once: tensor of shape (2,)*n + (dim,) where
     # the trailing axis indexes the input basis state (matrix column).
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    return apply_ops(circuit.ops, u, n).reshape(dim, dim)
+    for op in circuit.ops:
+        if isinstance(op.angle, Param):
+            raise ValueError(f"circuit is not fully bound: {op}")
+        u = apply_matrix(u, gate_matrix(op.kind, op.angle), op.qubits, n)
+    return u.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -371,42 +343,3 @@ def build_template(tid: str, n_qubits: int, layers: int) -> Circuit:
                 else:
                     ops.append(Op(kind, qubits))
     return Circuit(n_qubits, ops)
-
-
-# ---------------------------------------------------------------------------
-# Line-oriented circuit text: `qubits N`, then one op per line,
-# `GATE q0[,q1] [angle|@slot[*scale][+offset]]`
-
-_NUM = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
-_SLOT_TOKEN = re.compile(
-    rf"@(?P<slot>\d+)(?:\*(?P<scale>{_NUM}))?(?:(?P<sign>[-+])(?P<offset>{_NUM}))?")
-
-
-def _parse_angle_token(token: str):
-    if token.startswith("@"):
-        m = _SLOT_TOKEN.fullmatch(token)
-        if not m:
-            raise ValueError(f"bad parameter token {token!r}")
-        offset = float(m.group("offset")) if m.group("offset") else 0.0
-        if m.group("sign") == "-":
-            offset = -offset
-        return Param(int(m.group("slot")),
-                     float(m.group("scale")) if m.group("scale") else 1.0,
-                     offset)
-    return float(token)
-
-
-def from_text(text: str) -> Circuit:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ValueError("circuit text must start with 'qubits N'")
-    n = int(lines[0].split()[1])
-    ops = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = GateKind(parts[0])
-        qubits = tuple(int(q) for q in parts[1].split(","))
-        angle = _parse_angle_token(parts[2]) if len(parts) > 2 else None
-        ops.append(Op(kind, qubits, angle))
-    return Circuit(n, ops)

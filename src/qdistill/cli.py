@@ -52,15 +52,23 @@ def _out_dir(args) -> str:
     return out
 
 
+def _nonempty(values, text):
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a non-empty list: {text!r}")
+    return values
+
+
 def _int_list(text: str):
     try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
+        values = [int(tok) for tok in str(text).split(",") if tok != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from exc
+    return _nonempty(values, text)
 
 
 def _str_list(text: str):
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    values = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    return _nonempty(values, text)
 
 
 def _load_dataset(data, classes, seed):
@@ -173,8 +181,7 @@ def run_distill(config: dict, out_dir: str):
         model, record = distill(
             teacher, (config["template"], layers),
             _anneal_config(config, seeds[0]),
-            budget=config["budget"], seeds=seeds,
-            jobs=config.get("jobs", 1))
+            budget=config["budget"], seeds=seeds)
         if not math.isfinite(record["distance"]):
             raise NumericalError("synthesis produced a non-finite distance")
         _check_finite(model)
@@ -418,7 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated student layer counts")
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seeds", type=_int_list, default=[0])
-    p.add_argument("--jobs", type=int, default=1)
+    # Ignored: seeds run one after another in this process.  Kept so that
+    # command lines passing --jobs and manifests recording it still parse.
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--polish-method", default=None,
                    choices=POLISH_METHODS)
     p.add_argument("--anneal-fraction", type=float, default=None)

@@ -9,6 +9,7 @@ seeded and recorded in the dataset's provenance string.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
@@ -76,10 +77,15 @@ def _read_csv(path_or_file, expect_features: int | None = None):
         if not row:
             continue
         try:
-            feats.append([float(v) for v in row[:-1]])
+            values = [float(v) for v in row[:-1]]
             labels.append(int(row[-1]))
         except ValueError as exc:
             raise ValueError(f"CSV line {lineno}: {exc}") from exc
+        for column, value in zip(header, values):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"CSV line {lineno}: column {column} is {value}")
+        feats.append(values)
     return np.asarray(feats, float), np.asarray(labels, int)
 
 

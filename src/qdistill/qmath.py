@@ -30,18 +30,3 @@ def as_matrix(m) -> np.ndarray:
 def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
     return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= UNITARY_TOL
-
-
-def hs_trace_overlap(u: np.ndarray, v: np.ndarray) -> complex:
-    """Tr(U†V), the Hilbert-Schmidt inner product of two unitaries."""
-    u, v = as_matrix(u), as_matrix(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.sum(u.conj() * v))
-
-
-def as_state(psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size < 1:
-        raise ValueError("state vector must be non-empty")
-    return psi

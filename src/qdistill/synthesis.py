@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Param, bind, build_template, unitary_of
-from .qmath import as_matrix, hs_trace_overlap, is_unitary
+from .qmath import as_matrix, is_unitary
 
 TAIL_LIMIT = 1e8
 _MIN_VISIT_BOUND = 1e-10
@@ -52,17 +52,6 @@ VISIT = 2.62
 ACCEPT = -5.0
 # rotation-solve's search grid for the controlled-rotation maximizer
 _GRID = np.linspace(-math.pi, math.pi, 721)
-
-
-def hs_distance(u, v) -> float:
-    """Normalized Hilbert-Schmidt distance, 1 - |Tr(U^dag V)|/N."""
-    u = as_matrix(u)
-    v = as_matrix(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not (is_unitary(u) and is_unitary(v)):
-        raise ValueError("hs_distance expects unitary matrices")
-    return max(0.0, 1.0 - abs(hs_trace_overlap(u, v)) / u.shape[0])
 
 
 @dataclass
@@ -358,8 +347,8 @@ def _rotation_solve(cost, evaluator, rng):
     confirm, is one closed-form value.  lam_k stays exact because the steps
     after k are still at their pass-start angles when k is visited.
     Coordinates are therefore visited in step order: slot order for every
-    catalog template, op order for a `from_text` student whose slots are
-    numbered out of op order.
+    catalog template, op order for a student whose slots are numbered out
+    of op order.
     """
     steps = evaluator.steps
     x = np.array(cost.best_x, float, copy=True)
@@ -501,43 +490,30 @@ def synthesize(problem: SynthesisProblem,
     )
 
 
-def synthesize_multi(problem: SynthesisProblem, config: AnnealConfig,
-                     seeds, jobs: int = 1) -> SynthesisResult:
-    """Independent chains over seeds; best distance wins, seed breaks ties."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    configs = [dataclasses.replace(config, seed=s) for s in seeds]
-    if jobs > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(synthesize, [problem] * len(seeds),
-                                    configs))
-    else:
-        results = [synthesize(problem, c) for c in configs]
-    return min(results, key=lambda r: (r.distance, r.seed))
-
-
 def distill(teacher_model, student_template, config: AnnealConfig | None = None,
-            budget: int = 1000, seeds=None, jobs: int = 1):
+            budget: int = 1000, seeds=None):
     """Synthesize a student PQC against a frozen teacher; returns (model, record).
 
     The teacher's circuit parameters are frozen and its unitary becomes the
-    synthesis target.  The returned student model shares the teacher's
-    encoding scheme, scaler, and dense head; only the PQC differs.
+    synthesis target.  Each seed (default: ``config.seed``) runs an
+    independent chain; the best distance wins and the lower seed breaks
+    ties.  The returned student model shares the teacher's encoding scheme,
+    scaler, and dense head; only the PQC differs.
     """
     from . import qnn
 
     config = config or AnnealConfig()
+    seeds = [config.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     template_id, layers = student_template
     n = teacher_model.n_qubits
     student = build_template(template_id, n, layers)
     teacher_u = unitary_of(bind(teacher_model.pqc, teacher_model.theta))
     problem = SynthesisProblem(teacher_u, student, budget=budget)
-    if seeds is None:
-        result = synthesize(problem, config)
-    else:
-        result = synthesize_multi(problem, config, seeds, jobs=jobs)
+    results = [synthesize(problem, dataclasses.replace(config, seed=s))
+               for s in seeds]
+    result = min(results, key=lambda r: (r.distance, r.seed))
 
     model = qnn.HybridModel(
         teacher_model.scheme, student, result.theta_star,

@@ -13,7 +13,7 @@ from qdistill.gates import gate_matrix
 
 def test_bell_state_construction():
     c = Circuit(2, [Op(K.H, (0,)), Op(K.CX, (0, 1))])
-    psi = circ.simulate(c, circ.zero_state(2))
+    psi = circ.unitary_of(c)[:, 0]
     want = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     assert np.allclose(psi, want)
 
@@ -21,7 +21,7 @@ def test_bell_state_construction():
 def test_qubit_zero_is_least_significant():
     # X on qubit 0 flips |00> -> |01> (index 1, not 2)
     c = Circuit(2, [Op(K.X, (0,))])
-    psi = circ.simulate(c, circ.zero_state(2))
+    psi = circ.unitary_of(c)[:, 0]
     assert psi[1] == pytest.approx(1.0)
 
 
@@ -84,46 +84,28 @@ def test_template_unitary_is_unitary():
 
 def test_expectation_z_oracle():
     # a single state with no batch axis: H|0> reads 0, X|0> reads -1
-    plus = circ.simulate(Circuit(1, [Op(K.H, (0,))]), circ.zero_state(1))
+    plus = circ.unitary_of(Circuit(1, [Op(K.H, (0,))]))[:, 0]
     assert circ.z_expectations(plus, 1) == pytest.approx([0.0])
-    flip = circ.simulate(Circuit(1, [Op(K.X, (0,))]), circ.zero_state(1))
+    flip = circ.unitary_of(Circuit(1, [Op(K.X, (0,))]))[:, 0]
     assert circ.z_expectations(flip, 1) == pytest.approx([-1.0])
 
 
 def test_z_expectations_batched():
     flip = Circuit(2, [Op(K.X, (1,))])
     plus = Circuit(2, [Op(K.H, (0,))])
-    psi = np.stack([circ.simulate(c, circ.zero_state(2)) for c in (flip, plus)])
+    psi = np.stack([circ.unitary_of(c)[:, 0] for c in (flip, plus)])
     z = circ.z_expectations(psi, 2)
     assert z.shape == (2, 2)
     assert np.allclose(z, [[1.0, -1.0], [0.0, 1.0]], atol=1e-12)
 
 
-def test_from_text_parses_param_tokens():
-    text = ("qubits 2   # header\n"
-            "H 0\n"
-            "RX 1 @0\n"
-            "\n"
-            "CRZ 1,0 @1*-0.5+0.25\n"
-            "RZ 0 @0*2-1e-3\n"
-            "RY 1 0.75\n")
-    c = circ.from_text(text)
-    assert c.n_qubits == 2 and c.n_params == 2
-    assert c.ops == (Op(K.H, (0,)), Op(K.RX, (1,), Param(0)),
-                     Op(K.CRZ, (1, 0), Param(1, -0.5, 0.25)),
-                     Op(K.RZ, (0,), Param(0, 2.0, -1e-3)),
-                     Op(K.RY, (1,), 0.75))
-    with pytest.raises(ValueError):
-        circ.from_text("H 0\n")
-    with pytest.raises(ValueError):
-        circ.from_text("qubits 1\nRX 0 @x\n")
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["c1", "c2", "c9", "c15"]), st.integers(0, 500))
 def test_simulate_agrees_with_unitary(tid, seed):
+    # the step list run on |000> gives the first column of the bound unitary
     tpl = circ.build_template(tid, 3, 1)
-    rng = np.random.default_rng(seed)
-    bound = circ.bind(tpl, rng.uniform(-math.pi, math.pi, tpl.n_params))
-    psi = circ.simulate(bound, circ.zero_state(3))
-    assert np.allclose(psi, circ.unitary_of(bound)[:, 0], atol=1e-10)
+    theta = np.random.default_rng(seed).uniform(-math.pi, math.pi,
+                                                 tpl.n_params)
+    psi = tpl.steps.run(np.eye(8, 1, dtype=complex), theta)[:, 0]
+    want = circ.unitary_of(circ.bind(tpl, theta))[:, 0]
+    assert np.allclose(psi, want, atol=1e-10)

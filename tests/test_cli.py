@@ -167,6 +167,25 @@ def test_usage_errors_exit_2(capsys):
     assert "invalid choice: 'powell'" in capsys.readouterr().err
 
 
+_EMPTY_LISTS = {
+    "distill --seeds": ["distill", "--teacher", "t.json", "--seeds", ""],
+    "distill --layers": ["distill", "--teacher", "t.json", "--layers", ""],
+    "fidelity-sweep --qubits": ["fidelity-sweep", "--qubits", ""],
+    "noise-eval --checkpoints": ["noise-eval", "--checkpoints", ""],
+    "transpile-report --bases": ["transpile-report", "--bases", ""],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMPTY_LISTS))
+def test_empty_list_is_a_usage_error(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*_EMPTY_LISTS[case], "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected a non-empty list: ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_epoch_zero_rejected(tmp_path):
     rc = run(["train", "--data", "iris", "--epochs", "0",
               "--out", str(tmp_path)])
@@ -225,6 +244,8 @@ _BAD_CSVS = {
     "non_numeric_value": _CSV_HEADER + _CSV_ROWS.replace("1,2,3", "1,x,3", 1),
     "four_features": "f0,f1,f2,f3,label\n1,2,3,4,0\n1,2,3,4,1\n1,2,3,4,2\n",
     "no_requested_class": _CSV_HEADER + _csv_rows((5, 6, 7)),
+    "nan_value": _CSV_HEADER + _CSV_ROWS.replace("1,2,3", "1,nan,3", 1),
+    "inf_value": _CSV_HEADER + _CSV_ROWS.replace("5,6,7", "5,-inf,7", 1),
 }
 
 
@@ -233,9 +254,11 @@ _BAD_CSVS = {
 def test_malformed_dataset_exits_3(tmp_path, capsys, case):
     path = tmp_path / "bad.csv"
     path.write_text(_BAD_CSVS[case])
+    out = tmp_path / "out"
     rc = run(["train", "--data", str(path), "--classes", "0,1,2",
-              "--out", str(tmp_path / "out")])
+              "--out", str(out)])
     _assert_data_error(rc, capsys, path)
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_classes_count_is_a_usage_error(tmp_path):
@@ -326,6 +349,8 @@ _BAD_MANIFESTS = {
         **_SWEEP_CONFIG, "seed": "x"}},
     "qubits_not_list": {"command": "fidelity-sweep", "config": {
         **_SWEEP_CONFIG, "qubits": 5}},
+    "qubits_empty": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "qubits": []}},
     "not_json": "this is not JSON",   # written as raw text
 }
 
@@ -346,6 +371,34 @@ def test_well_typed_manifest_replays(tmp_path):
     out = tmp_path / "o"
     assert run(["replay", "--manifest", str(path), "--out", str(out)]) == 0
     assert os.path.exists(out / "fidelity.csv")
+
+
+def test_distill_manifest_with_jobs_replays_in_process(trained_dir, tmp_path,
+                                                      capsys, monkeypatch):
+    # --jobs is still accepted, as older command lines and manifests carry
+    # it, but it is not offered and every seed runs in this process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("distill started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit):
+        run(["distill", "--help"])
+    assert "--jobs" not in capsys.readouterr().out
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
+    assert run(["distill", "--teacher", teacher, "--template", "c2",
+                "--layers", "1", "--budget", "100", "--seeds", "0,1",
+                "--jobs", "1", "--out", str(d1)]) == 0
+    doc = json.loads((d1 / "manifest.json").read_text())
+    assert doc["config"]["jobs"] == 1
+    doc["config"]["jobs"] = 2
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(doc))
+    assert run(["replay", "--manifest", str(old), "--out", str(d2)]) == 0
+    for name in doc["artifacts"]:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_env_var_default_out(tmp_path, monkeypatch, trained_dir):

@@ -89,3 +89,14 @@ def test_stratified_split_properties(seed, frac):
     assert len(train) + len(val) == 90
     counts = [int(np.sum(labels[val] == c)) for c in (0, 1, 2)]
     assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_features_csv_rejects_non_finite_cells(cell):
+    text = _toy_csv().getvalue().splitlines()
+    row = text[3].split(",")
+    row[5] = cell
+    text[3] = ",".join(row)
+    with pytest.raises(ValueError, match=f"CSV line 4: column f5 is {cell}"):
+        data.load_features_csv(io.StringIO("\n".join(text) + "\n"),
+                               (1, 7, 9), per_class=5)

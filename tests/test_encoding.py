@@ -122,5 +122,5 @@ def test_encoded_state_is_normalized(seed):
     rng = np.random.default_rng(seed)
     sch = EncodingScheme("2:1", 3)
     feats = rng.uniform(-math.pi, math.pi, sch.capacity)
-    psi = circ.simulate(encoding.encode(feats, sch), circ.zero_state(3))
+    psi = circ.unitary_of(encoding.encode(feats, sch))[:, 0]
     assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0)

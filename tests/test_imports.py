@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import qdistill
 
 SRC = Path(qdistill.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(tree):
@@ -57,3 +59,33 @@ def test_import_computes_no_gate_matrix():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "0"
+
+
+def _names_read(tree):
+    """Names a module loads, reads as attributes, or imports by name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_names_read_skips_definitions_and_stores():
+    tree = ast.parse("def f():\n    pass\nclass C:\n    pass\n"
+                     "x = g(h.k)\nfrom m import n\n")
+    assert _names_read(tree) == {"g", "h", "k", "n"}
+
+
+def test_public_names_are_read_outside_tests():
+    # a public name must serve the library, a demo or the README session
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    read = set().union(*(_names_read(ast.parse(p.read_text())) for p in paths))
+    readme = (ROOT / "README.md").read_text()
+    unread = [name for name in qdistill.__all__
+              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert unread == []

@@ -70,7 +70,7 @@ def test_zero_noise_matches_ideal_statevector():
     rng = np.random.default_rng(0)
     bound = circ.bind(tpl, rng.uniform(-math.pi, math.pi, tpl.n_params))
     rho = noisesim.run_noisy(bound, noisesim.zero_noise_profile())
-    psi = circ.simulate(bound, circ.zero_state(3))
+    psi = circ.unitary_of(bound)[:, 0]
     assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-9)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdistill import circuit as circ, data, encoding, noisesim, qnn
+from qdistill.circuit import Op, Param
 from qdistill.encoding import EncodingScheme
 from qdistill.gates import GateKind as K
 
@@ -43,27 +44,26 @@ def test_circuit_gradient_matches_finite_differences(template, layers):
     assert np.max(np.abs(dtheta - fd)) < 1e-5
 
 
-# shared (@0, @2), scaled (*, both signs), offset (+/-) slots; CRX/CRY/CRZ
+# shared (slots 0 and 2), scaled (both signs) and offset slots; CRX/CRY/CRZ
 # with the control above and below the target
-_TEXT_PQC = """\
-qubits 4
-RX 0 @0*1.5
-RY 1 @1*-0.5+0.3
-CRX 0,2 @2*2.0
-CRY 3,1 @0
-CRZ 1,3 @3-1.2
-CX 2,0
-RZ 3 0.7
-CRX 3,0 @1*0.75
-CRY 2,3 @4
-CRZ 2,1 @2*-1.25
-RY 0 @4
-"""
+_SHARED_PQC = circ.Circuit(4, [
+    Op(K.RX, (0,), Param(0, 1.5)),
+    Op(K.RY, (1,), Param(1, -0.5, 0.3)),
+    Op(K.CRX, (0, 2), Param(2, 2.0)),
+    Op(K.CRY, (3, 1), Param(0)),
+    Op(K.CRZ, (1, 3), Param(3, 1.0, -1.2)),
+    Op(K.CX, (2, 0)),
+    Op(K.RZ, (3,), 0.7),
+    Op(K.CRX, (3, 0), Param(1, 0.75)),
+    Op(K.CRY, (2, 3), Param(4)),
+    Op(K.CRZ, (2, 1), Param(2, -1.25)),
+    Op(K.RY, (0,), Param(4)),
+])
 
 
 def test_circuit_gradient_with_shared_scaled_slots():
     ref, x, y, _ = small_problem()
-    pqc = circ.from_text(_TEXT_PQC)
+    pqc = _SHARED_PQC
     theta = np.random.default_rng(1).uniform(-math.pi, math.pi, pqc.n_params)
     model = qnn.HybridModel(ref.scheme, pqc, theta, ref.W, ref.b)
     dtheta, _, _ = qnn.gradients(model, x, y)
@@ -86,7 +86,7 @@ def test_forward_matches_gate_by_gate_simulation(template, mode, n_features,
     for row, got in zip(rows, z):
         enc = encoding.encode(row, scheme)
         full = circ.Circuit(4, enc.ops + bound.ops)
-        psi = circ.simulate(full, circ.zero_state(4))
+        psi = circ.unitary_of(full)[:, 0]
         assert np.max(np.abs(got - circ.z_expectations(psi, 4))) < 1e-12
 
 

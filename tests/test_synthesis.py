@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdistill import circuit as circ, synthesis as syn
-from qdistill.circuit import Circuit, Op
+from qdistill.circuit import Circuit, Op, Param
 from qdistill.gates import GateKind as K
 
 
@@ -25,31 +25,48 @@ def template_unitary(tid, n, layers, seed):
     return circ.unitary_of(circ.bind(tpl, theta)), tpl, theta
 
 
+def _distance(student, teacher):
+    """The evaluator's distance of a bound student from a teacher unitary."""
+    return syn._Evaluator(student, teacher).value(np.empty(0))
+
+
+def _bound(tid, n, seed):
+    tpl = circ.build_template(tid, n, 1)
+    theta = np.random.default_rng(seed).uniform(-math.pi, math.pi,
+                                                tpl.n_params)
+    return circ.bind(tpl, theta)
+
+
 def test_distance_oracles():
-    assert syn.hs_distance(np.eye(2), np.eye(2)) == pytest.approx(0.0)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert syn.hs_distance(np.eye(2), x) == pytest.approx(1.0)
+    assert _distance(Circuit(1), np.eye(2)) == pytest.approx(0.0)
+    assert _distance(Circuit(1, [Op(K.X, (0,))]), np.eye(2)) \
+        == pytest.approx(1.0)
     # global phase is invisible
-    assert syn.hs_distance(np.eye(4), 1j * np.eye(4)) == pytest.approx(0.0)
+    assert _distance(Circuit(2), 1j * np.eye(4)) == pytest.approx(0.0)
 
 
 def test_distance_input_validation():
+    # the teacher must be a unitary of the student's dimension
+    tpl = circ.build_template("c2", 2, 1)
     with pytest.raises(ValueError):
-        syn.hs_distance(np.eye(2), np.eye(4))
+        syn.SynthesisProblem(np.eye(8), tpl)        # dim mismatch
     with pytest.raises(ValueError):
-        syn.hs_distance(2 * np.eye(2), np.eye(2))
+        syn.SynthesisProblem(2 * np.eye(4), tpl)    # not unitary
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_distance_symmetry_and_range(seed):
-    u = random_unitary(4, seed)
-    v = random_unitary(4, seed + 1)
-    d = syn.hs_distance(u, v)
-    assert 0.0 <= d <= 1.0 + 1e-12
-    assert d == pytest.approx(syn.hs_distance(v, u), abs=1e-12)
-    w = random_unitary(4, seed + 2)
-    assert syn.hs_distance(w @ u, w @ v) == pytest.approx(d, abs=1e-9)
+    # 1 - |Tr(U^dag V)|/N: in [0, 1], symmetric, blind to a common factor W
+    u, v, w = (_bound("c6", 2, seed + k) for k in range(3))
+    mu, mv, mw = (circ.unitary_of(c) for c in (u, v, w))
+    d = _distance(v, mu)
+    assert d == pytest.approx(1.0 - abs(np.vdot(mu, mv)) / 4, abs=1e-12)
+    assert 0.0 <= d <= 1.0
+    assert d == pytest.approx(_distance(u, mv), abs=1e-12)
+    # V then W is the student W V, against the teacher W U
+    assert _distance(Circuit(2, v.ops + w.ops), mw @ mu) \
+        == pytest.approx(d, abs=1e-9)
 
 
 def _check_overlap(ev, student, teacher, state_prep, theta):
@@ -118,29 +135,29 @@ def test_evaluator_matches_reference_on_templates(tid, n, layers, state_prep,
     _check_evaluator(student, teacher, state_prep, theta)
 
 
-# shared (@0, @2), scaled (*), offset (+/-) slots; CRX/CRY/CRZ both ways round
-_TEXT_STUDENT = """\
-qubits 3
-H 0
-RX 0 @0
-RY 1 @1*-0.5
-CRX 0,2 @2+0.3
-CRY 2,1 @0*2.0
-CRZ 1,0 @3-1.2
-CX 2,0
-RZ 1 0.7
-CRX 2,0 @1
-CRY 1,2 @4
-CRZ 0,1 @2*0.75
-RZ 2 @4
-SX 1
-"""
+# shared (every slot but 3), scaled and offset slots; CRX/CRY/CRZ both ways
+# round
+_TEXT_STUDENT = Circuit(3, [
+    Op(K.H, (0,)),
+    Op(K.RX, (0,), Param(0)),
+    Op(K.RY, (1,), Param(1, -0.5)),
+    Op(K.CRX, (0, 2), Param(2, 1.0, 0.3)),
+    Op(K.CRY, (2, 1), Param(0, 2.0)),
+    Op(K.CRZ, (1, 0), Param(3, 1.0, -1.2)),
+    Op(K.CX, (2, 0)),
+    Op(K.RZ, (1,), 0.7),
+    Op(K.CRX, (2, 0), Param(1)),
+    Op(K.CRY, (1, 2), Param(4)),
+    Op(K.CRZ, (0, 1), Param(2, 0.75)),
+    Op(K.RZ, (2,), Param(4)),
+    Op(K.SX, (1,)),
+])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.booleans(), st.integers(0, 10_000))
 def test_evaluator_matches_reference_on_text_circuit(state_prep, seed):
-    student = circ.from_text(_TEXT_STUDENT)
+    student = _TEXT_STUDENT
     teacher = random_unitary(8, seed)
     theta = np.random.default_rng(seed).uniform(-math.pi, math.pi,
                                                 student.n_params)
@@ -161,10 +178,6 @@ def test_grad_lbfgs_distance_never_negative():
 def test_problem_validation():
     tpl = circ.build_template("c2", 2, 1)
     with pytest.raises(ValueError):
-        syn.SynthesisProblem(np.eye(8), tpl)        # dim mismatch
-    with pytest.raises(ValueError):
-        syn.SynthesisProblem(2 * np.eye(4), tpl)    # not unitary
-    with pytest.raises(ValueError):
         syn.SynthesisProblem(np.eye(4), tpl, budget=0)
 
 
@@ -177,8 +190,9 @@ def test_config_validation():
 
 
 def test_rotation_solve_rejects_shared_slots_before_annealing(monkeypatch):
-    # @0 drives two gates, once scaled: no closed-form coordinate update
-    student = circ.from_text("qubits 2\nRX 0 @0\nCX 0,1\nRY 1 @0*2.0\n")
+    # slot 0 drives two gates, once scaled: no closed-form coordinate update
+    student = Circuit(2, [Op(K.RX, (0,), Param(0)), Op(K.CX, (0, 1)),
+                          Op(K.RY, (1,), Param(0, 2.0))])
     u = random_unitary(4, 0)
 
     def no_anneal(*args):
@@ -267,26 +281,45 @@ def test_improvements_are_monotone():
     assert evs == sorted(evs)
 
 
-def test_synthesize_multi_picks_best_and_breaks_ties():
-    u, tpl, _ = template_unitary("c2", 2, 1, seed=6)
-    prob = syn.SynthesisProblem(u, tpl, budget=300)
-    cfg = syn.AnnealConfig(seed=0)
-    res = syn.synthesize_multi(prob, cfg, seeds=[0, 1, 2])
-    singles = [syn.synthesize(prob, dataclasses.replace(cfg, seed=s))
-               for s in [0, 1, 2]]
-    best = min(singles, key=lambda r: (r.distance, r.seed))
-    assert res.distance == best.distance
-    assert res.seed == best.seed
-    with pytest.raises(ValueError):
-        syn.synthesize_multi(prob, cfg, seeds=[])
-
-
-def test_distill_returns_student_and_record():
+def _small_teacher():
     from qdistill import data, encoding, qnn
     ds = data.load_iris(seed=0)
     scheme = encoding.EncodingScheme("1:1", 4)
     scaler = encoding.fit_scaler(ds.train_features)
-    teacher = qnn.init_model("c2", 1, scheme, seed=42, scaler=scaler)
+    return qnn.init_model("c2", 1, scheme, seed=42, scaler=scaler)
+
+
+def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
+    teacher = _small_teacher()
+    cfg = syn.AnnealConfig(seed=0)
+    _, record = syn.distill(teacher, ("c2", 1), cfg, budget=300,
+                            seeds=[0, 1, 2])
+    target = circ.unitary_of(circ.bind(teacher.pqc, teacher.theta))
+    prob = syn.SynthesisProblem(target, circ.build_template("c2", 4, 1),
+                                budget=300)
+    singles = [syn.synthesize(prob, dataclasses.replace(cfg, seed=s))
+               for s in [0, 1, 2]]
+    best = min(singles, key=lambda r: (r.distance, r.seed))
+    assert record["distance"] == best.distance
+    assert record["seed"] == best.seed
+    # no seeds: one chain at the config's seed
+    _, record = syn.distill(teacher, ("c2", 1), cfg, budget=300)
+    assert (record["distance"], record["seed"]) == (singles[0].distance, 0)
+    with pytest.raises(ValueError):
+        syn.distill(teacher, ("c2", 1), cfg, budget=300, seeds=[])
+
+    # equal distances: the lower seed wins, whatever the seed order
+    def tied(problem, config):
+        return syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5,
+                                   1, 0j, False, seed=config.seed)
+
+    monkeypatch.setattr(syn, "synthesize", tied)
+    _, record = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
+    assert record["seed"] == 0
+
+
+def test_distill_returns_student_and_record():
+    teacher = _small_teacher()
     student, record = syn.distill(teacher, ("c2", 1), budget=500,
                                   seeds=[0, 1])
     assert student.template_id == "c2"
@@ -297,39 +330,28 @@ def test_distill_returns_student_and_record():
     assert record["distance"] <= 0.05
 
 
-@pytest.mark.parametrize("method", syn.POLISH_METHODS)
-def test_synthesize_multi_process_pool_matches_serial(method):
-    u, tpl, _ = template_unitary("c2", 2, 1, seed=6)
-    prob = syn.SynthesisProblem(u, tpl, budget=300)
-    cfg = syn.AnnealConfig(polish_method=method)
-    serial = syn.synthesize_multi(prob, cfg, seeds=[0, 1, 2])
-    pooled = syn.synthesize_multi(prob, cfg, seeds=[0, 1, 2], jobs=2)
-    assert np.array_equal(pooled.theta_star, serial.theta_star)
-    assert pooled.distance == serial.distance
-    assert pooled.evaluations == serial.evaluations
-    assert pooled.improvements == serial.improvements
-    assert pooled.seed == serial.seed
+def _rotation_student(*slot):
+    """Every slot drives one rotation: +-1 scales, offsets, plain and
+    controlled; ``slot`` numbers the six rotations in op order."""
+    return Circuit(3, [
+        Op(K.H, (0,)),
+        Op(K.RX, (0,), Param(slot[0], -1.0)),
+        Op(K.RY, (1,), Param(slot[1], 1.0, 0.3)),
+        Op(K.CRY, (0, 2), Param(slot[2], -1.0, -0.4)),
+        Op(K.CX, (2, 0)),
+        Op(K.CRZ, (1, 0), Param(slot[3], 1.0, 1.1)),
+        Op(K.CRX, (2, 1), Param(slot[4])),
+        Op(K.RZ, (2,), Param(slot[5], -1.0)),
+        Op(K.SX, (1,)),
+    ])
 
 
-# every slot drives one rotation: +-1 scales, offsets, plain and controlled
-_ROTATION_TEXT = """\
-qubits 3
-H 0
-RX 0 @{0}*-1
-RY 1 @{1}+0.3
-CRY 0,2 @{2}*-1-0.4
-CX 2,0
-CRZ 1,0 @{3}+1.1
-CRX 2,1 @{4}
-RZ 2 @{5}*-1
-SX 1
-"""
 _ROTATION_STUDENTS = {
     "c2": circ.build_template("c2", 3, 1),
     "c6": circ.build_template("c6", 3, 1),
-    "text": circ.from_text(_ROTATION_TEXT.format(*range(6))),
+    "text": _rotation_student(*range(6)),
     # slots numbered out of op order: visited in op order all the same
-    "text-shuffled": circ.from_text(_ROTATION_TEXT.format(3, 0, 5, 1, 4, 2)),
+    "text-shuffled": _rotation_student(3, 0, 5, 1, 4, 2),
 }
 
 
