@@ -76,6 +76,9 @@ def _read_csv(path_or_file, expect_features: int | None = None):
     for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(f"CSV line {lineno}: expected {len(header)} "
+                             f"fields, got {len(row)}")
         try:
             values = [float(v) for v in row[:-1]]
             labels.append(int(row[-1]))

@@ -1,6 +1,6 @@
-"""Dense complex linear algebra primitives shared by every other module.
+"""Dense linear algebra primitives shared by every other module.
 
-All matrices are plain ``numpy.ndarray`` of dtype complex128, row-major.
+Matrices are row-major ``numpy.ndarray``, complex128 unless known real.
 Qubit 0 is the least-significant bit of the state index, so the full
 operator for a register is ``kron(op_{n-1}, ..., op_1, op_0)``.
 """

@@ -158,8 +158,8 @@ def gradients(model: HybridModel, features_scaled, labels):
 
     signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
     dtheta = np.zeros(model.pqc.n_params)
-    for p, c in steps.reverse((signs @ dz.T) * psi, blocks, model.theta):
-        dtheta[p.slot] += p.scale * c.imag
+    for p, e in steps.reverse((signs @ dz.T) * psi, blocks, model.theta):
+        dtheta[p.slot] += p.scale * e.real
     return dtheta, dW, db
 
 

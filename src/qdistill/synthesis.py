@@ -109,14 +109,17 @@ class _Evaluator:
     1 - |t| (state prep), clamped at 0 against rounding.
 
     The gradient comes from one forward and one reverse sweep of the step
-    list, started from lam = target: step k's angle has dt/da = -i/2 c_k.
+    list, started from lam = target: dt/da = e/2 for each reverse term e.
+    Full mode computes in float64 when the target and every step are real.
     """
 
     def __init__(self, student: Circuit, teacher_unitary, state_prep=False):
         dim = 2 ** student.n_qubits
         cols = 1 if state_prep else dim
-        self.start = np.eye(dim, cols, dtype=complex)
         self.target = np.ascontiguousarray(teacher_unitary[:, :cols])
+        if student.steps.real and not (state_prep or self.target.imag.any()):
+            self.target = self.target.real.copy()
+        self.start = np.eye(dim, cols, dtype=self.target.dtype)
         self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
         self.steps = student.steps
@@ -137,9 +140,9 @@ class _Evaluator:
         mag = abs(t)
         if mag < 1e-300:
             return 1.0, grad
-        weight = -self.norm * np.conj(t) / mag   # d distance / dt, as Re(w dt)
-        for p, c in self.steps.reverse(self.target, blocks, theta):
-            grad[p.slot] += p.scale * np.real(weight * (-0.5j * c))
+        w = -0.5 * self.norm * np.conj(t) / mag   # d distance/da = Re(w e)
+        for p, e in self.steps.reverse(self.target, blocks, theta):
+            grad[p.slot] += p.scale * (w * e).real
         return self.distance(t), grad
 
 
@@ -339,25 +342,28 @@ def _rotation_solve(cost, evaluator, rng):
     from random points spend any budget left after convergence.
 
     No probe runs the circuit (Ostaszewski et al. 2021, arXiv:1905.09692).
-    Each pass pulls the target back through the step list once, at its
-    starting theta, for lam_k at every step k, then walks the steps in order
-    carrying the block x_k that enters step k.  At angle a = scale*theta +
-    offset the overlap is C + cos(a/2) P - i sin(a/2) Q
+    Each pass pulls the target back through the step list's rotations and
+    literal runs (a fused step's members one by one) once, at its starting
+    theta, for lam_k at every unit k, then walks the units in order carrying
+    the block x_k that enters unit k, in complex arithmetic.  At angle
+    a = scale*theta + offset the overlap is C + cos(a/2) P - i sin(a/2) Q
     (`_Rotation.overlap_terms`), so each charged evaluation, probe or
-    confirm, is one closed-form value.  lam_k stays exact because the steps
+    confirm, is one closed-form value.  lam_k stays exact because the units
     after k are still at their pass-start angles when k is visited.
-    Coordinates are therefore visited in step order: slot order for every
-    catalog template, op order for a student whose slots are numbered out
-    of op order.
+    Coordinates are therefore visited in op order: slot order for every
+    catalog template.
     """
-    steps = evaluator.steps
+    units = [m for s in evaluator.steps.steps
+             for m in getattr(s, "members", [s])]
     x = np.array(cost.best_x, float, copy=True)
     d_cur = cost.best_e
     while not cost.exhausted:
         improved = False
-        block = evaluator.start
-        lams = list(steps.pullbacks(evaluator.target, x))
-        for step, lam in zip(steps.steps, reversed(lams)):
+        block = np.asarray(evaluator.start, complex)
+        lams = [np.asarray(evaluator.target, complex)]
+        for unit in reversed(units[1:]):
+            lams.append(unit.apply(lams[-1], x, adjoint=True))
+        for step, lam in zip(units, reversed(lams)):
             p = step.param
             if p is not None:
                 if cost.exhausted:

@@ -109,3 +109,150 @@ def test_simulate_agrees_with_unitary(tid, seed):
     psi = tpl.steps.run(np.eye(8, 1, dtype=complex), theta)[:, 0]
     want = circ.unitary_of(circ.bind(tpl, theta))[:, 0]
     assert np.allclose(psi, want, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The compiled step list: fused RY runs, both apply modes, gradients
+
+_ROTATIONS = [K.RX, K.RY, K.RZ]
+_CONTROLLED = [K.CRX, K.CRY, K.CRZ]
+
+
+@st.composite
+def _circuits(draw, n):
+    """Random circuits on n qubits: literal gates, plain and controlled
+    rotations, with shared, +-scaled and offset slots numbered in a random
+    order (so out of op order)."""
+    ops, refs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        # RY, the fused kind, is drawn most often
+        kind = draw(st.sampled_from(_ROTATIONS + [K.RY] * 3 + _CONTROLLED
+                                    + [K.H, K.SX, K.CX, K.CZ]))
+        if kind in (K.CX, K.CZ) or kind in _CONTROLLED:
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+        else:
+            qubits = (draw(st.integers(0, n - 1)),)
+        if kind in _ROTATIONS or kind in _CONTROLLED:
+            refs.append(len(ops))
+        ops.append([kind, qubits])
+    # equal picks share a slot; slots are numbered in a random order
+    picks = [draw(st.integers(0, len(refs) - 1)) for _ in refs]
+    used = sorted(set(picks))
+    order = draw(st.permutations(range(len(used))))
+    for i, pick in zip(refs, picks):
+        scale = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
+        offset = draw(st.sampled_from([0.0, 0.3, -1.1]))
+        ops[i].append(Param(order[used.index(pick)], scale, offset))
+    return Circuit(n, [Op(*op) for op in ops])
+
+
+def _templates(n):
+    return st.builds(circ.build_template, st.sampled_from(sorted(
+        circ.TEMPLATES)), st.just(n), st.integers(1, 2))
+
+
+# hand-built cases, drawn alongside the templates and random circuits
+_HAND_BUILT = [
+    # two RY on one qubit: the second starts a new run, which an RX ends
+    Circuit(2, [Op(K.RY, (0,), Param(0)), Op(K.RY, (1,), Param(1)),
+                Op(K.RY, (0,), Param(2)), Op(K.RX, (1,), Param(3))]),
+    # a controlled rotation splits a run; a shared, scaled, offset slot
+    Circuit(3, [Op(K.RY, (0,), Param(1)), Op(K.CRY, (0, 2), Param(0)),
+                Op(K.RY, (1,), Param(1, -1.0, 0.4)),
+                Op(K.RY, (2,), Param(0, 0.5))]),
+    # slots numbered out of op order, an idle qubit inside a fused run
+    Circuit(3, [Op(K.H, (1,)), Op(K.RZ, (2,), Param(2)),
+                Op(K.RY, (0,), Param(0, -1.0)), Op(K.CZ, (1, 2)),
+                Op(K.RY, (2,), Param(1, 2.0, -0.3))]),
+]
+
+
+@st.composite
+def _cases(draw):
+    """(circuit, theta, block) at n = 2..5 and block widths 1, 3 and dim."""
+    n = draw(st.integers(2, 5))
+    c = draw(st.one_of(_templates(n), _circuits(n),
+                       st.sampled_from(_HAND_BUILT)))
+    n = c.n_qubits
+    dim = 2 ** n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    theta = rng.uniform(-math.pi, math.pi, c.n_params)
+    width = draw(st.sampled_from([1, 3, dim]))
+    x = rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))
+    return c, theta, x / np.linalg.norm(x, axis=0)
+
+
+def _step_kinds(c):
+    return [(type(s).__name__, len(getattr(s, "members", ())))
+            for s in c.steps.steps]
+
+
+def test_step_list_fuses_each_run_of_distinct_qubit_ry():
+    kinds = {tid: _step_kinds(circ.build_template(tid, 4, 1))
+             for tid in circ.TEMPLATES}
+    rot, dense = ("_Rotation", 0), ("_Dense", 0)
+    assert kinds["c1"] == [rot] * 8
+    assert kinds["c2"] == [rot] * 8 + [dense]
+    assert kinds["c6"] == [rot] * 28
+    assert kinds["c9"] == [dense] + [rot] * 4
+    assert kinds["c12"] == [("_Fused", 4)] + [rot] * 4 + [dense] \
+        + [("_Fused", 2)] + [rot] * 2 + [dense]
+    assert kinds["c15"] == [("_Fused", 4), dense]
+    assert _step_kinds(_HAND_BUILT[0]) == [("_Fused", 2), ("_Fused", 1), rot]
+    assert _step_kinds(_HAND_BUILT[1]) == [("_Fused", 1), rot,
+                                           ("_Fused", 2)]
+    # past eight qubits every rotation is its own step
+    assert _step_kinds(circ.build_template("c15", 9, 1)) == [rot] * 9 \
+        + [dense]
+    assert circ.build_template("c15", 4, 2).steps.real
+    assert not circ.build_template("c15", 9, 1).steps.real
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cases())
+def test_step_list_run_matches_unitary(case):
+    c, theta, x = case
+    want = circ.unitary_of(circ.bind(c, theta)) @ x
+    assert np.max(np.abs(c.steps.run(x, theta) - want)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_fused_steps_agree_with_their_members(case):
+    # a block at least as wide as it is tall runs the fused steps, each a
+    # Kronecker matmul; one column at a time runs the rotations one by one
+    c, theta, x = case
+    x = np.hstack([x] * (1 + x.shape[0] // x.shape[1]))
+    narrow = np.hstack([c.steps.run(x[:, [j]], theta)
+                        for j in range(x.shape[1])])
+    assert np.max(np.abs(c.steps.run(x, theta) - narrow)) <= 1e-13
+    for step in c.steps.steps:
+        if hasattr(step, "members"):
+            for adjoint in (False, True):
+                y = x
+                for m in step.members[::-1] if adjoint else step.members:
+                    y = m.apply(y, theta, adjoint)
+                assert np.max(np.abs(step.apply(x, theta, adjoint) - y)) \
+                    <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cases())
+def test_reverse_gradient_matches_central_differences(case):
+    # d<lam, psi>/d theta_j = sum over the slot's rotations of scale * e/2
+    c, theta, x = case
+    rng = np.random.default_rng(1)
+    lam = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+    lam /= np.linalg.norm(lam)
+    steps = c.steps
+    grad = np.zeros(c.n_params, complex)
+    for p, e in steps.reverse(lam, steps.run(x, theta, keep=True), theta):
+        grad[p.slot] += p.scale * e / 2
+    eps = 1e-6
+    for j in range(c.n_params):
+        tp, tm = theta.copy(), theta.copy()
+        tp[j] += eps
+        tm[j] -= eps
+        fd = (np.vdot(lam, steps.run(x, tp))
+              - np.vdot(lam, steps.run(x, tm))) / (2 * eps)
+        assert abs(grad[j] - fd) <= 1e-7

@@ -100,3 +100,12 @@ def test_features_csv_rejects_non_finite_cells(cell):
     with pytest.raises(ValueError, match=f"CSV line 4: column f5 is {cell}"):
         data.load_features_csv(io.StringIO("\n".join(text) + "\n"),
                                (1, 7, 9), per_class=5)
+
+
+def test_features_csv_names_a_ragged_row():
+    text = _toy_csv().getvalue().splitlines()
+    text[4] = "0.1,0.2,0.3,1"
+    with pytest.raises(ValueError,
+                       match="CSV line 5: expected 9 fields, got 4"):
+        data.load_features_csv(io.StringIO("\n".join(text) + "\n"),
+                               (1, 7, 9), per_class=5)

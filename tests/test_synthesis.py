@@ -384,6 +384,20 @@ def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
     assert seen["charged"] >= res.evaluations > 300 * 0.2
 
 
+def test_rotation_solve_on_a_real_full_mode_student(monkeypatch):
+    # c15 against a c15 teacher evaluates in float64; rotation-solve walks
+    # the fused RY runs' members, in complex arithmetic
+    seen = _check_charges(monkeypatch)
+    teacher, _, _ = template_unitary("c15", 3, 2, 5)
+    problem = syn.SynthesisProblem(teacher, circ.build_template("c15", 3, 1),
+                                   budget=300)
+    assert syn._Evaluator(problem.student, teacher).start.dtype == np.float64
+    cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
+                           anneal_fraction=0.2)
+    res = syn.synthesize(problem, cfg)
+    assert seen["charged"] >= res.evaluations > 300 * 0.2
+
+
 @pytest.mark.parametrize("seed", [2, 4])
 def test_rotation_solve_skips_flat_coordinate(monkeypatch, seed):
     # slot 0 is RX right after H on |0>: |+> is an X eigenstate, so the
@@ -472,3 +486,29 @@ def test_rotation_solve_sweep_matches_full_run_probes(n, inst, evaluations,
     indices = ",".join(str(e) for e, _ in kept).encode()
     assert hashlib.sha256(indices).hexdigest()[:16] == digest
     assert abs(sum(d for _, d in kept) - total) <= count * 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 10_000))
+def test_real_student_against_real_teacher_runs_in_float64(n, t_layers,
+                                                           s_layers, seed):
+    # c15 is RY and CX: every step matrix is real, and so is a c15 teacher
+    teacher, _, _ = template_unitary("c15", n, t_layers, seed)
+    student = circ.build_template("c15", n, s_layers)
+    ev = syn._Evaluator(student, teacher)
+    theta = np.random.default_rng(seed + 1).uniform(-math.pi, math.pi,
+                                                    student.n_params)
+    blocks = ev.steps.run(ev.start, theta, keep=True)
+    assert ev.target.dtype == np.float64
+    assert all(b.dtype == np.float64 for b in blocks)
+    v = circ.unitary_of(circ.bind(student, theta))
+    want = max(0.0, 1.0 - abs(np.trace(teacher.conj().T @ v)) / 2 ** n)
+    assert abs(ev.value(theta) - want) <= 1e-13
+    assert ev.value_and_grad(theta)[0] == ev.value(theta)
+    # a complex teacher, a complex student or state prep's one column,
+    # whose rotations run one by one, keeps complex arithmetic
+    assert syn._Evaluator(student, 1j * teacher).start.dtype == complex
+    assert syn._Evaluator(student, teacher, True).start.dtype == complex
+    assert syn._Evaluator(circ.build_template("c2", n, 1),
+                          teacher).start.dtype == complex
