@@ -1,10 +1,11 @@
 """Circuit IR, parametric-layer template catalog, binding, and ideal simulation.
 
 A circuit is an ordered gate list over ``n_qubits``.  Gate angles are either
-literal floats or :class:`Param` references (affine in one parameter slot, so
-one slot can drive several scaled or offset angles).  Gates apply left to
-right: the earliest op in the list acts first on the state, i.e. it is the
-rightmost factor of the circuit unitary.
+literal floats or :class:`Param` references: the k-th parameterized gate in
+op order takes ``Param(k)``, whose angle is theta[k], so each parameter is
+the angle of exactly one gate.  Gates apply left to right: the earliest op
+in the list acts first on the state, i.e. it is the rightmost factor of the
+circuit unitary.
 
 Templates are data: `TEMPLATES` maps each id (c1, c2, c6, c9, c12, c15) to
 one layer, a tuple of (gate kind, placement) pairs.
@@ -25,14 +26,9 @@ from .gates import (ARITY, CONTROLLED, GENERATOR, PARAMETERIZED,
 
 @dataclass(frozen=True)
 class Param:
-    """Affine reference to a free parameter slot: angle = scale*theta + offset."""
+    """The free parameter theta[slot], the angle of one gate."""
 
     slot: int
-    scale: float = 1.0
-    offset: float = 0.0
-
-    def value(self, values) -> float:
-        return self.scale * float(values[self.slot]) + self.offset
 
 
 @dataclass(frozen=True)
@@ -43,14 +39,15 @@ class Op:
 
 
 class Circuit:
-    """Immutable ordered gate list over n qubits with symbolic parameters."""
+    """Immutable ordered gate list over n qubits with symbolic parameters;
+    its `Param` slots are numbered 0, 1, ... in op order."""
 
     def __init__(self, n_qubits: int, ops=()):
         if n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         self.n_qubits = int(n_qubits)
         self.ops = tuple(ops)
-        slots = set()
+        self.n_params = 0
         for op in self.ops:
             if any(q < 0 or q >= n_qubits for q in op.qubits):
                 raise ValueError(f"qubit index out of range in {op}")
@@ -62,12 +59,14 @@ class Circuit:
                 if op.angle is None:
                     raise ValueError(f"{op.kind} needs an angle or slot")
                 if isinstance(op.angle, Param):
-                    slots.add(op.angle.slot)
+                    if op.angle.slot != self.n_params:
+                        raise ValueError(
+                            f"{op} should take slot {self.n_params}: slots "
+                            f"are numbered 0, 1, ... in op order, one per "
+                            f"gate")
+                    self.n_params += 1
             elif op.angle is not None:
                 raise ValueError(f"{op.kind} takes no angle")
-        if slots and sorted(slots) != list(range(max(slots) + 1)):
-            raise ValueError(f"parameter slots have gaps: {sorted(slots)}")
-        self.n_params = (max(slots) + 1) if slots else 0
 
     @property
     def is_bound(self) -> bool:
@@ -91,7 +90,7 @@ def bind(circuit: Circuit, values) -> Circuit:
     if values.size != circuit.n_params:
         raise ValueError(
             f"expected {circuit.n_params} parameter values, got {values.size}")
-    ops = [Op(op.kind, op.qubits, op.angle.value(values))
+    ops = [Op(op.kind, op.qubits, float(values[op.angle.slot]))
            if isinstance(op.angle, Param) else op
            for op in circuit.ops]
     return Circuit(circuit.n_qubits, ops)
@@ -143,7 +142,7 @@ class _Rotation:
     real = False
 
     def __init__(self, op, dim):
-        self.param = op.angle
+        self.slot = op.angle.slot
         self.kind = op.kind
         self.qubit = op.qubits[-1]
         col, local_phase = SIGNED_PERMUTATION[op.kind]
@@ -172,11 +171,11 @@ class _Rotation:
         on = self.mask * x
         return np.vdot(lam, x - on), np.vdot(lam, on), q
 
-    def terms(self, lam, x):
-        return [(self.param, -1j * complex(np.vdot(lam, self.generate(x))))]
+    def terms(self, lam, x, e):
+        e[self.slot] = -1j * complex(np.vdot(lam, self.generate(x)))
 
     def apply(self, x, theta, adjoint=False):
-        a = self.param.value(theta)
+        a = theta[self.slot]
         c, s = math.cos(a / 2), math.sin(a / 2)
         diag = c if self.mask is None else 1.0 + (c - 1.0) * self.mask
         off = (1j if adjoint else -1j) * s * self.phase
@@ -198,7 +197,7 @@ class _Fused:
 
     def __init__(self, members, n):
         self.members = members
-        self.params = [m.param for m in members]
+        self.slots = np.array([m.slot for m in members])
         # -i Y x = gen * x[perm], real, for every member from one gather
         self.gen = np.array([(-1j * m.phase).real for m in members])
         self.perm = np.array([m.perm for m in members])
@@ -208,7 +207,7 @@ class _Fused:
 
     def matrix(self, theta, adjoint=False):
         """The step's dim x dim Kronecker product, or its adjoint."""
-        h = np.array([p.value(theta) for p in self.params]) / 2
+        h = theta[self.slots] / 2
         # [cos h, sin h] as cos(h - [0, pi/2]); the adjoint R(-a) has -sin h
         cs = np.cos(np.add.outer(h, _SHIFT[int(adjoint)]))
         f = (cs @ _RY_BASIS).reshape(-1, 2, 2)
@@ -225,10 +224,10 @@ class _Fused:
             x = m.apply(x, theta, adjoint)
         return x
 
-    def terms(self, lam, x):
-        """(param, <lam, -i Y x>) per member, from one gather of x."""
+    def terms(self, lam, x, e):
+        """e[slot] = <lam, -i Y x> per member, from one gather of x."""
         g = (x[self.perm] * self.gen).reshape(len(self.members), -1)
-        return zip(self.params, (g @ lam.conj().ravel()).tolist())
+        e[self.slots] = g @ lam.conj().ravel()
 
 
 _I2 = np.eye(2)
@@ -243,7 +242,7 @@ _FUSE_MAX_QUBITS = 8
 class _Dense:
     """A run of literal gates as one matrix and its adjoint, by block dtype."""
 
-    param = None
+    slot = None
 
     def __init__(self, circuit):
         m = unitary_of(circuit)
@@ -256,8 +255,8 @@ class _Dense:
             self.m[x.dtype] = (m.copy(), m.T.copy())
         return self.m[x.dtype][adjoint] @ x
 
-    def terms(self, lam, x):
-        return ()
+    def terms(self, lam, x, e):
+        pass
 
 
 class StepList:
@@ -268,13 +267,13 @@ class StepList:
     one `_Rotation` per other `Param` gate.  `real`: every step matrix is
     real, so a real wide block stays real (the evaluator's float64 path).
 
-    The reverse sweep gives exact derivatives (Jones & Gacon 2020,
-    arXiv:2009.02823).  For a real f(psi) of the output block, pass
-    lam = df/dpsi^*; the sweep yields e = <lam_k, -i G x_(k+1)> per rotation
-    in step k, where lam_k = S_(k+1)^dag ... S_last^dag lam (the rotations
-    of one step commute, so they share lam_k and x_(k+1)).  Then <lam, psi>
-    has derivative e/2 and f has d f/d a = Re(e); shared and scaled slots
-    add p.scale times that into their slot.
+    `gradient` is the reverse sweep for exact derivatives (Jones & Gacon
+    2020, arXiv:2009.02823).  For a real f(psi) of the output block, pass
+    lam = df/dpsi^*; it returns e with e[slot] = <lam_k, -i G x_(k+1)> for
+    the slot's rotation in step k, where lam_k = S_(k+1)^dag ... S_last^dag
+    lam (the rotations of one step commute, so they share lam_k and
+    x_(k+1)).  Then <lam, psi> has derivative e/2 in theta, and f has
+    derivative Re(e).
     """
 
     def __init__(self, circuit: Circuit):
@@ -304,7 +303,7 @@ class StepList:
 
     def run(self, x, theta, keep=False):
         """The block after all steps; with keep, the input and every block
-        after a step, as a list that `reverse` takes."""
+        after a step, as a list that `gradient` takes."""
         blocks = [x]
         for step in self.steps:
             x = step.apply(x, theta)
@@ -312,12 +311,15 @@ class StepList:
                 blocks.append(x)
         return blocks if keep else x
 
-    def reverse(self, lam, blocks, theta):
-        """Yield (param, <lam_k, -i G x_(k+1)>), last step first."""
+    def gradient(self, lam, blocks, theta):
+        """The complex per-slot vector e, from one reverse sweep over the
+        blocks of `run(x, theta, keep=True)`."""
+        e = np.zeros(len(theta), complex)
         for k in range(len(self.steps) - 1, -1, -1):
-            yield from self.steps[k].terms(lam, blocks[k + 1])
+            self.steps[k].terms(lam, blocks[k + 1], e)
             if k:
                 lam = self.steps[k].apply(lam, theta, adjoint=True)
+        return e
 
 
 def z_expectations(states, n_qubits: int) -> np.ndarray:

@@ -1,13 +1,12 @@
 """Classical-to-quantum feature embedding and feature scaling.
 
 Angle encoding in two flavors: 1:1 (one feature per qubit, H then RZ) and
-2:1 (two features per qubit, H then RZ then a second rotation on a
-non-commuting axis, RY by default).  `EncodingScheme.rotations` is the one
-statement of each qubit's gates after H, and one check admits the features,
-which must be pre-scaled into [-pi, pi]; :class:`Scaler` provides the
-min-max map fitted on training data.  Two functions read the list: `encode`
-builds one row's circuit (for noisy evaluation) and `encode_states` all
-rows' product states at once (for the ideal model).
+2:1 (two features per qubit, H then RZ then RY).  `EncodingScheme.rotations`
+is the one statement of each qubit's gates after H, and one check admits the
+features, which must be pre-scaled into [-pi, pi]; :class:`Scaler` provides
+the min-max map fitted on training data.  Two functions read the list:
+`encode` builds one row's circuit (for noisy evaluation) and `encode_states`
+all rows' product states at once (for the ideal model).
 """
 
 from __future__ import annotations
@@ -29,13 +28,10 @@ TWO_PER_QUBIT = "2:1"
 class EncodingScheme:
     mode: str
     n_qubits: int
-    second_axis: GateKind = GateKind.RY  # 2:1 only; must not commute with RZ
 
     def __post_init__(self):
         if self.mode not in (ONE_PER_QUBIT, TWO_PER_QUBIT):
             raise ValueError(f"unknown encoding mode {self.mode!r}")
-        if self.second_axis not in (GateKind.RX, GateKind.RY):
-            raise ValueError("second rotation axis must be RX or RY")
 
     @property
     def rotations(self) -> tuple:
@@ -43,7 +39,7 @@ class EncodingScheme:
         q's j-th rotation reads feature column q * len(rotations) + j."""
         if self.mode == ONE_PER_QUBIT:
             return (GateKind.RZ,)
-        return (GateKind.RZ, self.second_axis)
+        return (GateKind.RZ, GateKind.RY)
 
     @property
     def capacity(self) -> int:

@@ -5,10 +5,10 @@ that synthesis fits, on a (dim, batch) block of states that
 `encoding.encode_states` builds; this module holds no rotation formula.
 Gradients are exact: closed-form softmax/cross-entropy backprop for the
 dense head, and one forward plus one reverse (adjoint) sweep of the step
-list for the circuit angles, so shared and scaled parameter slots work.
-Training uses Adam with fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`,
-`EPSILON`) and is bit-deterministic for a fixed seed.  `evaluate` scores the
-ideal model; `noisesim.evaluate_noisy` scores it under a device profile.
+list (`StepList.gradient`) for the circuit angles.  Training uses Adam with
+fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`, `EPSILON`) and is
+bit-deterministic for a fixed seed.  `evaluate` scores the ideal model;
+`noisesim.evaluate_noisy` scores it under a device profile.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .circuit import Circuit, build_template, z_expectations
 from .encoding import (EncodingScheme, Scaler, apply_scaler, encode_states,
                        fit_scaler)
-from .gates import GateKind
 
 N_CLASSES = 3
 _PROB_FLOOR = 1e-12
@@ -138,7 +137,7 @@ def gradients(model: HybridModel, features_scaled, labels):
 
     The circuit part is one adjoint sweep: with z_bq = <psi_b|Z_q|psi_b>, the
     loss has dL/dpsi^* = lam, lam[i, b] = sum_q dz[b, q] Z_q[i] psi[i, b],
-    and `StepList.reverse` turns that into every angle's derivative.
+    and `StepList.gradient` turns that into every angle's derivative.
     """
     x = np.atleast_2d(np.asarray(features_scaled, float))
     y = _one_hot(labels)
@@ -157,10 +156,8 @@ def gradients(model: HybridModel, features_scaled, labels):
     dz = dlogits @ model.W                     # (B, n_qubits)
 
     signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
-    dtheta = np.zeros(model.pqc.n_params)
-    for p, e in steps.reverse((signs @ dz.T) * psi, blocks, model.theta):
-        dtheta[p.slot] += p.scale * e.real
-    return dtheta, dW, db
+    e = steps.gradient((signs @ dz.T) * psi, blocks, model.theta)
+    return e.real, dW, db
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,7 @@ def save_checkpoint(model: HybridModel, path) -> None:
         "layers": model.layers,
         "n_qubits": model.n_qubits,
         "encoding_mode": model.scheme.mode,
-        "second_axis": model.scheme.second_axis.value,
+        "second_axis": "RY",   # the 2:1 encoding's second rotation
         "theta": model.theta.tolist(),
         "W": model.W.tolist(),
         "b": model.b.tolist(),
@@ -269,8 +266,10 @@ def save_checkpoint(model: HybridModel, path) -> None:
 def load_checkpoint(path) -> HybridModel:
     with open(path) as fh:
         doc = json.load(fh)
-    scheme = EncodingScheme(doc["encoding_mode"], doc["n_qubits"],
-                            GateKind(doc.get("second_axis", "RY")))
+    scheme = EncodingScheme(doc["encoding_mode"], doc["n_qubits"])
+    if doc.get("second_axis", "RY") != "RY":
+        raise ValueError(f"second_axis must be 'RY' (the 2:1 encoding's "
+                         f"second rotation), got {doc['second_axis']!r}")
     pqc = build_template(doc["template_id"], doc["n_qubits"], doc["layers"])
     scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else None
     return HybridModel(scheme, pqc, np.asarray(doc["theta"]),

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Param, bind, build_template, unitary_of
+from .circuit import Circuit, bind, build_template, unitary_of
 from .qmath import as_matrix, is_unitary
 
 TAIL_LIMIT = 1e8
@@ -45,6 +45,9 @@ _SPAN = 2.0 * math.pi     # every angle is searched in [-pi, pi]
 POLISH_ALLOWANCE = 200
 POLISH_METHODS = ("grad-lbfgs", "rotation-solve")
 CONVERGE_THRESHOLD = 0.05
+# distill's chains within this of the best distance tie, and the lowest seed
+# wins: chains that reach one optimum end about 1e-16 apart, as rounding falls
+DISTANCE_TIE = 1e-12
 # GSA schedule and acceptance: the stock dual-annealing defaults
 INITIAL_TEMP = 5230.0
 RESTART_TEMP_RATIO = 2e-5
@@ -109,7 +112,8 @@ class _Evaluator:
     1 - |t| (state prep), clamped at 0 against rounding.
 
     The gradient comes from one forward and one reverse sweep of the step
-    list, started from lam = target: dt/da = e/2 for each reverse term e.
+    list, started from lam = target: dt/da = e/2 for each slot's term e
+    (`StepList.gradient`).
     Full mode computes in float64 when the target and every step are real.
     """
 
@@ -136,13 +140,14 @@ class _Evaluator:
     def value_and_grad(self, theta):
         blocks = self.steps.run(self.start, theta, keep=True)
         t = np.vdot(self.target, blocks[-1])
-        grad = np.zeros(self.n_params)
         mag = abs(t)
         if mag < 1e-300:
-            return 1.0, grad
+            return 1.0, np.zeros(self.n_params)
         w = -0.5 * self.norm * np.conj(t) / mag   # d distance/da = Re(w e)
-        for p, e in self.steps.reverse(self.target, blocks, theta):
-            grad[p.slot] += p.scale * (w * e).real
+        e = self.steps.gradient(self.target, blocks, theta)
+        # Re(w e) term by term: numpy's vectorized complex product, as in
+        # (w * e).real, rounds differently from the scalar one
+        grad = w.real * e.real - w.imag * e.imag
         return self.distance(t), grad
 
 
@@ -191,59 +196,48 @@ def _wrap(values):
     return np.where(bump, wrapped + _MIN_VISIT_BOUND, wrapped)
 
 
-class _VisitingDistribution:
-    """Tsallis heavy-tailed step generator for GSA, parameterized by VISIT."""
+# Temperature-free factors of the Tsallis visiting distribution at VISIT
+_FACTOR4_P = (math.sqrt(math.pi)
+              * math.exp((4.0 - VISIT) * math.log(VISIT - 1.0))
+              / (math.exp((2.0 - VISIT) * math.log(2.0) / (VISIT - 1.0))
+                 * (3.0 - VISIT)))
+_FACTOR5 = 1.0 / (VISIT - 1.0) - 0.5
+_FACTOR6 = (math.pi * (1.0 - _FACTOR5) / math.sin(math.pi * (1.0 - _FACTOR5))
+            / math.exp(math.lgamma(2.0 - _FACTOR5)))
 
-    def __init__(self, rng):
-        self.rng = rng
-        qv = VISIT
-        factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
-        factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
-        self.factor4_p = math.sqrt(math.pi) * factor2 / (factor3 * (3.0 - qv))
-        factor5 = 1.0 / (qv - 1.0) - 0.5
-        d1 = 2.0 - factor5
-        self.factor6 = (math.pi * (1.0 - factor5)
-                        / math.sin(math.pi * (1.0 - factor5))
-                        / math.exp(math.lgamma(d1)))
 
-    def _sample(self, temperature, size):
-        qv = VISIT
-        x = self.rng.normal(size=size)
-        y = self.rng.normal(size=size)
-        factor1 = math.exp(math.log(temperature) / (qv - 1.0))
-        factor4 = self.factor4_p * factor1
-        x *= math.exp(-(qv - 1.0) * math.log(self.factor6 / factor4)
-                      / (3.0 - qv))
-        den = np.exp((qv - 1.0) * np.log(np.fabs(y)) / (3.0 - qv))
-        return x / den
-
-    def visiting(self, x, step, temperature):
-        dim = x.size
-        if step < dim:
-            # first half of the chain moves every coordinate at once
-            visits = self._sample(temperature, dim)
-            upper_sample, lower_sample = self.rng.uniform(size=2)
-            visits = np.where(visits > TAIL_LIMIT, TAIL_LIMIT * upper_sample,
-                              visits)
-            visits = np.where(visits < -TAIL_LIMIT, -TAIL_LIMIT * lower_sample,
-                              visits)
-            return _wrap(visits + x)
-        # second half perturbs a single coordinate
-        out = np.copy(x)
-        index = step - dim
-        visit = float(self._sample(temperature, 1)[0])
-        if visit > TAIL_LIMIT:
-            visit = TAIL_LIMIT * float(self.rng.uniform())
-        elif visit < -TAIL_LIMIT:
-            visit = -TAIL_LIMIT * float(self.rng.uniform())
-        out[index] = _wrap(visit + x[index])
-        return out
+def _visit(rng, x, step, temperature):
+    """GSA's heavy-tailed Tsallis move from x: steps below x.size move every
+    coordinate at once, step x.size + i only coordinate i."""
+    dim = x.size
+    size = dim if step < dim else 1
+    g = rng.normal(size=size)
+    y = rng.normal(size=size)
+    factor4 = _FACTOR4_P * math.exp(math.log(temperature) / (VISIT - 1.0))
+    g *= math.exp(-(VISIT - 1.0) * math.log(_FACTOR6 / factor4)
+                  / (3.0 - VISIT))
+    visits = g / np.exp((VISIT - 1.0) * np.log(np.fabs(y)) / (3.0 - VISIT))
+    if step < dim:
+        upper_sample, lower_sample = rng.uniform(size=2)
+        visits = np.where(visits > TAIL_LIMIT, TAIL_LIMIT * upper_sample,
+                          visits)
+        visits = np.where(visits < -TAIL_LIMIT, -TAIL_LIMIT * lower_sample,
+                          visits)
+        return _wrap(visits + x)
+    out = np.copy(x)
+    index = step - dim
+    visit = float(visits[0])
+    if visit > TAIL_LIMIT:
+        visit = TAIL_LIMIT * float(rng.uniform())
+    elif visit < -TAIL_LIMIT:
+        visit = -TAIL_LIMIT * float(rng.uniform())
+    out[index] = _wrap(visit + x[index])
+    return out
 
 
 def _anneal(cost, dim, rng, anneal_evals):
     """One GSA run over dim angles; returns when the evaluation cap is hit or
     chains end."""
-    visitor = _VisitingDistribution(rng)
     qa = ACCEPT
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     restart_temp = INITIAL_TEMP * RESTART_TEMP_RATIO
@@ -267,7 +261,7 @@ def _anneal(cost, dim, rng, anneal_evals):
             temperature_step = temperature / (step + 1.0)
             not_improved += 1
             for j in range(2 * dim):
-                x_visit = visitor.visiting(x_cur, j, temperature)
+                x_visit = _visit(rng, x_cur, j, temperature)
                 e = cost(x_visit)
                 if e < e_cur:
                     x_cur, e_cur = x_visit, e
@@ -337,21 +331,20 @@ def _best_angle(probe, a0, d0, controlled):
 def _rotation_solve(cost, evaluator, rng):
     """Cyclic exact line search over rotation angles (Rotosolve).
 
-    With every parameter driving exactly one rotation gate, each coordinate
-    jumps straight to its constrained maximizer (`_best_angle`).  Restarts
-    from random points spend any budget left after convergence.
+    Every parameter is the angle of exactly one rotation gate, so each
+    coordinate jumps straight to its constrained maximizer (`_best_angle`).
+    Restarts from random points spend any budget left after convergence.
 
     No probe runs the circuit (Ostaszewski et al. 2021, arXiv:1905.09692).
     Each pass pulls the target back through the step list's rotations and
     literal runs (a fused step's members one by one) once, at its starting
     theta, for lam_k at every unit k, then walks the units in order carrying
     the block x_k that enters unit k, in complex arithmetic.  At angle
-    a = scale*theta + offset the overlap is C + cos(a/2) P - i sin(a/2) Q
+    a = theta[slot] the overlap is C + cos(a/2) P - i sin(a/2) Q
     (`_Rotation.overlap_terms`), so each charged evaluation, probe or
     confirm, is one closed-form value.  lam_k stays exact because the units
     after k are still at their pass-start angles when k is visited.
-    Coordinates are therefore visited in op order: slot order for every
-    catalog template.
+    Coordinates are therefore visited in op order, which is slot order.
     """
     units = [m for s in evaluator.steps.steps
              for m in getattr(s, "members", [s])]
@@ -364,17 +357,15 @@ def _rotation_solve(cost, evaluator, rng):
         for unit in reversed(units[1:]):
             lams.append(unit.apply(lams[-1], x, adjoint=True))
         for step, lam in zip(units, reversed(lams)):
-            p = step.param
-            if p is not None:
+            j = step.slot
+            if j is not None:
                 if cost.exhausted:
                     break
-                j = p.slot
                 a0 = x[j]
                 c, pk, qk = step.overlap_terms(lam, block)
 
-                def probe(value):
-                    x[j] = value
-                    a = p.scale * value + p.offset
+                def probe(a):
+                    x[j] = a
                     t = c + math.cos(a / 2) * pk - 1j * math.sin(a / 2) * qk
                     return cost.charge(x, evaluator.distance(t))
 
@@ -393,18 +384,6 @@ def _rotation_solve(cost, evaluator, rng):
                 d_cur = cost(x)
             else:
                 return
-
-
-def _one_rotation_per_slot(circuit: Circuit) -> bool:
-    """Whether every slot drives exactly one rotation, scaled by +-1."""
-    seen = set()
-    for op in circuit.ops:
-        if isinstance(op.angle, Param):
-            p = op.angle
-            if p.slot in seen or abs(p.scale) != 1.0:
-                return False
-            seen.add(p.slot)
-    return True
 
 
 def _grad_polish(cost, rng, fg):
@@ -465,11 +444,6 @@ def synthesize(problem: SynthesisProblem,
                                d <= CONVERGE_THRESHOLD,
                                seed=config.seed, improvements=[(1, d)])
 
-    rotation = config.polish_method.lower() == "rotation-solve"
-    if rotation and not _one_rotation_per_slot(student):
-        raise ValueError("rotation-solve polish needs each parameter to "
-                         "drive exactly one rotation, scaled by +1 or -1")
-
     if problem.budget < 10 * n:
         warnings.warn(
             f"budget {problem.budget} is below the recommended 10x"
@@ -480,9 +454,10 @@ def synthesize(problem: SynthesisProblem,
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
     _anneal(cost, n, rng, anneal_evals)
 
-    if rotation and not cost.exhausted:
+    # the anneal stops within budget, short of the polish allowance
+    if config.polish_method.lower() == "rotation-solve":
         _rotation_solve(cost, evaluator, rng)
-    elif not cost.exhausted:
+    else:
         _grad_polish(cost, rng, evaluator.value_and_grad)
 
     return SynthesisResult(
@@ -502,9 +477,9 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
 
     The teacher's circuit parameters are frozen and its unitary becomes the
     synthesis target.  Each seed (default: ``config.seed``) runs an
-    independent chain; the best distance wins and the lower seed breaks
-    ties.  The returned student model shares the teacher's encoding scheme,
-    scaler, and dense head; only the PQC differs.
+    independent chain; of the chains within `DISTANCE_TIE` of the best
+    distance, the lowest seed wins.  The returned student model shares the
+    teacher's encoding scheme, scaler, and dense head; only the PQC differs.
     """
     from . import qnn
 
@@ -519,7 +494,9 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
     problem = SynthesisProblem(teacher_u, student, budget=budget)
     results = [synthesize(problem, dataclasses.replace(config, seed=s))
                for s in seeds]
-    result = min(results, key=lambda r: (r.distance, r.seed))
+    best = min(r.distance for r in results)
+    result = min((r for r in results if r.distance <= best + DISTANCE_TIE),
+                 key=lambda r: r.seed)
 
     model = qnn.HybridModel(
         teacher_model.scheme, student, result.theta_star,

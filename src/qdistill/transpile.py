@@ -20,11 +20,12 @@ rotations.  It is applied after lowering.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Op, Param
+from .circuit import Circuit, Op
 from .gates import GateKind, gate_matrix
 
 _K = GateKind
@@ -38,9 +39,11 @@ BASES = {
 }
 
 # Qubit 0 is a 1q source's qubit or a 2q source's control, 1 its target;
-# Param(0, scale, offset) is the angle scale * source_angle + offset.
-_CRZ = (Op(_K.RZ, (1,), Param(0, 0.5)), Op(_K.CX, (0, 1)),
-        Op(_K.RZ, (1,), Param(0, -0.5)), Op(_K.CX, (0, 1)))
+# a rule gate's angle is a literal or _Affine(scale, offset), the angle
+# scale * source_angle + offset.
+_Affine = namedtuple("_Affine", "scale offset", defaults=(0.0,))
+_CRZ = (Op(_K.RZ, (1,), _Affine(0.5)), Op(_K.CX, (0, 1)),
+        Op(_K.RZ, (1,), _Affine(-0.5)), Op(_K.CX, (0, 1)))
 _CONTROLLED_RULES = {
     _K.CRZ: _CRZ,
     _K.CRX: (Op(_K.H, (1,)),) + _CRZ + (Op(_K.H, (1,)),),
@@ -50,9 +53,9 @@ _RULES = {
     (_K.H, "IBM"): (Op(_K.RZ, (0,), _HALF), Op(_K.SX, (0,)),
                     Op(_K.RZ, (0,), _HALF)),
     (_K.RX, "IBM"): (Op(_K.RZ, (0,), _HALF), Op(_K.SX, (0,)),
-                     Op(_K.RZ, (0,), Param(0, 1.0, math.pi)), Op(_K.SX, (0,)),
+                     Op(_K.RZ, (0,), _Affine(1.0, math.pi)), Op(_K.SX, (0,)),
                      Op(_K.RZ, (0,), _HALF)),
-    (_K.RY, "IBM"): (Op(_K.SX, (0,)), Op(_K.RZ, (0,), Param(0, 1.0, math.pi)),
+    (_K.RY, "IBM"): (Op(_K.SX, (0,)), Op(_K.RZ, (0,), _Affine(1.0, math.pi)),
                      Op(_K.SX, (0,)), Op(_K.RZ, (0,), math.pi)),
     (_K.CZ, "IBM"): (Op(_K.H, (1,)), Op(_K.CX, (0, 1)), Op(_K.H, (1,))),
     (_K.ID, "RIGETTI"): (),
@@ -60,7 +63,8 @@ _RULES = {
     (_K.SX, "RIGETTI"): (Op(_K.RX, (0,), _HALF),),
     (_K.H, "RIGETTI"): (Op(_K.RZ, (0,), _HALF), Op(_K.RX, (0,), _HALF),
                         Op(_K.RZ, (0,), _HALF)),
-    (_K.RY, "RIGETTI"): (Op(_K.RZ, (0,), -_HALF), Op(_K.RX, (0,), Param(0)),
+    (_K.RY, "RIGETTI"): (Op(_K.RZ, (0,), -_HALF),
+                         Op(_K.RX, (0,), _Affine(1.0)),
                          Op(_K.RZ, (0,), _HALF)),
     (_K.CX, "RIGETTI"): (Op(_K.H, (1,)), Op(_K.CZ, (0, 1)), Op(_K.H, (1,))),
     **{(kind, basis): rule for kind, rule in _CONTROLLED_RULES.items()
@@ -98,7 +102,7 @@ def _expand_op(kind, qubits, angle, basis):
     out = []
     for r in _RULES[kind, basis]:
         a = r.angle
-        if isinstance(a, Param):
+        if isinstance(a, _Affine):
             a = a.scale * angle + a.offset
         out.extend(_expand_op(r.kind, tuple(qubits[i] for i in r.qubits), a,
                               basis))

@@ -47,12 +47,22 @@ def test_op_validation():
         Circuit(2, [Op(K.RX, (0,), Param(1))])       # slot gap
 
 
+@pytest.mark.parametrize("slots", [(0, 0), (0, 2), (1, 0)],
+                         ids=["shared", "gap", "out-of-order"])
+def test_circuit_rejects_slots_out_of_op_order(slots):
+    # each parameter is the angle of one gate, numbered 0, 1, ... in op order
+    ops = [Op(K.RX, (0,), Param(slots[0])), Op(K.CX, (0, 1)),
+           Op(K.RY, (1,), Param(slots[1]))]
+    with pytest.raises(ValueError, match="in op order"):
+        Circuit(2, ops)
+
+
 def test_bind_replaces_slots():
-    c = Circuit(1, [Op(K.RX, (0,), Param(0)), Op(K.RZ, (0,), Param(1, 2.0, 0.5))])
+    c = Circuit(1, [Op(K.RX, (0,), Param(0)), Op(K.RZ, (0,), Param(1))])
     b = circ.bind(c, [0.3, 0.1])
     assert b.is_bound
     assert b.ops[0].angle == pytest.approx(0.3)
-    assert b.ops[1].angle == pytest.approx(0.7)
+    assert b.ops[1].angle == pytest.approx(0.1)
     with pytest.raises(ValueError):
         circ.bind(c, [0.3])
 
@@ -121,9 +131,8 @@ _CONTROLLED = [K.CRX, K.CRY, K.CRZ]
 @st.composite
 def _circuits(draw, n):
     """Random circuits on n qubits: literal gates, plain and controlled
-    rotations, with shared, +-scaled and offset slots numbered in a random
-    order (so out of op order)."""
-    ops, refs = [], []
+    rotations, each rotation with its own slot."""
+    ops, slot = [], 0
     for _ in range(draw(st.integers(1, 12))):
         # RY, the fused kind, is drawn most often
         kind = draw(st.sampled_from(_ROTATIONS + [K.RY] * 3 + _CONTROLLED
@@ -133,17 +142,11 @@ def _circuits(draw, n):
         else:
             qubits = (draw(st.integers(0, n - 1)),)
         if kind in _ROTATIONS or kind in _CONTROLLED:
-            refs.append(len(ops))
-        ops.append([kind, qubits])
-    # equal picks share a slot; slots are numbered in a random order
-    picks = [draw(st.integers(0, len(refs) - 1)) for _ in refs]
-    used = sorted(set(picks))
-    order = draw(st.permutations(range(len(used))))
-    for i, pick in zip(refs, picks):
-        scale = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0]))
-        offset = draw(st.sampled_from([0.0, 0.3, -1.1]))
-        ops[i].append(Param(order[used.index(pick)], scale, offset))
-    return Circuit(n, [Op(*op) for op in ops])
+            ops.append(Op(kind, qubits, Param(slot)))
+            slot += 1
+        else:
+            ops.append(Op(kind, qubits))
+    return Circuit(n, ops)
 
 
 def _templates(n):
@@ -156,14 +159,13 @@ _HAND_BUILT = [
     # two RY on one qubit: the second starts a new run, which an RX ends
     Circuit(2, [Op(K.RY, (0,), Param(0)), Op(K.RY, (1,), Param(1)),
                 Op(K.RY, (0,), Param(2)), Op(K.RX, (1,), Param(3))]),
-    # a controlled rotation splits a run; a shared, scaled, offset slot
-    Circuit(3, [Op(K.RY, (0,), Param(1)), Op(K.CRY, (0, 2), Param(0)),
-                Op(K.RY, (1,), Param(1, -1.0, 0.4)),
-                Op(K.RY, (2,), Param(0, 0.5))]),
-    # slots numbered out of op order, an idle qubit inside a fused run
-    Circuit(3, [Op(K.H, (1,)), Op(K.RZ, (2,), Param(2)),
-                Op(K.RY, (0,), Param(0, -1.0)), Op(K.CZ, (1, 2)),
-                Op(K.RY, (2,), Param(1, 2.0, -0.3))]),
+    # a controlled rotation splits a run
+    Circuit(3, [Op(K.RY, (0,), Param(0)), Op(K.CRY, (0, 2), Param(1)),
+                Op(K.RY, (1,), Param(2)), Op(K.RY, (2,), Param(3))]),
+    # an idle qubit inside a fused run
+    Circuit(3, [Op(K.H, (1,)), Op(K.RZ, (2,), Param(0)),
+                Op(K.RY, (0,), Param(1)), Op(K.CZ, (1, 2)),
+                Op(K.RY, (2,), Param(2))]),
 ]
 
 
@@ -239,15 +241,13 @@ def test_fused_steps_agree_with_their_members(case):
 @settings(max_examples=100, deadline=None)
 @given(_cases())
 def test_reverse_gradient_matches_central_differences(case):
-    # d<lam, psi>/d theta_j = sum over the slot's rotations of scale * e/2
+    # d<lam, psi>/d theta_j = e_j / 2
     c, theta, x = case
     rng = np.random.default_rng(1)
     lam = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
     lam /= np.linalg.norm(lam)
     steps = c.steps
-    grad = np.zeros(c.n_params, complex)
-    for p, e in steps.reverse(lam, steps.run(x, theta, keep=True), theta):
-        grad[p.slot] += p.scale * e / 2
+    grad = steps.gradient(lam, steps.run(x, theta, keep=True), theta) / 2
     eps = 1e-6
     for j in range(c.n_params):
         tp, tm = theta.copy(), theta.copy()

@@ -324,6 +324,22 @@ def test_malformed_checkpoint_exits_3(trained_dir, tmp_path, capsys, command,
     _assert_data_error(rc, capsys, path)
 
 
+def test_finetune_rejects_second_axis_other_than_ry(trained_dir, tmp_path,
+                                                    capsys):
+    # the 2:1 encoding's second rotation is RY, so a checkpoint naming RX
+    # is malformed, whatever its own encoding
+    with open(os.path.join(trained_dir, "c2_1l_seed7.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "rx.json"
+    path.write_text(json.dumps({**doc, "second_axis": "RX"}))
+    rc = run(["finetune", "--checkpoint", str(path),
+              "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert "Traceback" not in err
+    assert str(path) in err and "second_axis" in err
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_PROFILES))
 def test_malformed_profile_exits_3(trained_dir, tmp_path, capsys, case):
     path = tmp_path / "profile.json"

@@ -44,26 +44,26 @@ def test_circuit_gradient_matches_finite_differences(template, layers):
     assert np.max(np.abs(dtheta - fd)) < 1e-5
 
 
-# shared (slots 0 and 2), scaled (both signs) and offset slots; CRX/CRY/CRZ
-# with the control above and below the target
-_SHARED_PQC = circ.Circuit(4, [
-    Op(K.RX, (0,), Param(0, 1.5)),
-    Op(K.RY, (1,), Param(1, -0.5, 0.3)),
-    Op(K.CRX, (0, 2), Param(2, 2.0)),
-    Op(K.CRY, (3, 1), Param(0)),
-    Op(K.CRZ, (1, 3), Param(3, 1.0, -1.2)),
+# CRX/CRY/CRZ with the control above and below the target, between plain
+# rotations and literal gates
+_CONTROLLED_PQC = circ.Circuit(4, [
+    Op(K.RX, (0,), Param(0)),
+    Op(K.RY, (1,), Param(1)),
+    Op(K.CRX, (0, 2), Param(2)),
+    Op(K.CRY, (3, 1), Param(3)),
+    Op(K.CRZ, (1, 3), Param(4)),
     Op(K.CX, (2, 0)),
     Op(K.RZ, (3,), 0.7),
-    Op(K.CRX, (3, 0), Param(1, 0.75)),
-    Op(K.CRY, (2, 3), Param(4)),
-    Op(K.CRZ, (2, 1), Param(2, -1.25)),
-    Op(K.RY, (0,), Param(4)),
+    Op(K.CRX, (3, 0), Param(5)),
+    Op(K.CRY, (2, 3), Param(6)),
+    Op(K.CRZ, (2, 1), Param(7)),
+    Op(K.RY, (0,), Param(8)),
 ])
 
 
-def test_circuit_gradient_with_shared_scaled_slots():
+def test_circuit_gradient_with_controlled_rotations():
     ref, x, y, _ = small_problem()
-    pqc = _SHARED_PQC
+    pqc = _CONTROLLED_PQC
     theta = np.random.default_rng(1).uniform(-math.pi, math.pi, pqc.n_params)
     model = qnn.HybridModel(ref.scheme, pqc, theta, ref.W, ref.b)
     dtheta, _, _ = qnn.gradients(model, x, y)
@@ -71,14 +71,11 @@ def test_circuit_gradient_with_shared_scaled_slots():
     assert np.max(np.abs(dtheta - fd)) < 1e-7
 
 
-@pytest.mark.parametrize(
-    "mode,n_features,axis",
-    [("1:1", 4, K.RY), ("2:1", 8, K.RY), ("2:1", 8, K.RX)],
-    ids=["1:1-4", "2:1-8", "2:1-8-RX"])
+@pytest.mark.parametrize("mode,n_features", [("1:1", 4), ("2:1", 8)],
+                         ids=["1:1-4", "2:1-8"])
 @pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
-def test_forward_matches_gate_by_gate_simulation(template, mode, n_features,
-                                                 axis):
-    scheme = EncodingScheme(mode, 4, axis)
+def test_forward_matches_gate_by_gate_simulation(template, mode, n_features):
+    scheme = EncodingScheme(mode, 4)
     model = qnn.init_model(template, 2, scheme, seed=3)
     rows = np.random.default_rng(4).uniform(-math.pi, math.pi, (6, n_features))
     _, _, z = qnn.forward_batch(model, rows)

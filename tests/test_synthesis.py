@@ -135,21 +135,20 @@ def test_evaluator_matches_reference_on_templates(tid, n, layers, state_prep,
     _check_evaluator(student, teacher, state_prep, theta)
 
 
-# shared (every slot but 3), scaled and offset slots; CRX/CRY/CRZ both ways
-# round
+# CRX/CRY/CRZ both ways round, between plain rotations and literal gates
 _TEXT_STUDENT = Circuit(3, [
     Op(K.H, (0,)),
     Op(K.RX, (0,), Param(0)),
-    Op(K.RY, (1,), Param(1, -0.5)),
-    Op(K.CRX, (0, 2), Param(2, 1.0, 0.3)),
-    Op(K.CRY, (2, 1), Param(0, 2.0)),
-    Op(K.CRZ, (1, 0), Param(3, 1.0, -1.2)),
+    Op(K.RY, (1,), Param(1)),
+    Op(K.CRX, (0, 2), Param(2)),
+    Op(K.CRY, (2, 1), Param(3)),
+    Op(K.CRZ, (1, 0), Param(4)),
     Op(K.CX, (2, 0)),
     Op(K.RZ, (1,), 0.7),
-    Op(K.CRX, (2, 0), Param(1)),
-    Op(K.CRY, (1, 2), Param(4)),
-    Op(K.CRZ, (0, 1), Param(2, 0.75)),
-    Op(K.RZ, (2,), Param(4)),
+    Op(K.CRX, (2, 0), Param(5)),
+    Op(K.CRY, (1, 2), Param(6)),
+    Op(K.CRZ, (0, 1), Param(7)),
+    Op(K.RZ, (2,), Param(8)),
     Op(K.SX, (1,)),
 ])
 
@@ -187,22 +186,6 @@ def test_config_validation():
             syn.AnnealConfig(polish_method=method)
     with pytest.raises(ValueError):
         syn.AnnealConfig(anneal_fraction=0.0)
-
-
-def test_rotation_solve_rejects_shared_slots_before_annealing(monkeypatch):
-    # slot 0 drives two gates, once scaled: no closed-form coordinate update
-    student = Circuit(2, [Op(K.RX, (0,), Param(0)), Op(K.CX, (0, 1)),
-                          Op(K.RY, (1,), Param(0, 2.0))])
-    u = random_unitary(4, 0)
-
-    def no_anneal(*args):
-        raise AssertionError("annealed before rejecting the student")
-
-    monkeypatch.setattr(syn, "_anneal", no_anneal)
-    cfg = syn.AnnealConfig(polish_method="rotation-solve")
-    with pytest.raises(ValueError,
-                       match=r"exactly one rotation, scaled by \+1 or -1"):
-        syn.synthesize(syn.SynthesisProblem(u, student, budget=20000), cfg)
 
 
 def test_zero_parameter_student():
@@ -299,7 +282,9 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
                                 budget=300)
     singles = [syn.synthesize(prob, dataclasses.replace(cfg, seed=s))
                for s in [0, 1, 2]]
-    best = min(singles, key=lambda r: (r.distance, r.seed))
+    lowest = min(r.distance for r in singles)
+    best = min((r for r in singles if r.distance <= lowest + 1e-12),
+               key=lambda r: r.seed)
     assert record["distance"] == best.distance
     assert record["seed"] == best.seed
     # no seeds: one chain at the config's seed
@@ -318,6 +303,20 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
     assert record["seed"] == 0
 
 
+def test_distill_treats_rounding_level_gaps_as_ties(monkeypatch):
+    # two chains that reached one optimum, 3e-16 apart: the lower seed wins
+    distance = {7: 0.6325258357864334, 8: 0.6325258357864331, 9: 0.7}
+
+    def chain(problem, config):
+        return syn.SynthesisResult(np.zeros(problem.student.n_params),
+                                   distance[config.seed], 1, 0j, False,
+                                   seed=config.seed)
+
+    monkeypatch.setattr(syn, "synthesize", chain)
+    _, record = syn.distill(_small_teacher(), ("c2", 1), seeds=[9, 8, 7])
+    assert (record["seed"], record["distance"]) == (7, distance[7])
+
+
 def test_distill_returns_student_and_record():
     teacher = _small_teacher()
     student, record = syn.distill(teacher, ("c2", 1), budget=500,
@@ -330,28 +329,24 @@ def test_distill_returns_student_and_record():
     assert record["distance"] <= 0.05
 
 
-def _rotation_student(*slot):
-    """Every slot drives one rotation: +-1 scales, offsets, plain and
-    controlled; ``slot`` numbers the six rotations in op order."""
-    return Circuit(3, [
-        Op(K.H, (0,)),
-        Op(K.RX, (0,), Param(slot[0], -1.0)),
-        Op(K.RY, (1,), Param(slot[1], 1.0, 0.3)),
-        Op(K.CRY, (0, 2), Param(slot[2], -1.0, -0.4)),
-        Op(K.CX, (2, 0)),
-        Op(K.CRZ, (1, 0), Param(slot[3], 1.0, 1.1)),
-        Op(K.CRX, (2, 1), Param(slot[4])),
-        Op(K.RZ, (2,), Param(slot[5], -1.0)),
-        Op(K.SX, (1,)),
-    ])
+_TEXT_ROTATIONS = ((K.RX, (0,)), (K.RY, (1,)), (K.CRY, (0, 2)),
+                   (K.CRZ, (1, 0)), (K.CRX, (2, 1)), (K.RZ, (2,)))
+
+
+def _rotation_student(*order):
+    """Six rotations, plain and controlled, around literal gates: the k-th
+    in op order is ``_TEXT_ROTATIONS[order[k]]`` and takes slot k."""
+    r = [Op(*_TEXT_ROTATIONS[i], Param(k)) for k, i in enumerate(order)]
+    return Circuit(3, [Op(K.H, (0,)), *r[:3], Op(K.CX, (2, 0)), *r[3:],
+                       Op(K.SX, (1,))])
 
 
 _ROTATION_STUDENTS = {
     "c2": circ.build_template("c2", 3, 1),
     "c6": circ.build_template("c6", 3, 1),
     "text": _rotation_student(*range(6)),
-    # slots numbered out of op order: visited in op order all the same
-    "text-shuffled": _rotation_student(3, 0, 5, 1, 4, 2),
+    # the same rotations in another op order
+    "text-shuffled": _rotation_student(1, 3, 5, 0, 4, 2),
 }
 
 
