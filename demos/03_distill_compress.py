@@ -33,7 +33,7 @@ print(f"teacher val accuracy: {history[-1]['val_acc']:.3f}\n")
 config = AnnealConfig(polish_method="grad-lbfgs", anneal_fraction=0.05)
 print("layers  distance  val_acc")
 for layers, budget in ((1, 3000), (2, 6000), (4, 12000), (8, 24000)):
-    student, record = distill(teacher, ("c2", layers), config,
+    student, result = distill(teacher, ("c2", layers), config,
                               budget=budget, seeds=[0, 1, 2])
     acc = qnn.evaluate(student, ds.val_features, ds.val_labels)
-    print(f"{layers:>6}  {record['distance']:>8.4f}  {acc:>7.3f}")
+    print(f"{layers:>6}  {result.distance:>8.4f}  {acc:>7.3f}")

@@ -23,12 +23,12 @@ print(f"teacher (7 layers): train {t_tr:.3f}  "
 config = AnnealConfig(polish_method="grad-lbfgs", anneal_fraction=0.2)
 print("student  distance  approx(train/val)  finetuned(train/val)")
 for layers, budget in ((2, 15000), (4, 20000)):
-    student, record = distill(teacher, ("c15", layers), config,
+    student, result = distill(teacher, ("c15", layers), config,
                               budget=budget, seeds=[0, 1, 2])
     ap = (qnn.evaluate(student, ds.train_features, ds.train_labels),
           qnn.evaluate(student, ds.val_features, ds.val_labels))
     tuned, _ = train(student, ds, TrainConfig(epochs=2, seed=0, batch_size=16))
     ft = (qnn.evaluate(tuned, ds.train_features, ds.train_labels),
           qnn.evaluate(tuned, ds.val_features, ds.val_labels))
-    print(f"{layers:>7}  {record['distance']:>8.4f}  "
+    print(f"{layers:>7}  {result.distance:>8.4f}  "
           f"{ap[0]:.3f} / {ap[1]:.3f}      {ft[0]:.3f} / {ft[1]:.3f}")

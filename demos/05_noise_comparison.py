@@ -22,8 +22,9 @@ teacher = init_model("c15", layers=7, scheme=scheme, seed=0, scaler=scaler)
 teacher, _ = train(teacher, ds, TrainConfig(epochs=10, seed=0))
 
 config = AnnealConfig(polish_method="grad-lbfgs", anneal_fraction=0.2)
-student, record = distill(teacher, ("c15", 4), config, budget=20000,
+student, result = distill(teacher, ("c15", 4), config, budget=20000,
                           seeds=[0, 1, 2])
+print(f"student 4L: distance {result.distance:.4f} (seed {result.seed})")
 student, _ = train(student, ds, TrainConfig(epochs=2, seed=0, batch_size=16))
 
 x = np.vstack([ds.train_features, ds.val_features])

@@ -322,19 +322,11 @@ class StepList:
         return e
 
 
-def z_expectations(states, n_qubits: int) -> np.ndarray:
-    """Per-qubit <Z> for states of shape (..., 2^n); returns (..., n)."""
-    states = np.asarray(states)
-    batch = states.shape[:-1]
-    probs = np.abs(states) ** 2
-    probs = probs.reshape(batch + (2,) * n_qubits)
-    out = np.empty(batch + (n_qubits,))
-    for q in range(n_qubits):
-        ax = len(batch) + (n_qubits - 1 - q)
-        marg = probs.sum(axis=tuple(a for a in range(len(batch), probs.ndim)
-                                    if a != ax))
-        out[..., q] = marg[..., 0] - marg[..., 1]
-    return out
+def z_signs(n_qubits: int) -> np.ndarray:
+    """The (2^n, n) table S[i, q] = <i|Z_q|i>: +1 where bit q of i is 0, -1
+    where it is 1.  Basis populations p read per-qubit <Z> as p @ S."""
+    bits = np.arange(2 ** n_qubits)[:, None] >> np.arange(n_qubits)
+    return 1.0 - 2.0 * (bits & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -178,24 +178,24 @@ def run_distill(config: dict, out_dir: str):
     artifacts = []
     rows = []
     for layers in config["layers"]:
-        model, record = distill(
+        model, result = distill(
             teacher, (config["template"], layers),
             _anneal_config(config, seeds[0]),
             budget=config["budget"], seeds=seeds)
-        if not math.isfinite(record["distance"]):
+        if not math.isfinite(result.distance):
             raise NumericalError("synthesis produced a non-finite distance")
         _check_finite(model)
         stem = f"student_{config['template']}_{layers}l"
         qnn.save_checkpoint(model, os.path.join(out_dir, f"{stem}.json"))
         artifacts.append(f"{stem}.json")
-        rows.append((layers, record))
+        rows.append((layers, result))
     prov = (f"distill teacher={teacher.template_id}_{teacher.layers}l "
             f"student={config['template']} budget={config['budget']} "
             f"seeds={','.join(str(s) for s in seeds)}")
     lines = [f"# {prov}", "layers,distance,evaluations,converged,seed"]
-    for layers, rec in rows:
-        lines.append(f"{layers},{rec['distance']!r},{rec['evaluations']},"
-                     f"{rec['converged']},{rec['seed']}")
+    for layers, r in rows:
+        lines.append(f"{layers},{r.distance!r},{r.evaluations},"
+                     f"{r.converged},{r.seed}")
     _write_text(os.path.join(out_dir, "distances.csv"),
                 "\n".join(lines) + "\n")
     artifacts.append("distances.csv")

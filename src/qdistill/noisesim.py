@@ -4,8 +4,9 @@ Each physical gate applies its ideal channel, then a depolarizing channel on
 the touched qubits (p = err_1q or err_2q), then per-qubit thermal relaxation
 for the gate duration: amplitude damping gamma = 1 - e^(-t/T1) composed with
 phase damping lambda = 1 - e^(-t(1/T2 - 1/(2T1))).  Readout applies a
-symmetric bit-flip, <Z>' = (1 - 2*meas_err) <Z>.  Expectations are computed
-exactly from the density matrix; there is no shot sampling.
+symmetric bit-flip: per-qubit <Z> = (1 - 2*meas_err) diag(rho)^T S, with S
+the sign table `circuit.z_signs`, exactly from the density matrix (there is
+no shot sampling), and `qnn.head` scores it as in the ideal model.
 
 The three steps are fused into one superoperator per gate,
 N @ (U (x) conj(U)) with N = sum_K K (x) conj(K) built once per ``run_noisy``
@@ -32,10 +33,10 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from .circuit import Circuit, apply_matrix, bind
+from .circuit import Circuit, apply_matrix, bind, z_signs
 from .encoding import apply_scaler, encode
 from .gates import PAULI, gate_matrix
-from .qnn import _hit_rate, softmax
+from .qnn import head, hit_rate
 from .transpile import lower
 
 _CPTP_TOL = 1e-10
@@ -57,6 +58,10 @@ class DeviceProfile:
         for p in (self.err_1q, self.err_2q, self.meas_err):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
+        for name in ("t1_us", "t2_us"):   # inf (no relaxation) is allowed
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got "
+                                 f"{getattr(self, name)}")
         if self.t2_us > 2.0 * self.t1_us:
             raise ValueError("unphysical profile: T2 must be <= 2*T1")
         if not (self.dur_1q_ns > 0 and self.dur_2q_ns > 0):
@@ -223,17 +228,6 @@ def run_noisy(circuit: Circuit, profile: DeviceProfile,
     return rho
 
 
-def z_expectation(rho: np.ndarray, qubit: int):
-    """<Z> on one qubit of rho, or per density matrix of a (dim, dim, b) batch."""
-    pops = np.real(np.diagonal(rho))                     # (dim,) or (b, dim)
-    signs = 1.0 - 2.0 * ((np.arange(pops.shape[-1]) >> qubit) & 1)
-    return pops @ signs
-
-
-def measure_z_noisy(rho: np.ndarray, qubit: int, profile: DeviceProfile):
-    return (1.0 - 2.0 * profile.meas_err) * z_expectation(rho, qubit)
-
-
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
@@ -281,8 +275,8 @@ def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     for i, prefix in enumerate(prefixes):
         rho[..., i] = run_noisy(Circuit(n, prefix), profile)
     rho = run_noisy(Circuit(n, shared), profile, rho)
-    return np.stack([measure_z_noisy(rho, q, profile) for q in range(n)],
-                    axis=1)
+    pops = np.real(np.diagonal(rho))                     # (b, dim)
+    return (1.0 - 2.0 * profile.meas_err) * (pops @ z_signs(n))
 
 
 def evaluate_noisy(model, features, labels, profile: DeviceProfile) -> float:
@@ -291,4 +285,4 @@ def evaluate_noisy(model, features, labels, profile: DeviceProfile) -> float:
     if model.scaler is not None:
         features = apply_scaler(model.scaler, features)
     z = noisy_z_features(model, features, profile)
-    return _hit_rate(softmax(z @ model.W.T + model.b), labels)
+    return hit_rate(head(model, z), labels)

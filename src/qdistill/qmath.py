@@ -13,8 +13,9 @@ import numpy as np
 # `circuit.unitary_of`.
 MAX_DIM = 4096
 
-# Unitarity check tolerance; well above double-precision accumulation
-# error for dim <= 64.
+# Unitarity check tolerance.  Bound random c2x6, c6x2 and c15x7 templates
+# at n = 6, 8 and 10 gave max|U^dag U - I| <= 1.33e-15, so it needs no
+# scaling with the dimension up to 2^10 (2^11 and 2^12 are unmeasured).
 UNITARY_TOL = 1e-10
 
 

@@ -3,6 +3,8 @@
 The PQC runs as its compiled step list (`circuit.StepList`), the same one
 that synthesis fits, on a (dim, batch) block of states that
 `encoding.encode_states` builds; this module holds no rotation formula.
+Per-qubit <Z> is the populations times `circuit.z_signs`, and `head` maps
+it to class probabilities for the ideal model and the noisy one alike.
 Gradients are exact: closed-form softmax/cross-entropy backprop for the
 dense head, and one forward plus one reverse (adjoint) sweep of the step
 list (`StepList.gradient`) for the circuit angles.  Training uses Adam with
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, build_template, z_expectations
+from .circuit import Circuit, build_template, z_signs
 from .encoding import (EncodingScheme, Scaler, apply_scaler, encode_states,
                        fit_scaler)
 
@@ -91,19 +93,19 @@ def init_model(template_id: str, layers: int, scheme: EncodingScheme,
 # ---------------------------------------------------------------------------
 # Forward pass (batched internally)
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+def head(model: HybridModel, z) -> np.ndarray:
+    """Class probabilities softmax(z W^T + b) for rows z of per-qubit <Z>."""
+    logits = z @ model.W.T + model.b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward_batch(model: HybridModel, features_scaled):
-    """(probs, logits, z) for a batch of pre-scaled feature rows."""
+    """(probs, z) for a batch of pre-scaled feature rows."""
     states = encode_states(features_scaled, model.scheme).T
     psi = model.pqc.steps.run(states, model.theta)
-    z = z_expectations(psi.T, model.n_qubits)
-    logits = z @ model.W.T + model.b
-    return softmax(logits), logits, z
+    z = (np.abs(psi) ** 2).T @ z_signs(model.n_qubits)
+    return head(model, z), z
 
 
 def _one_hot(labels) -> np.ndarray:
@@ -119,7 +121,8 @@ def _cross_entropy(probs, labels) -> float:
                                  axis=1)))
 
 
-def _hit_rate(probs, labels) -> float:
+def hit_rate(probs, labels) -> float:
+    """The fraction of rows whose most probable class is the label."""
     pred = probs.argmax(axis=1)
     return float(np.mean(pred == np.asarray(labels, int).ravel()))
 
@@ -135,27 +138,26 @@ def loss(model: HybridModel, features_scaled, labels) -> float:
 def gradients(model: HybridModel, features_scaled, labels):
     """(dtheta, dW, db) of the mean cross-entropy over the batch.
 
-    The circuit part is one adjoint sweep: with z_bq = <psi_b|Z_q|psi_b>, the
-    loss has dL/dpsi^* = lam, lam[i, b] = sum_q dz[b, q] Z_q[i] psi[i, b],
+    The circuit part is one adjoint sweep: with z = |psi|^2^T S for the sign
+    table S = `circuit.z_signs`, the loss has dL/dpsi^* = (S dz^T) * psi,
     and `StepList.gradient` turns that into every angle's derivative.
     """
     x = np.atleast_2d(np.asarray(features_scaled, float))
     y = _one_hot(labels)
     bsz = x.shape[0]
-    n = model.n_qubits
+    signs = z_signs(model.n_qubits)
     steps = model.pqc.steps
     blocks = steps.run(encode_states(x, model.scheme).T, model.theta,
                        keep=True)
     psi = blocks[-1]
-    z = z_expectations(psi.T, n)
-    probs = softmax(z @ model.W.T + model.b)
+    z = (np.abs(psi) ** 2).T @ signs
+    probs = head(model, z)
 
     dlogits = (probs - y) / bsz
     dW = dlogits.T @ z
     db = dlogits.sum(axis=0)
     dz = dlogits @ model.W                     # (B, n_qubits)
 
-    signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
     e = steps.gradient((signs @ dz.T) * psi, blocks, model.theta)
     return e.real, dW, db
 
@@ -164,7 +166,7 @@ def gradients(model: HybridModel, features_scaled, labels):
 # Training and evaluation
 
 def accuracy(model: HybridModel, features_scaled, labels) -> float:
-    return _hit_rate(forward_batch(model, features_scaled)[0], labels)
+    return hit_rate(forward_batch(model, features_scaled)[0], labels)
 
 
 def evaluate(model: HybridModel, features, labels) -> float:
@@ -182,7 +184,7 @@ def _epoch_metrics(model, xt, yt, xv, yv) -> dict:
         if len(y):
             probs = forward_batch(model, x)[0]
             metrics[f"{split}_loss"] = _cross_entropy(probs, y)
-            metrics[f"{split}_acc"] = _hit_rate(probs, y)
+            metrics[f"{split}_acc"] = hit_rate(probs, y)
         else:
             metrics[f"{split}_loss"] = metrics[f"{split}_acc"] = float("nan")
     return metrics
@@ -272,8 +274,13 @@ def load_checkpoint(path) -> HybridModel:
                          f"second rotation), got {doc['second_axis']!r}")
     pqc = build_template(doc["template_id"], doc["n_qubits"], doc["layers"])
     scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else None
-    return HybridModel(scheme, pqc, np.asarray(doc["theta"]),
-                       np.asarray(doc["W"]), np.asarray(doc["b"]),
+    arrays = {k: np.asarray(doc[k], float) for k in ("theta", "W", "b")}
+    if scaler is not None:
+        arrays.update(scaler_mins=scaler.mins, scaler_maxs=scaler.maxs)
+    for key, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint {key} holds non-finite numbers")
+    return HybridModel(scheme, pqc, arrays["theta"], arrays["W"], arrays["b"],
                        scaler=scaler, template_id=doc["template_id"],
                        layers=doc["layers"], seed=doc.get("seed"),
                        history=doc.get("history") or [],

@@ -473,7 +473,8 @@ def synthesize(problem: SynthesisProblem,
 
 def distill(teacher_model, student_template, config: AnnealConfig | None = None,
             budget: int = 1000, seeds=None):
-    """Synthesize a student PQC against a frozen teacher; returns (model, record).
+    """Synthesize a student PQC against a frozen teacher; returns the student
+    model and the winning chain's `SynthesisResult`.
 
     The teacher's circuit parameters are frozen and its unitary becomes the
     synthesis target.  Each seed (default: ``config.seed``) runs an
@@ -503,16 +504,4 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
         teacher_model.W.copy(), teacher_model.b.copy(),
         scaler=teacher_model.scaler, template_id=template_id, layers=layers,
         seed=result.seed)
-    record = {
-        "teacher_template": teacher_model.template_id,
-        "teacher_layers": teacher_model.layers,
-        "student_template": template_id,
-        "student_layers": layers,
-        "seed": result.seed,
-        "budget": budget,
-        "distance": result.distance,
-        "evaluations": result.evaluations,
-        "converged": result.converged,
-        "improvements": [[int(i), float(d)] for i, d in result.improvements],
-    }
-    return model, record
+    return model, result

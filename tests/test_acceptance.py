@@ -162,9 +162,9 @@ def test_criterion_06_depth_distance_trend(compression_teacher):
     for layers, budget in ((1, 3000), (2, 6000), (4, 12000), (8, 24000)):
         dists = []
         for seed in range(5):
-            _, rec = syn.distill(compression_teacher, ("c2", layers), cfg,
-                                 budget=budget, seeds=[seed])
-            dists.append(rec["distance"])
+            _, result = syn.distill(compression_teacher, ("c2", layers), cfg,
+                                    budget=budget, seeds=[seed])
+            dists.append(result.distance)
         medians.append(statistics.median(dists))
     ok = (all(medians[i + 1] <= medians[i] + 1e-9 for i in range(3))
           and medians[3] < medians[0] and medians[3] <= 0.06)

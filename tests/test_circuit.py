@@ -92,19 +92,32 @@ def test_template_unitary_is_unitary():
     assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
 
 
+def _z_oracle(psi, n):
+    """Per-qubit <psi|Z_q|psi> from the full Kronecker operator."""
+    ops = [np.kron(np.kron(np.eye(2 ** (n - 1 - q)), np.diag([1.0, -1.0])),
+                   np.eye(2 ** q)) for q in range(n)]
+    return np.array([np.vdot(psi, z @ psi).real for z in ops])
+
+
 def test_expectation_z_oracle():
-    # a single state with no batch axis: H|0> reads 0, X|0> reads -1
+    # the sign table is the diagonal of each Z_q: H|0> reads 0, X|0> reads -1
+    assert np.array_equal(circ.z_signs(1), [[1.0], [-1.0]])
+    for n in (1, 2, 3):
+        psi = np.random.default_rng(n).normal(size=(2 ** n, 2)) @ [1, 1j]
+        psi /= np.linalg.norm(psi)
+        assert np.allclose(np.abs(psi) ** 2 @ circ.z_signs(n),
+                           _z_oracle(psi, n), atol=1e-12)
     plus = circ.unitary_of(Circuit(1, [Op(K.H, (0,))]))[:, 0]
-    assert circ.z_expectations(plus, 1) == pytest.approx([0.0])
+    assert np.abs(plus) ** 2 @ circ.z_signs(1) == pytest.approx([0.0])
     flip = circ.unitary_of(Circuit(1, [Op(K.X, (0,))]))[:, 0]
-    assert circ.z_expectations(flip, 1) == pytest.approx([-1.0])
+    assert np.abs(flip) ** 2 @ circ.z_signs(1) == pytest.approx([-1.0])
 
 
 def test_z_expectations_batched():
     flip = Circuit(2, [Op(K.X, (1,))])
     plus = Circuit(2, [Op(K.H, (0,))])
     psi = np.stack([circ.unitary_of(c)[:, 0] for c in (flip, plus)])
-    z = circ.z_expectations(psi, 2)
+    z = np.abs(psi) ** 2 @ circ.z_signs(2)
     assert z.shape == (2, 2)
     assert np.allclose(z, [[1.0, -1.0], [0.0, 1.0]], atol=1e-12)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,12 +295,22 @@ _BAD_CHECKPOINTS = {
     "non_numeric_theta": lambda doc: {**doc, "theta": ["x"] * len(doc["theta"])},
     "layers_not_int": lambda doc: {**doc, "layers": "two"},
     "top_level_list": lambda doc: [doc],
+    # JSON's NaN and Infinity parse as floats; the loader rejects them
+    "nan_theta": lambda doc: {**doc, "theta": [math.nan] + doc["theta"][1:]},
+    "inf_W": lambda doc: {**doc, "W": [[math.inf] + doc["W"][0][1:]]
+                          + doc["W"][1:]},
+    "nan_b": lambda doc: {**doc, "b": [math.nan] + doc["b"][1:]},
+    "inf_scaler": lambda doc: {**doc, "scaler": {
+        **doc["scaler"], "maxs": [math.inf] + doc["scaler"]["maxs"][1:]}},
 }
 _GOOD_PROFILE = dataclasses.asdict(noisesim.load_profile("melbourne"))
 _BAD_PROFILES = {
     "unknown_key": {**_GOOD_PROFILE, "colour": "red"},
     "missing_keys": {"name": "half"},
     "top_level_list": [_GOOD_PROFILE],
+    "zero_t1_t2": {**_GOOD_PROFILE, "t1_us": 0, "t2_us": 0},
+    "zero_t2": {**_GOOD_PROFILE, "t2_us": 0},
+    "negative_t1": {**_GOOD_PROFILE, "t1_us": -56.07},
 }
 
 

@@ -29,6 +29,12 @@ def test_profile_validation():
         noisesim.DeviceProfile("bad", 0.0, 0.0, 10.0, 50.0, 50.0, 300.0, 0.0)
     with pytest.raises(ValueError):
         noisesim.DeviceProfile("bad", 0.0, 0.0, 50.0, 50.0, 0.0, 300.0, 0.0)
+    # relaxation times must be positive (inf, no relaxation, is allowed)
+    for t1, t2, field in ((0.0, 0.0, "t1_us"), (50.0, 0.0, "t2_us"),
+                          (-50.0, 50.0, "t1_us"), (math.nan, 1.0, "t1_us")):
+        with pytest.raises(ValueError, match=field):
+            noisesim.DeviceProfile("bad", 0.0, 0.0, t1, t2, 50.0, 300.0, 0.0)
+    assert noisesim.zero_noise_profile().t1_us == math.inf
 
 
 def test_profile_dict_round_trip():
@@ -89,27 +95,36 @@ def test_purity_decreases_under_idling_noise():
     assert noisesim.purity(rho0) == pytest.approx(1.0, abs=1e-10)
 
 
+def _populations_z(rho, n):
+    """Per-qubit <Z> of a density matrix from the sign table."""
+    return np.real(np.diagonal(rho)) @ circ.z_signs(n)
+
+
 def test_z_expectation_sign_convention():
     rho = noisesim.zero_density(2)
-    assert noisesim.z_expectation(rho, 0) == pytest.approx(1.0)
+    assert _populations_z(rho, 2) == pytest.approx([1.0, 1.0])
     flipped = noisesim.run_noisy(Circuit(2, [Op(K.X, (1,))]),
                                  noisesim.zero_noise_profile())
-    assert noisesim.z_expectation(flipped, 1) == pytest.approx(-1.0)
-    assert noisesim.z_expectation(flipped, 0) == pytest.approx(1.0)
+    assert _populations_z(flipped, 2) == pytest.approx([1.0, -1.0])
 
 
 def test_readout_error_shrinks_expectation():
-    rho = noisesim.zero_density(1)
-    raw = noisesim.z_expectation(rho, 0)
-    corrected = noisesim.measure_z_noisy(rho, 0, MELBOURNE)
-    assert corrected == pytest.approx((1 - 2 * MELBOURNE.meas_err) * raw)
+    # readout error alone scales every noise-free <Z> by 1 - 2 meas_err
+    readout_only = dataclasses.replace(noisesim.zero_noise_profile(),
+                                       meas_err=MELBOURNE.meas_err)
+    model = qnn.init_model("c2", 1, encoding.EncodingScheme("1:1", 4), seed=1)
+    rows = np.random.default_rng(2).uniform(-math.pi, math.pi, (5, 4))
+    z = noisesim.noisy_z_features(model, rows, readout_only)
+    raw = noisesim.noisy_z_features(model, rows,
+                                    noisesim.zero_noise_profile())
+    assert np.allclose(z, (1 - 2 * MELBOURNE.meas_err) * raw, atol=1e-12)
 
 
 def test_single_x_gate_z_oracle():
     # one lowered X on melbourne: depolarizing + relaxation + readout flip
     c = Circuit(1, [Op(K.X, (0,))])
     rho = noisesim.run_noisy(c, MELBOURNE)
-    z = noisesim.measure_z_noisy(rho, 0, MELBOURNE)
+    z = (1 - 2 * MELBOURNE.meas_err) * _populations_z(rho, 1)[0]
     assert -1.0 < z < -0.85
     assert z == pytest.approx(-0.884309, abs=1e-5)
 

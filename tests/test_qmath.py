@@ -38,6 +38,13 @@ def test_is_unitary_accepts_and_rejects():
     assert not qmath.is_unitary(2 * H)
 
 
+def test_is_unitary_holds_at_ten_qubits():
+    # the fixed tolerance covers accumulated rounding at dim 1024
+    tpl = circ.build_template("c15", 10, 7)
+    theta = np.random.default_rng(0).uniform(-math.pi, math.pi, tpl.n_params)
+    assert qmath.is_unitary(circ.unitary_of(circ.bind(tpl, theta)))
+
+
 def test_trace_overlap_of_identity():
     x = Circuit(1, [Op(K.X, (0,))])
     assert _trace_overlap(Circuit(1), I2) == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -78,13 +79,18 @@ def test_forward_matches_gate_by_gate_simulation(template, mode, n_features):
     scheme = EncodingScheme(mode, 4)
     model = qnn.init_model(template, 2, scheme, seed=3)
     rows = np.random.default_rng(4).uniform(-math.pi, math.pi, (6, n_features))
-    _, _, z = qnn.forward_batch(model, rows)
+    _, z = qnn.forward_batch(model, rows)
     bound = circ.bind(model.pqc, model.theta)
+    # Z_q = kron(..., Z, ..., I) with qubit 0 the last factor
+    z_ops = [functools.reduce(np.kron, [np.diag([1.0, -1.0]) if j == q
+                                        else np.eye(2) for j in (3, 2, 1, 0)])
+             for q in range(4)]
     for row, got in zip(rows, z):
         enc = encoding.encode(row, scheme)
         full = circ.Circuit(4, enc.ops + bound.ops)
         psi = circ.unitary_of(full)[:, 0]
-        assert np.max(np.abs(got - circ.z_expectations(psi, 4))) < 1e-12
+        want = [np.vdot(psi, op @ psi).real for op in z_ops]
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_head_gradient_matches_finite_differences():
@@ -110,7 +116,7 @@ def test_zero_head_blocks_circuit_gradient():
 
 def test_forward_probabilities_normalized():
     model, x, _, _ = small_problem()
-    probs, logits, z = qnn.forward_batch(model, x)
+    probs, z = qnn.forward_batch(model, x)
     assert probs.shape == (x.shape[0], 3)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.all(probs >= 0)
@@ -183,7 +189,7 @@ def test_evaluate_backends():
     profile = noisesim.load_profile("melbourne")
     noisy = noisesim.evaluate_noisy(model, raw, y, profile)
     z = noisesim.noisy_z_features(model, x, profile)
-    pred = qnn.softmax(z @ model.W.T + model.b).argmax(axis=1)
+    pred = qnn.head(model, z).argmax(axis=1)
     assert noisy == np.mean(pred == y)
 
 

@@ -275,7 +275,7 @@ def _small_teacher():
 def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
     teacher = _small_teacher()
     cfg = syn.AnnealConfig(seed=0)
-    _, record = syn.distill(teacher, ("c2", 1), cfg, budget=300,
+    _, result = syn.distill(teacher, ("c2", 1), cfg, budget=300,
                             seeds=[0, 1, 2])
     target = circ.unitary_of(circ.bind(teacher.pqc, teacher.theta))
     prob = syn.SynthesisProblem(target, circ.build_template("c2", 4, 1),
@@ -285,11 +285,12 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
     lowest = min(r.distance for r in singles)
     best = min((r for r in singles if r.distance <= lowest + 1e-12),
                key=lambda r: r.seed)
-    assert record["distance"] == best.distance
-    assert record["seed"] == best.seed
+    assert result.distance == best.distance
+    assert result.seed == best.seed
+    assert np.array_equal(result.theta_star, best.theta_star)
     # no seeds: one chain at the config's seed
-    _, record = syn.distill(teacher, ("c2", 1), cfg, budget=300)
-    assert (record["distance"], record["seed"]) == (singles[0].distance, 0)
+    _, result = syn.distill(teacher, ("c2", 1), cfg, budget=300)
+    assert (result.distance, result.seed) == (singles[0].distance, 0)
     with pytest.raises(ValueError):
         syn.distill(teacher, ("c2", 1), cfg, budget=300, seeds=[])
 
@@ -299,8 +300,8 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
                                    1, 0j, False, seed=config.seed)
 
     monkeypatch.setattr(syn, "synthesize", tied)
-    _, record = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
-    assert record["seed"] == 0
+    _, result = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
+    assert result.seed == 0
 
 
 def test_distill_treats_rounding_level_gaps_as_ties(monkeypatch):
@@ -313,20 +314,21 @@ def test_distill_treats_rounding_level_gaps_as_ties(monkeypatch):
                                    seed=config.seed)
 
     monkeypatch.setattr(syn, "synthesize", chain)
-    _, record = syn.distill(_small_teacher(), ("c2", 1), seeds=[9, 8, 7])
-    assert (record["seed"], record["distance"]) == (7, distance[7])
+    _, result = syn.distill(_small_teacher(), ("c2", 1), seeds=[9, 8, 7])
+    assert (result.seed, result.distance) == (7, distance[7])
 
 
-def test_distill_returns_student_and_record():
+def test_distill_returns_student_and_result():
     teacher = _small_teacher()
-    student, record = syn.distill(teacher, ("c2", 1), budget=500,
+    student, result = syn.distill(teacher, ("c2", 1), budget=500,
                                   seeds=[0, 1])
     assert student.template_id == "c2"
     assert student.layers == 1
-    assert record["teacher_template"] == "c2"
-    assert record["budget"] == 500
+    assert isinstance(result, syn.SynthesisResult)
+    assert np.array_equal(student.theta, result.theta_star)
+    assert student.seed == result.seed
     assert np.array_equal(student.W, teacher.W)
-    assert record["distance"] <= 0.05
+    assert result.distance <= 0.05
 
 
 _TEXT_ROTATIONS = ((K.RX, (0,)), (K.RY, (1,)), (K.CRY, (0, 2)),
