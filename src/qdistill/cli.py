@@ -239,9 +239,6 @@ def run_finetune(config: dict, out_dir: str):
 
 def run_transpile_report(config: dict, out_dir: str):
     templates = config["templates"] or sorted(TEMPLATES)
-    for tid in templates:
-        if tid not in TEMPLATES:
-            raise DataError(f"unknown template {tid!r}")
     rows = overhead_table(templates, config["bases"], config["qubits"])
     prov = (f"transpile-report qubits={config['qubits']} "
             f"bases={','.join(config['bases'])}")
@@ -276,8 +273,6 @@ def run_noise_eval(config: dict, out_dir: str):
 
 def run_fidelity_sweep(config: dict, out_dir: str):
     tid = config["template"]
-    if tid not in TEMPLATES:
-        raise DataError(f"unknown template {tid!r}")
     if config["instances"] < 1:
         raise ValueError(f"instances must be >= 1, got {config['instances']}")
     rng_base = config["seed"]

@@ -274,6 +274,12 @@ def load_checkpoint(path) -> HybridModel:
                          f"second rotation), got {doc['second_axis']!r}")
     pqc = build_template(doc["template_id"], doc["n_qubits"], doc["layers"])
     scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else None
+    if scaler is not None and not (scaler.mins.shape == scaler.maxs.shape
+                                   == (scheme.capacity,)):
+        raise ValueError(
+            f"checkpoint scaler has {scaler.mins.shape} mins and "
+            f"{scaler.maxs.shape} maxs, the {scheme.mode} encoding takes "
+            f"{scheme.capacity} features")
     arrays = {k: np.asarray(doc[k], float) for k in ("theta", "W", "b")}
     if scaler is not None:
         arrays.update(scaler_mins=scaler.mins, scaler_maxs=scaler.maxs)

@@ -13,18 +13,19 @@ overlap and the exact reverse-mode gradient from the student's compiled step
 list (`circuit.StepList`), the same one that trains and fine-tunes the
 classifier in `qnn`.
 
-Every angle is searched in [-pi, pi].  The global optimizer is a
-from-scratch generalized simulated annealing (GSA) chain: heavy-tailed
-Tsallis visiting moves, the generalized Metropolis acceptance rule, a
-power-law temperature schedule, and full restarts when the temperature
-collapses.  Its constants (initial temperature 5230.0, restart
-ratio 2e-5, visit 2.62, accept -5.0) are fixed.  A local polish then runs
-from the best point, one of `POLISH_METHODS`: grad-lbfgs (default; L-BFGS-B
-on the exact gradient, charged two evaluations per call) or rotation-solve
-(closed-form coordinate updates, visited in step order, where one charged
-evaluation is one closed-form probe from cached adjoint environments rather
-than a circuit run).  Its evaluations are capped so the total stays within
-budget + 200.
+Every angle is searched in [-pi, pi].  The global optimizer is one
+from-scratch generalized simulated annealing (GSA) chain from a uniform
+random start: heavy-tailed Tsallis visiting moves, the generalized
+Metropolis acceptance rule and a power-law temperature schedule, for at
+most 1000 temperature steps of 2 * dim visits each, with no restarts.  It
+ends sooner once the anneal's share of the budget is spent.  Its constants
+(initial temperature 5230.0, visit 2.62, accept -5.0) are fixed.  A local
+polish then runs from the best point, one of `POLISH_METHODS`: grad-lbfgs
+(default; L-BFGS-B on the exact gradient, charged two evaluations per call)
+or rotation-solve (closed-form coordinate updates, visited in step order,
+where one charged evaluation is one closed-form probe from cached adjoint
+environments rather than a circuit run).  Its evaluations are capped so the
+total stays within budget + 200.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ CONVERGE_THRESHOLD = 0.05
 DISTANCE_TIE = 1e-12
 # GSA schedule and acceptance: the stock dual-annealing defaults
 INITIAL_TEMP = 5230.0
-RESTART_TEMP_RATIO = 2e-5
 VISIT = 2.62
 ACCEPT = -5.0
 # rotation-solve's search grid for the controlled-rotation maximizer
@@ -81,7 +81,9 @@ class SynthesisProblem:
 class AnnealConfig:
     seed: int = 0
     polish_method: str = "grad-lbfgs"
-    anneal_fraction: float = 0.6   # share of the budget before polish kicks in
+    # cap on the anneal's share of the budget; the chain may end sooner,
+    # at its step cap, and the polish gets the rest
+    anneal_fraction: float = 0.6
 
     def __post_init__(self):
         if self.polish_method.lower() not in POLISH_METHODS:
@@ -236,62 +238,30 @@ def _visit(rng, x, step, temperature):
 
 
 def _anneal(cost, dim, rng, anneal_evals):
-    """One GSA run over dim angles; returns when the evaluation cap is hit or
-    chains end."""
-    qa = ACCEPT
+    """One GSA chain over dim angles from a uniform random start: at most
+    1000 temperature steps of 2 * dim visits each, ending sooner once
+    anneal_evals evaluations are spent."""
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
-    restart_temp = INITIAL_TEMP * RESTART_TEMP_RATIO
-    not_improved_max = 1000
-
-    def fresh_state():
-        x = rng.uniform(-math.pi, math.pi, dim)
-        return x, cost(x)
-
-    x_cur, e_cur = fresh_state()
-    not_improved = 0
-    while cost.nfev < anneal_evals:
-        for step in range(1000):
-            s = float(step) + 2.0
-            t2 = math.exp((VISIT - 1.0) * math.log(s)) - 1.0
-            temperature = INITIAL_TEMP * t1 / t2
-            if temperature < restart_temp:
-                break
+    x_cur = rng.uniform(-math.pi, math.pi, dim)
+    e_cur = cost(x_cur)
+    for step in range(1000):
+        t2 = math.exp((VISIT - 1.0) * math.log(step + 2.0)) - 1.0
+        temperature = INITIAL_TEMP * t1 / t2
+        temperature_step = temperature / (step + 1.0)
+        for j in range(2 * dim):
             if cost.nfev >= anneal_evals:
                 return
-            temperature_step = temperature / (step + 1.0)
-            not_improved += 1
-            for j in range(2 * dim):
-                x_visit = _visit(rng, x_cur, j, temperature)
-                e = cost(x_visit)
-                if e < e_cur:
-                    x_cur, e_cur = x_visit, e
-                    if e <= cost.best_e:
-                        not_improved = 0
-                else:
-                    pqv_temp = 1.0 - ((1.0 - qa) * (e - e_cur)
-                                      / temperature_step)
-                    if pqv_temp > 0.0:
-                        pqv = math.exp(math.log(pqv_temp) / (1.0 - qa))
-                        if rng.uniform() <= pqv:
-                            x_cur, e_cur = x_visit, e
-                if cost.nfev >= anneal_evals:
-                    return
-            if not_improved >= not_improved_max and e_cur > cost.best_e:
-                # chain stalled: restart the walk from the best-ever point
-                x_cur = np.copy(cost.best_x)
-                e_cur = cost.best_e
-                not_improved = 0
-        else:
-            return
-        # temperature collapsed: full restart from a fresh random point
-        if cost.nfev >= anneal_evals:
-            return
-        x_cur, e_cur = fresh_state()
-        not_improved = 0
-
-
-def _wrap_angle(a: float) -> float:
-    return math.remainder(a, 2.0 * math.pi)
+            x_visit = _visit(rng, x_cur, j, temperature)
+            e = cost(x_visit)
+            if e < e_cur:
+                x_cur, e_cur = x_visit, e
+            else:
+                pqv_temp = 1.0 - ((1.0 - ACCEPT) * (e - e_cur)
+                                  / temperature_step)
+                if pqv_temp > 0.0:
+                    pqv = math.exp(math.log(pqv_temp) / (1.0 - ACCEPT))
+                    if rng.uniform() <= pqv:
+                        x_cur, e_cur = x_visit, e
 
 
 def _best_angle(probe, a0, d0, controlled):
@@ -325,7 +295,7 @@ def _best_angle(probe, a0, d0, controlled):
     gamma = u * math.sin(a0) + v * math.cos(a0)
     if math.hypot(beta, gamma) <= 1e-12 * alpha:
         return None
-    return _wrap_angle(math.atan2(gamma, beta))
+    return math.atan2(gamma, beta)
 
 
 def _rotation_solve(cost, evaluator, rng):

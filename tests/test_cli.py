@@ -187,6 +187,22 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "distill", "transpile-report",
+                                     "fidelity-sweep"])
+def test_unknown_template_is_a_usage_error(trained_dir, tmp_path, capsys,
+                                           command):
+    args = {"train": ["--template", "c77", "--epochs", "1"],
+            "distill": ["--teacher",
+                        os.path.join(trained_dir, "c2_1l_seed7.json"),
+                        "--template", "c77"],
+            "transpile-report": ["--templates", "c77"],
+            "fidelity-sweep": ["--template", "c77"]}[command]
+    rc = run([command, *args, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    assert "unknown template 'c77'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "manifest.json")
+
+
 def test_epoch_zero_rejected(tmp_path):
     rc = run(["train", "--data", "iris", "--epochs", "0",
               "--out", str(tmp_path)])
@@ -302,6 +318,9 @@ _BAD_CHECKPOINTS = {
     "nan_b": lambda doc: {**doc, "b": [math.nan] + doc["b"][1:]},
     "inf_scaler": lambda doc: {**doc, "scaler": {
         **doc["scaler"], "maxs": [math.inf] + doc["scaler"]["maxs"][1:]}},
+    # three scaler entries for the 1:1 encoding's four features
+    "short_scaler": lambda doc: {**doc, "scaler": {
+        **doc["scaler"], "mins": doc["scaler"]["mins"][:3]}},
 }
 _GOOD_PROFILE = dataclasses.asdict(noisesim.load_profile("melbourne"))
 _BAD_PROFILES = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qdistill import circuit as circ, synthesis as syn
 from qdistill.circuit import Circuit, Op, Param
-from qdistill.gates import GateKind as K
+from qdistill.gates import GateKind as K, gate_matrix
 
 
 def random_unitary(dim, seed):
@@ -202,6 +202,30 @@ def test_budget_respected():
     prob = syn.SynthesisProblem(u, tpl, budget=200)
     res = syn.synthesize(prob, syn.AnnealConfig(seed=1))
     assert res.evaluations <= 200 + syn.POLISH_ALLOWANCE + 1
+
+
+@pytest.mark.parametrize("method", syn.POLISH_METHODS)
+@pytest.mark.parametrize("budget,polish_start", [(3000, 2001), (2000, 2000)])
+def test_anneal_stops_at_step_cap_or_its_share(monkeypatch, method, budget,
+                                               polish_start):
+    # one parameter: each temperature step makes 2 visits, so the chain's
+    # 1000 steps end at evaluation 1 + 1000 * 2 = 2001, unless the anneal's
+    # share of the budget runs out first
+    starts = []
+    for name in ("_grad_polish", "_rotation_solve"):
+        polish = getattr(syn, name)
+
+        def spy(cost, *args, polish=polish):
+            starts.append(cost.nfev)
+            return polish(cost, *args)
+
+        monkeypatch.setattr(syn, name, spy)
+    student = Circuit(1, [Op(K.RY, (0,), Param(0))])
+    problem = syn.SynthesisProblem(gate_matrix(K.RX, 0.7), student,
+                                   budget=budget)
+    cfg = syn.AnnealConfig(seed=0, polish_method=method, anneal_fraction=1.0)
+    syn.synthesize(problem, cfg)
+    assert starts == [polish_start]
 
 
 def test_small_budget_warns():
