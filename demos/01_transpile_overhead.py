@@ -8,11 +8,14 @@ controlled rotation is rewritten into native gates.
 import numpy as np
 
 from qdistill import build_template, bind, lower, metrics, overhead_table
-from qdistill.transpile import overhead_csv
 
 rows = overhead_table(["c1", "c2", "c6", "c9", "c12", "c15"],
                       ["IBM", "RIGETTI"], n_qubits=4)
-print(overhead_csv(rows, provenance="demo: single layer, 4 qubits"))
+columns = ("template", "basis", "depth", "total", "g1q", "g2q")
+print("single layer, 4 qubits")
+print(" ".join(f"{c:>8}" for c in columns))
+for r in rows:
+    print(" ".join(f"{r[c]:>8}" for c in columns))
 
 by_key = {(r["template"], r["basis"]): r for r in rows}
 c6, c2 = by_key[("c6", "IBM")], by_key[("c2", "IBM")]

@@ -4,9 +4,12 @@ Every subcommand writes its artifacts into an output directory (--out, or the
 QDISTILL_OUT environment variable, or the working directory) and finishes by
 writing a run manifest.  The manifest captures the full config snapshot and
 seed, so `replay --manifest <path>` reproduces the run bit for bit; only the
-recorded wall time differs between a run and its replay.
+recorded wall time differs between a run and its replay.  Replay parses the
+recorded config as the subcommand's command line, so a manifest is checked
+against the same parser as a typed command.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Every value in a replay comes from the manifest, so a bad one is exit 3.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .encoding import EncodingScheme, fit_scaler
 from .noisesim import evaluate_noisy, load_profile
 from .synthesis import (POLISH_METHODS, AnnealConfig, SynthesisProblem,
                         distill, synthesize)
-from .transpile import overhead_csv, overhead_table
+from .transpile import overhead_table
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,17 +103,28 @@ def _load_input(loader, path, what, *args, **kwargs):
         raise DataError(f"malformed {what} {path}: {exc!r}") from exc
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _load_checkpoint(path, dataset=None):
+    """Load a checkpoint; given a dataset, check its feature count."""
+    model = _load_input(qnn.load_checkpoint, path, "checkpoint")
+    if (dataset is not None
+            and dataset.features.shape[1] != model.scheme.capacity):
+        raise DataError(f"checkpoint {path} encodes {model.scheme.capacity} "
+                        f"features but the dataset has "
+                        f"{dataset.features.shape[1]}")
+    return model
 
 
-def _history_csv(history, provenance: str) -> str:
-    lines = [f"# {provenance}", "epoch,train_loss,train_acc,val_loss,val_acc"]
-    for row in history:
-        lines.append("{epoch},{train_loss!r},{train_acc!r},{val_loss!r},"
-                     "{val_acc!r}".format(**row))
-    return "\n".join(lines) + "\n"
+def _write_csv(out_dir, name, provenance, header, rows) -> str:
+    """Write a `# provenance` line, the header and the rows; returns name.
+
+    Cells are written with str, which for Python and numpy floats is the
+    shortest repr that reads back to the same value.
+    """
+    lines = [f"# {provenance}", header]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return name
 
 
 def _check_finite(model):
@@ -151,29 +165,25 @@ def run_train(config: dict, out_dir: str):
     _check_finite(model)
 
     stem = f"{config['template']}_{config['layers']}l_seed{config['seed']}"
-    ckpt, hist = f"{stem}.json", f"{stem}_history.csv"
+    ckpt = f"{stem}.json"
     qnn.save_checkpoint(model, os.path.join(out_dir, ckpt))
     prov = (f"train template={config['template']} layers={config['layers']} "
             f"epochs={config['epochs']} seed={config['seed']} "
             f"data={dataset.provenance}")
-    _write_text(os.path.join(out_dir, hist), _history_csv(history, prov))
-    return [ckpt, hist]
+    columns = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+    return [ckpt, _write_csv(out_dir, f"{stem}_history.csv", prov,
+                             ",".join(columns),
+                             [[row[c] for c in columns] for row in history])]
 
 
 def _anneal_config(config: dict, seed: int) -> AnnealConfig:
-    kwargs = {"seed": seed}
-    if config.get("polish_method"):
-        kwargs["polish_method"] = config["polish_method"]
-    if config.get("anneal_fraction") is not None:
-        kwargs["anneal_fraction"] = config["anneal_fraction"]
-    return AnnealConfig(**kwargs)
+    return AnnealConfig(seed=seed, **{
+        key: config[key] for key in ("polish_method", "anneal_fraction")
+        if config.get(key) is not None})
 
 
 def run_distill(config: dict, out_dir: str):
-    teacher_path = config["teacher"]
-    if not os.path.exists(teacher_path):
-        raise DataError(f"teacher checkpoint not found: {teacher_path}")
-    teacher = _load_input(qnn.load_checkpoint, teacher_path, "checkpoint")
+    teacher = _load_checkpoint(config["teacher"])
     seeds = config["seeds"]
     artifacts = []
     rows = []
@@ -188,31 +198,22 @@ def run_distill(config: dict, out_dir: str):
         stem = f"student_{config['template']}_{layers}l"
         qnn.save_checkpoint(model, os.path.join(out_dir, f"{stem}.json"))
         artifacts.append(f"{stem}.json")
-        rows.append((layers, result))
+        rows.append((layers, result.distance, result.evaluations,
+                     result.converged, result.seed))
     prov = (f"distill teacher={teacher.template_id}_{teacher.layers}l "
             f"student={config['template']} budget={config['budget']} "
             f"seeds={','.join(str(s) for s in seeds)}")
-    lines = [f"# {prov}", "layers,distance,evaluations,converged,seed"]
-    for layers, r in rows:
-        lines.append(f"{layers},{r.distance!r},{r.evaluations},"
-                     f"{r.converged},{r.seed}")
-    _write_text(os.path.join(out_dir, "distances.csv"),
-                "\n".join(lines) + "\n")
-    artifacts.append("distances.csv")
+    artifacts.append(_write_csv(out_dir, "distances.csv", prov,
+                                "layers,distance,evaluations,converged,seed",
+                                rows))
     return artifacts
 
 
 def run_finetune(config: dict, out_dir: str):
     ckpt_path = config["checkpoint"]
-    if not os.path.exists(ckpt_path):
-        raise DataError(f"checkpoint not found: {ckpt_path}")
-    model = _load_input(qnn.load_checkpoint, ckpt_path, "checkpoint")
     dataset = _load_dataset(config["data"], config.get("classes"),
                             config["seed"])
-    if dataset.features.shape[1] != model.scheme.capacity:
-        raise DataError(
-            f"dataset has {dataset.features.shape[1]} features but the "
-            f"checkpoint encodes {model.scheme.capacity}")
+    model = _load_checkpoint(ckpt_path, dataset)
     if model.scaler is None:
         raise DataError("checkpoint has no scaler; train or distill it first")
 
@@ -228,13 +229,11 @@ def run_finetune(config: dict, out_dir: str):
             f"epochs={config['epochs']} seed={config['seed']} "
             f"data={dataset.provenance}")
     # history[0] scores the loaded model, history[-1] the tuned one
-    lines = [f"# {prov}", "split,approx_acc,finetuned_acc"]
-    for name in ("train", "val"):
-        key = f"{name}_acc"
-        lines.append(f"{name},{history[0][key]!r},{history[-1][key]!r}")
-    _write_text(os.path.join(out_dir, f"{stem}_report.csv"),
-                "\n".join(lines) + "\n")
-    return [f"{stem}.json", f"{stem}_report.csv"]
+    rows = [(name, history[0][f"{name}_acc"], history[-1][f"{name}_acc"])
+            for name in ("train", "val")]
+    return [f"{stem}.json",
+            _write_csv(out_dir, f"{stem}_report.csv", prov,
+                       "split,approx_acc,finetuned_acc", rows)]
 
 
 def run_transpile_report(config: dict, out_dir: str):
@@ -242,9 +241,9 @@ def run_transpile_report(config: dict, out_dir: str):
     rows = overhead_table(templates, config["bases"], config["qubits"])
     prov = (f"transpile-report qubits={config['qubits']} "
             f"bases={','.join(config['bases'])}")
-    _write_text(os.path.join(out_dir, "overhead.csv"),
-                overhead_csv(rows, provenance=prov))
-    return ["overhead.csv"]
+    columns = ("template", "basis", "depth", "total", "g1q", "g2q")
+    return [_write_csv(out_dir, "overhead.csv", prov, ",".join(columns),
+                       [[r[c] for c in columns] for r in rows])]
 
 
 def run_noise_eval(config: dict, out_dir: str):
@@ -253,22 +252,16 @@ def run_noise_eval(config: dict, out_dir: str):
                             config["seed"])
     splits = {"train": (dataset.train_features, dataset.train_labels),
               "val": (dataset.val_features, dataset.val_labels)}
+    rows = []
+    for path in config["checkpoints"]:
+        model = _load_checkpoint(path, dataset)
+        for name, (x, y) in splits.items():
+            rows.append((os.path.basename(path), profile.name, name,
+                         evaluate_noisy(model, x, y, profile)))
     prov = (f"noise-eval profile={profile.name} "
             f"data={dataset.provenance}")
-    lines = [f"# {prov}", "checkpoint,profile,split,accuracy"]
-    for path in config["checkpoints"]:
-        if not os.path.exists(path):
-            raise DataError(f"checkpoint not found: {path}")
-        model = _load_input(qnn.load_checkpoint, path, "checkpoint")
-        if dataset.features.shape[1] != model.scheme.capacity:
-            raise DataError(f"feature count mismatch for {path}")
-        for name, (x, y) in splits.items():
-            acc = evaluate_noisy(model, x, y, profile)
-            lines.append(f"{os.path.basename(path)},{profile.name},"
-                         f"{name},{acc!r}")
-    _write_text(os.path.join(out_dir, "noise_eval.csv"),
-                "\n".join(lines) + "\n")
-    return ["noise_eval.csv"]
+    return [_write_csv(out_dir, "noise_eval.csv", prov,
+                       "checkpoint,profile,split,accuracy", rows)]
 
 
 def run_fidelity_sweep(config: dict, out_dir: str):
@@ -276,7 +269,7 @@ def run_fidelity_sweep(config: dict, out_dir: str):
     if config["instances"] < 1:
         raise ValueError(f"instances must be >= 1, got {config['instances']}")
     rng_base = config["seed"]
-    lines_raw = []
+    raw = []
     summary = []
     for n in config["qubits"]:
         teacher_tpl = build_template(tid, n, config["layers"])
@@ -294,21 +287,16 @@ def run_fidelity_sweep(config: dict, out_dir: str):
             if not math.isfinite(fid):
                 raise NumericalError("fidelity sweep produced a non-finite value")
             fidelities.append(fid)
-            lines_raw.append(f"{n},{inst},{fid!r}")
+            raw.append((n, inst, fid))
         summary.append((n, float(np.mean(fidelities)),
                         float(np.std(fidelities))))
     prov = (f"fidelity-sweep template={tid} layers={config['layers']}->"
             f"{config['student_layers']} instances={config['instances']} "
             f"budget={config['budget']} seed={config['seed']}")
-    lines = [f"# {prov}", "n_qubits,mean_fidelity,std_fidelity"]
-    for n, mean, std in summary:
-        lines.append(f"{n},{mean!r},{std!r}")
-    _write_text(os.path.join(out_dir, "fidelity.csv"),
-                "\n".join(lines) + "\n")
-    raw = [f"# {prov}", "n_qubits,instance,fidelity"] + lines_raw
-    _write_text(os.path.join(out_dir, "fidelity_raw.csv"),
-                "\n".join(raw) + "\n")
-    return ["fidelity.csv", "fidelity_raw.csv"]
+    return [_write_csv(out_dir, "fidelity.csv", prov,
+                       "n_qubits,mean_fidelity,std_fidelity", summary),
+            _write_csv(out_dir, "fidelity_raw.csv", prov,
+                       "n_qubits,instance,fidelity", raw)]
 
 
 _RUNNERS = {
@@ -330,37 +318,25 @@ def run_command(command: str, config: dict, out_dir: str) -> str:
                           artifacts, wall)
 
 
-def _config_actions(command: str) -> list:
-    """The subcommand's parser actions whose values a manifest records."""
-    commands = next(a for a in _build_parser()._actions if a.dest == "command")
-    return [a for a in commands.choices[command]._actions
-            if a.dest not in ("help", "out")]
+def _config_of(args) -> dict:
+    """The parsed values a manifest records: all but the command and --out."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
 
 
-def _mistyped_keys(command: str, config: dict) -> list:
-    """Config keys whose values fail the parser's round trip or choices."""
-    bad = []
-    for action in _config_actions(command):
-        value = config.get(action.dest)
-        if action.dest not in config or (value is None and not action.required
-                                         and action.default is None):
+def _command_line(command: str, config: dict) -> list:
+    """The command line that records config: one --key=value per value."""
+    argv = [command]
+    for key, value in config.items():
+        if value is None:
             continue
-        text = (",".join(map(str, value)) if isinstance(value, list)
-                else str(value))
-        try:
-            same = (action.type or str)(text) == value
-        except (ValueError, argparse.ArgumentTypeError):
-            same = False
-        if not same or (action.choices is not None
-                        and value not in action.choices):
-            bad.append(action.dest)
-    return bad
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
 
 
 def run_replay(config: dict, out_dir: str):
     path = config["manifest"]
-    if not os.path.exists(path):
-        raise DataError(f"manifest not found: {path}")
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -369,20 +345,25 @@ def run_replay(config: dict, out_dir: str):
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise DataError(f"malformed manifest {path}: expected an object "
                         "with a 'config' object")
-    command = doc.get("command")
-    if command not in _RUNNERS:
+    command, recorded = doc.get("command"), doc["config"]
+    if not isinstance(command, str) or command not in _RUNNERS:
         raise DataError(f"manifest {path} names unknown command {command!r}")
-    missing = [a.dest for a in _config_actions(command)
-               if a.dest not in doc["config"]]
-    if missing:
-        raise DataError(f"malformed manifest {path}: config lacks "
-                        + ", ".join(missing))
-    mistyped = _mistyped_keys(command, doc["config"])
-    if mistyped:
-        raise DataError(f"malformed manifest {path}: config values of the "
-                        "wrong type for " + ", ".join(mistyped))
-    run_command(command, doc["config"], out_dir)
-    return []
+    # keys the parser lacks, such as those of older versions, are passed over
+    try:
+        args, _ = _build_parser().parse_known_args(
+            _command_line(command, recorded))
+    except SystemExit as exc:   # argparse has already printed why
+        raise DataError(f"malformed manifest {path}: its config does not "
+                        f"parse as a {command} command line") from exc
+    differ = [key for key, value in _config_of(args).items()
+              if key not in recorded or recorded[key] != value]
+    if differ:
+        raise DataError(f"malformed manifest {path}: config values missing "
+                        "or of the wrong type for " + ", ".join(differ))
+    try:
+        run_command(command, recorded, out_dir)
+    except ValueError as exc:
+        raise DataError(f"manifest {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("command", "out")}
+    config = _config_of(args)
     try:
         out_dir = _out_dir(args)
         if args.command == "replay":

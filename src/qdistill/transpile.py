@@ -255,13 +255,3 @@ def overhead_table(template_ids, basis_list, n_qubits: int) -> list[dict]:
                          "g1q": rep.gates_1q, "g2q": rep.gates_2q})
     return rows
 
-
-def overhead_csv(rows, provenance: str = "") -> str:
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("template,basis,depth,total,g1q,g2q")
-    for r in rows:
-        lines.append(f"{r['template']},{r['basis']},{r['depth']},"
-                     f"{r['total']},{r['g1q']},{r['g2q']}")
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdistill import cli, noisesim
 
@@ -141,6 +146,8 @@ def test_transpile_report_rows(tmp_path):
     lines = open(os.path.join(d, "overhead.csv")).read().strip().splitlines()
     # 6 templates x 2 bases plus comment and header
     assert len(lines) == 2 + 12
+    assert lines[0].startswith("# transpile-report")
+    assert lines[1] == "template,basis,depth,total,g1q,g2q"
 
 
 def test_fidelity_sweep_small(tmp_path):
@@ -248,6 +255,10 @@ def test_data_errors_exit_3(tmp_path):
         == cli.EXIT_DATA
     assert run(["replay", "--manifest", "/does/not/exist.json",
                 "--out", d]) == cli.EXIT_DATA
+    assert run(["finetune", "--checkpoint", "/does/not/exist.json",
+                "--out", d]) == cli.EXIT_DATA
+    assert run(["noise-eval", "--checkpoints", "/does/not/exist.json",
+                "--out", d]) == cli.EXIT_DATA
 
 
 def _csv_rows(labels):
@@ -354,6 +365,22 @@ def test_malformed_checkpoint_exits_3(trained_dir, tmp_path, capsys, command,
     _assert_data_error(rc, capsys, path)
 
 
+@pytest.mark.filterwarnings("ignore:class .* has only")
+@pytest.mark.parametrize("command", ["finetune", "noise-eval"])
+def test_feature_count_mismatch_exits_3(trained_dir, tmp_path, capsys,
+                                        command):
+    # an 8-feature dataset against a checkpoint of the 1:1 (4-feature) scheme
+    data = tmp_path / "eight.csv"
+    data.write_text(_CSV_HEADER + _CSV_ROWS)
+    ckpt = os.path.join(trained_dir, "c2_1l_seed7.json")
+    flag = {"finetune": "--checkpoint", "noise-eval": "--checkpoints"}[command]
+    out = tmp_path / "out"
+    rc = run([command, flag, ckpt, "--data", str(data), "--classes", "0,1,2",
+              "--out", str(out)])
+    _assert_data_error(rc, capsys, ckpt)
+    assert not (out / "manifest.json").exists()
+
+
 def test_finetune_rejects_second_axis_other_than_ry(trained_dir, tmp_path,
                                                     capsys):
     # the 2:1 encoding's second rotation is RY, so a checkpoint naming RX
@@ -398,6 +425,18 @@ _BAD_MANIFESTS = {
     "qubits_empty": {"command": "fidelity-sweep", "config": {
         **_SWEEP_CONFIG, "qubits": []}},
     "not_json": "this is not JSON",   # written as raw text
+    "command_list": {"command": ["fidelity-sweep"], "config": _SWEEP_CONFIG},
+    # values that parse but that the subcommand rejects
+    "unknown_template": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "template": "c77"}},
+    "zero_layers": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "layers": 0}},
+    "one_qubit": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "qubits": [1]}},
+    "zero_budget": {"command": "fidelity-sweep", "config": {
+        **_SWEEP_CONFIG, "budget": 0}},
+    "unknown_templates": {"command": "transpile-report", "config": {
+        "templates": ["c77"], "bases": ["IBM"], "qubits": 2, "seed": 0}},
 }
 
 
@@ -417,6 +456,44 @@ def test_well_typed_manifest_replays(tmp_path):
     out = tmp_path / "o"
     assert run(["replay", "--manifest", str(path), "--out", str(out)]) == 0
     assert os.path.exists(out / "fidelity.csv")
+
+
+_REPLAY_CONFIGS = {
+    "fidelity-sweep": {**_SWEEP_CONFIG, "budget": 40},
+    "transpile-report": {"templates": None, "bases": ["IBM", "Rigetti"],
+                         "qubits": 2, "seed": 0},
+}
+_MISSING = object()
+_REPLAY_VALUES = [_MISSING, None, "x", "", [], -1, 0, 1.5, math.nan, "c77",
+                  ["c77"], [1], True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_REPLAY_CONFIGS)), data=st.data())
+def test_replay_of_any_config_value_exits_0_or_3(command, data):
+    # every value in a replay comes from the manifest, so a bad one is a
+    # data error, never a usage error or a traceback; a key the parser
+    # lacks is passed over
+    config = dict(_REPLAY_CONFIGS[command])
+    key = data.draw(st.sampled_from(sorted(config) + ["colour"]), label="key")
+    value = data.draw(st.sampled_from(_REPLAY_VALUES), label="value")
+    if value is _MISSING:
+        config.pop(key, None)
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w") as fh:
+            json.dump({"command": command, "config": config}, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(["replay", "--manifest", path, "--out", out])
+        assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
+        assert "Traceback" not in err.getvalue()
+        if rc == cli.EXIT_DATA:
+            assert path in err.getvalue()
+            assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_distill_manifest_with_jobs_replays_in_process(trained_dir, tmp_path,

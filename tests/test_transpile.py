@@ -81,14 +81,9 @@ def test_metrics_depth_oracle():
     assert rep.gates_2q == 1
 
 
-def test_overhead_table_shape_and_csv():
+def test_overhead_table_shape():
     rows = transpile.overhead_table(["c2", "c6"], ["IBM"], 4)
     assert len(rows) == 2
-    text = transpile.overhead_csv(rows, provenance="unit test")
-    lines = text.strip().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1] == "template,basis,depth,total,g1q,g2q"
-    assert len(lines) == 4
 
 
 def test_overhead_ratio_bands():
