@@ -7,7 +7,7 @@ controlled rotation is rewritten into native gates.
 
 import numpy as np
 
-from qdistill import build_template, bind, lower, metrics, overhead_table
+from qdistill import bind, build_template, lower, overhead_table, unitary_of
 
 rows = overhead_table(["c1", "c2", "c6", "c9", "c12", "c15"],
                       ["IBM", "RIGETTI"], n_qubits=4)
@@ -27,6 +27,5 @@ tpl = build_template("c6", 4, 1)
 theta = np.linspace(-2.0, 2.0, tpl.n_params)
 bound = bind(tpl, theta)
 lowered = lower(bound, "IBM", merge_1q=True)
-from qdistill import unitary_of
 u, v = unitary_of(bound), unitary_of(lowered)
 print(f"overlap after lowering: {abs(np.sum(u.conj() * v)) / 16:.12f}")

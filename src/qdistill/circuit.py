@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import qmath
 from .gates import (ARITY, CONTROLLED, GENERATOR, PARAMETERIZED,
                     SIGNED_PERMUTATION, GateKind, gate_matrix)
 
@@ -109,13 +108,17 @@ def apply_matrix(tensor, m, qubits, n):
     return np.moveaxis(out, list(range(k)), axes)
 
 
+# Largest Hilbert-space dimension `unitary_of` materializes densely (2^12).
+MAX_DIM = 4096
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary; earliest gate is the rightmost matrix factor."""
     n = circuit.n_qubits
     dim = 2 ** n
-    if dim > qmath.MAX_DIM:
+    if dim > MAX_DIM:
         raise ValueError(f"a {n}-qubit unitary has dimension {dim}, above "
-                         f"the dense limit qmath.MAX_DIM = {qmath.MAX_DIM}")
+                         f"the dense limit circuit.MAX_DIM = {MAX_DIM}")
     # evolve all basis states at once: tensor of shape (2,)*n + (dim,) where
     # the trailing axis indexes the input basis state (matrix column).
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))

@@ -3,7 +3,8 @@
 Every subcommand writes its artifacts into an output directory (--out, or the
 QDISTILL_OUT environment variable, or the working directory) and finishes by
 writing a run manifest.  The manifest captures the full config snapshot and
-seed, so `replay --manifest <path>` reproduces the run bit for bit; only the
+the seed (null for transpile-report, which draws no random numbers), so
+`replay --manifest <path>` reproduces the run bit for bit; only the
 recorded wall time differs between a run and its replay.  Replay parses the
 recorded config as the subcommand's command line, so a manifest is checked
 against the same parser as a typed command.
@@ -87,12 +88,9 @@ def _load_dataset(data, classes, seed):
 
 
 def _scheme_for(dataset) -> EncodingScheme:
+    # Iris has 4 features and a CSV dataset 8 (`load_features_csv` checks)
     n_features = dataset.features.shape[1]
-    if n_features == 4:
-        return EncodingScheme("1:1", 4)
-    if n_features == 8:
-        return EncodingScheme("2:1", 4)
-    raise DataError(f"no encoding scheme for {n_features}-feature data")
+    return EncodingScheme("1:1" if n_features == 4 else "2:1", 4)
 
 
 def _load_input(loader, path, what, *args, **kwargs):
@@ -184,7 +182,7 @@ def _anneal_config(config: dict, seed: int) -> AnnealConfig:
 
 def run_distill(config: dict, out_dir: str):
     teacher = _load_checkpoint(config["teacher"])
-    seeds = config["seeds"]
+    seeds = config["seeds"] or [config["seed"]]
     artifacts = []
     rows = []
     for layers in config["layers"]:
@@ -314,7 +312,7 @@ def run_command(command: str, config: dict, out_dir: str) -> str:
     started = time.perf_counter()
     artifacts = _RUNNERS[command](config, out_dir)
     wall = time.perf_counter() - started
-    return write_manifest(out_dir, command, config, config.get("seed", 0),
+    return write_manifest(out_dir, command, config, config.get("seed"),
                           artifacts, wall)
 
 
@@ -370,15 +368,20 @@ def run_replay(config: dict, out_dir: str):
 # Argument parsing
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviated options: each option has one spelling, so replay
+    # passes over a manifest key that only prefixes one
     parser = argparse.ArgumentParser(
-        prog="qdistill",
+        prog="qdistill", allow_abbrev=False,
         description="Train, compress, and evaluate hybrid quantum classifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_parser(name, summary, seed=True):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--out", default=None,
                        help="output directory (default: $QDISTILL_OUT or .)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        return p
 
     def add_data(p):
         p.add_argument("--data", default="iris",
@@ -386,21 +389,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--classes", type=_int_list, default=None,
                        help="3 class labels to keep from a CSV dataset")
 
-    p = sub.add_parser("train", help="train a hybrid model")
-    add_common(p); add_data(p)
+    p = add_parser("train", "train a hybrid model")
+    add_data(p)
     p.add_argument("--template", default="c6")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=None)
 
-    p = sub.add_parser("distill", help="compress a teacher into students")
-    add_common(p)
+    p = add_parser("distill", "compress a teacher into students")
     p.add_argument("--teacher", required=True, help="teacher checkpoint JSON")
     p.add_argument("--template", default="c2")
     p.add_argument("--layers", type=_int_list, default=[1],
                    help="comma-separated student layer counts")
     p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seeds", type=_int_list, default=[0])
+    p.add_argument("--seeds", type=_int_list, default=None,
+                   help="annealing chain seeds (default: --seed)")
     # Ignored: seeds run one after another in this process.  Kept so that
     # command lines passing --jobs and manifests recording it still parse.
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
@@ -408,27 +411,25 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=POLISH_METHODS)
     p.add_argument("--anneal-fraction", type=float, default=None)
 
-    p = sub.add_parser("finetune", help="resume training from a checkpoint")
-    add_common(p); add_data(p)
+    p = add_parser("finetune", "resume training from a checkpoint")
+    add_data(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--batch-size", type=int, default=16)
 
-    p = sub.add_parser("transpile-report", help="per-template overhead table")
-    add_common(p)
+    p = add_parser("transpile-report", "per-template overhead table",
+                   seed=False)
     p.add_argument("--templates", type=_str_list, default=None,
                    help="comma-separated template ids (default: all)")
     p.add_argument("--bases", type=_str_list, default=["IBM", "Rigetti"])
     p.add_argument("--qubits", type=int, default=4)
 
-    p = sub.add_parser("noise-eval", help="accuracy under a device profile")
-    add_common(p); add_data(p)
+    p = add_parser("noise-eval", "accuracy under a device profile")
+    add_data(p)
     p.add_argument("--checkpoints", type=_str_list, required=True)
     p.add_argument("--profile", default="melbourne")
 
-    p = sub.add_parser("fidelity-sweep",
-                       help="synthesis fidelity vs qubit count")
-    add_common(p)
+    p = add_parser("fidelity-sweep", "synthesis fidelity vs qubit count")
     p.add_argument("--template", default="c2")
     p.add_argument("--layers", type=int, default=6)
     p.add_argument("--student-layers", type=int, default=4)
@@ -439,8 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=POLISH_METHODS)
     p.add_argument("--anneal-fraction", type=float, default=0.05)
 
-    p = sub.add_parser("replay", help="re-run a recorded manifest")
-    add_common(p)
+    p = add_parser("replay", "re-run a recorded manifest", seed=False)
     p.add_argument("--manifest", required=True)
     return parser
 

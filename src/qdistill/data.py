@@ -2,8 +2,11 @@
 
 The expected CSV schema for external feature files is ``f0,...,f7,label``
 with integer class labels.  Class triplets are filtered and remapped densely
-to {0,1,2} preserving the requested order.  All sampling and splitting is
-seeded and recorded in the dataset's provenance string.
+to {0,1,2} preserving the requested order.  The split protocol is fixed:
+each class keeps at most `PER_CLASS` rows, and `VAL_FRACTION` of each class
+goes to validation, so Iris splits 120/30 and a full CSV 600/150.  All
+sampling and splitting is seeded and recorded in the dataset's provenance
+string.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
 import numpy as np
+
+VAL_FRACTION = 0.2
+PER_CLASS = 250
 
 
 @dataclass
@@ -42,7 +48,7 @@ class Dataset:
         return self.labels[self.val_idx]
 
 
-def stratified_split(labels, val_fraction: float, seed: int):
+def stratified_split(labels, seed: int):
     """Disjoint train/val index arrays, stratified per class, seeded."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
@@ -50,7 +56,7 @@ def stratified_split(labels, val_fraction: float, seed: int):
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
-        n_val = int(round(val_fraction * idx.size))
+        n_val = int(round(VAL_FRACTION * idx.size))
         val.extend(idx[:n_val])
         train.extend(idx[n_val:])
     return np.sort(np.asarray(train, int)), np.sort(np.asarray(val, int))
@@ -99,17 +105,15 @@ def load_iris(seed: int = 0) -> Dataset:
         feats, labels = _read_csv(fh, expect_features=4)
     if feats.shape != (150, 4):
         raise ValueError(f"corrupt bundled iris.csv: shape {feats.shape}")
-    train, val = stratified_split(labels, 0.2, seed)
+    train, val = stratified_split(labels, seed)
     return Dataset(feats, labels, train, val,
                    provenance=f"iris(bundled,seed={seed},split=120/30)")
 
 
-def load_features_csv(path, class_triplet, seed: int = 0,
-                      per_class: int = 250, val_fraction: float = 0.2) -> Dataset:
+def load_features_csv(path, class_triplet, seed: int = 0) -> Dataset:
     """Load an 8-feature CSV, filter to three classes, subsample and split.
 
-    Each class is capped at ``per_class`` rows (seeded subsample when larger).
-    With full 250/class files this yields the standard 600/150 split.
+    Each class is capped at `PER_CLASS` rows (seeded subsample when larger).
     """
     class_triplet = tuple(int(c) for c in class_triplet)
     if len(class_triplet) != 3:
@@ -123,20 +127,20 @@ def load_features_csv(path, class_triplet, seed: int = 0,
             warnings.warn(f"class {cls} missing from {path}", stacklevel=2)
             notes.append(f"class{cls}:missing")
             continue
-        if idx.size < per_class:
+        if idx.size < PER_CLASS:
             warnings.warn(
-                f"class {cls} has only {idx.size} rows (< {per_class})",
+                f"class {cls} has only {idx.size} rows (< {PER_CLASS})",
                 stacklevel=2)
             notes.append(f"class{cls}:{idx.size}")
-        elif idx.size > per_class:
-            idx = np.sort(rng.choice(idx, size=per_class, replace=False))
+        elif idx.size > PER_CLASS:
+            idx = np.sort(rng.choice(idx, size=PER_CLASS, replace=False))
         keep_feats.append(feats[idx])
         keep_labels.append(np.full(idx.size, new_label, int))
     if not keep_feats:
         raise ValueError(f"none of the classes {class_triplet} present in {path}")
     f = np.concatenate(keep_feats)
     y = np.concatenate(keep_labels)
-    train, val = stratified_split(y, val_fraction, seed)
+    train, val = stratified_split(y, seed)
     prov = (f"csv({path},classes={class_triplet},seed={seed},"
             f"rows={len(y)},split={len(train)}/{len(val)}")
     prov += "," + ";".join(notes) + ")" if notes else ")"

@@ -6,9 +6,10 @@ kind is exp(-i a G / 2) for a Pauli G, on the target of a controlled kind.
 G as a signed permutation for the step list (`circuit`) and the batched
 encoder (`encoding`), and the fixed gates are one constant table.
 
-Two-qubit matrices follow the register convention of :mod:`qdistill.qmath`:
-for a 4x4 gate matrix the control is index bit 1 and the target is index
-bit 0, i.e. CX permutes |10> <-> |11>.
+Matrices are complex128 and row-major.  Qubit 0 is the least-significant
+bit of a state index, so a register's full operator is
+``kron(op_{n-1}, ..., op_1, op_0)``; for a 4x4 gate matrix the control is
+index bit 1 and the target is index bit 0, i.e. CX permutes |10> <-> |11>.
 
 The basis sets and the rewrite rules into them live in
 :mod:`qdistill.transpile`.

@@ -9,9 +9,14 @@ the sign table `circuit.z_signs`, exactly from the density matrix (there is
 no shot sampling), and `qnn.head` scores it as in the ideal model.
 
 The three steps are fused into one superoperator per gate,
-N @ (U (x) conj(U)) with N = sum_K K (x) conj(K) built once per ``run_noisy``
-call, and ``circuit.apply_matrix`` contracts it into rho's ket and bra axes.
+N @ (U (x) conj(U)).  N = sum_K K (x) conj(K) is built once per profile and
+gate arity, from the Kraus sets that its CPTP check reads, and
+``circuit.apply_matrix`` contracts the product into rho's ket and bra axes.
 A trailing batch axis on rho evolves many density matrices at once.
+
+RZ is charged like any other 1q gate: depolarizing and relaxation noise for
+``dur_1q_ns``.  On IBM devices RZ is a virtual frame change and costs
+nothing, so this model overcharges circuits with many RZ gates.
 
 Circuits are lowered to the profile's basis before evaluation, so noise is
 charged per physical gate, not per logical gate.  1q-run merging buffers each
@@ -37,7 +42,7 @@ from .circuit import Circuit, apply_matrix, bind, z_signs
 from .encoding import apply_scaler, encode
 from .gates import PAULI, gate_matrix
 from .qnn import head, hit_rate
-from .transpile import lower
+from .transpile import BASES, lower
 
 _CPTP_TOL = 1e-10
 
@@ -66,12 +71,23 @@ class DeviceProfile:
             raise ValueError("unphysical profile: T2 must be <= 2*T1")
         if not (self.dur_1q_ns > 0 and self.dur_2q_ns > 0):
             raise ValueError("gate durations must be positive")
+        if str(self.basis).upper() not in BASES:
+            raise ValueError(f"unknown basis {self.basis!r}; "
+                             f"known: {sorted(BASES)}")
+        depol_1q = depolarizing_kraus_1q(self.err_1q)
+        depol_2q = depolarizing_kraus_2q(self.err_2q)
+        relax_1q = self.relaxation_kraus(self.dur_1q_ns)
+        relax_2q = self.relaxation_kraus(self.dur_2q_ns)
         # fail fast on an unphysical channel decomposition
-        for ks in (depolarizing_kraus_1q(self.err_1q),
-                   depolarizing_kraus_2q(self.err_2q),
-                   self.relaxation_kraus(self.dur_1q_ns),
-                   self.relaxation_kraus(self.dur_2q_ns)):
+        for ks in (depol_1q, depol_2q, relax_1q, relax_2q):
             assert_cptp(ks)
+        # {arity: depolarizing, then per-qubit relaxation} after a gate;
+        # not a field, so it stays out of eq, repr, asdict and replace
+        object.__setattr__(self, "gate_noise", {
+            1: _superop(relax_1q) @ _superop(depol_1q),
+            2: (_superop(_kron_pairs(relax_2q, relax_2q))
+                @ _superop(depol_2q)),
+        })
 
     def relaxation_gammas(self, duration_ns: float):
         """(gamma, lambda) amplitude/phase damping strengths for a duration."""
@@ -103,9 +119,8 @@ def load_profile(name_or_path) -> DeviceProfile:
         return DeviceProfile(**json.load(fh))
 
 
-def zero_noise_profile(basis: str = "IBM") -> DeviceProfile:
-    return DeviceProfile("ideal", 0.0, 0.0, math.inf, math.inf, 1.0, 1.0,
-                         0.0, basis=basis)
+def zero_noise_profile() -> DeviceProfile:
+    return DeviceProfile("ideal", 0.0, 0.0, math.inf, math.inf, 1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +211,19 @@ def apply_kraus(rho: np.ndarray, kraus, qubits, n_qubits: int) -> np.ndarray:
     return _apply_superop(rho, _superop(kraus), qubits, n_qubits)
 
 
-def _noise_superops(profile: DeviceProfile) -> dict:
-    """{arity: depolarizing, then per-qubit relaxation} after a 1q or 2q gate."""
-    relax_1q = profile.relaxation_kraus(profile.dur_1q_ns)
-    relax_2q = profile.relaxation_kraus(profile.dur_2q_ns)
-    return {
-        1: (_superop(relax_1q)
-            @ _superop(depolarizing_kraus_1q(profile.err_1q))),
-        2: (_superop(_kron_pairs(relax_2q, relax_2q))
-            @ _superop(depolarizing_kraus_2q(profile.err_2q))),
-    }
-
-
 def run_noisy(circuit: Circuit, profile: DeviceProfile,
               rho: np.ndarray | None = None) -> np.ndarray:
     """Evolve a density matrix, or a (dim, dim, b) batch, through a bound circuit.
 
-    Each gate is one fused channel, noise @ (U (x) conj(U)), applied by one
-    ``apply_matrix``.
+    Each gate is one fused channel, noise @ (U (x) conj(U)) with the
+    profile's ``gate_noise``, applied by one ``apply_matrix``.
     """
     if not circuit.is_bound:
         raise ValueError("circuit must be bound before noisy execution")
     n = circuit.n_qubits
     if rho is None:
         rho = zero_density(n)
-    noise = _noise_superops(profile)
+    noise = profile.gate_noise
     for op in circuit.ops:
         u = gate_matrix(op.kind, op.angle)
         rho = _apply_superop(rho, noise[len(op.qubits)] @ _superop([u]),

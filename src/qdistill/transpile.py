@@ -74,14 +74,13 @@ _RULES = {
 
 @dataclass(frozen=True)
 class CompileReport:
-    basis: str
     depth: int
     total_gates: int
     gates_1q: int
     gates_2q: int
 
 
-def metrics(circuit: Circuit, basis: str = "") -> CompileReport:
+def metrics(circuit: Circuit) -> CompileReport:
     frontier = [0] * circuit.n_qubits
     g1 = g2 = 0
     for op in circuit.ops:
@@ -93,7 +92,7 @@ def metrics(circuit: Circuit, basis: str = "") -> CompileReport:
         else:
             g2 += 1
     depth = max(frontier) if frontier else 0
-    return CompileReport(basis, depth, g1 + g2, g1, g2)
+    return CompileReport(depth, g1 + g2, g1, g2)
 
 
 def _expand_op(kind, qubits, angle, basis):
@@ -248,8 +247,7 @@ def overhead_table(template_ids, basis_list, n_qubits: int) -> list[dict]:
         tpl = build_template(tid, n_qubits, 1)
         bound = bind(tpl, _generic_binding(tpl.n_params))
         for basis_name in basis_list:
-            lowered = lower(bound, basis_name, merge_1q=True)
-            rep = metrics(lowered, str(basis_name))
+            rep = metrics(lower(bound, basis_name, merge_1q=True))
             rows.append({"template": tid, "basis": str(basis_name),
                          "depth": rep.depth, "total": rep.total_gates,
                          "g1q": rep.gates_1q, "g2q": rep.gates_2q})

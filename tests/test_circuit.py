@@ -31,7 +31,7 @@ def test_unitary_of_matches_kron_order():
 
 
 def test_unitary_of_refuses_dimension_above_limit():
-    with pytest.raises(ValueError, match="qmath.MAX_DIM = 4096"):
+    with pytest.raises(ValueError, match="circuit.MAX_DIM = 4096"):
         circ.unitary_of(Circuit(13, []))
     assert circ.unitary_of(Circuit(2, [])).shape == (4, 4)
 

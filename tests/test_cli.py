@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdistill import cli, noisesim
+from qdistill import cli, noisesim, qnn
 
 
 def run(args):
@@ -118,12 +119,26 @@ def test_finetune_reports_recovery_columns(trained_dir, tmp_path):
     assert doc["fine_tuned"] is True
 
 
+def test_distill_seeds_default_to_its_seed(trained_dir, tmp_path):
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
+    assert run(["distill", "--teacher", teacher, "--template", "c2",
+                "--layers", "1", "--budget", "100", "--seed", "5",
+                "--out", str(d1)]) == 0
+    lines = (d1 / "distances.csv").read_text().splitlines()
+    assert lines[0].endswith(" seeds=5")
+    assert lines[2].split(",")[-1] == "5"
+    assert json.loads((d1 / "manifest.json").read_text())["seed"] == 5
+    assert run(["replay", "--manifest", str(d1 / "manifest.json"),
+                "--out", str(d2)]) == 0
+    for name in ("student_c2_1l.json", "distances.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 def test_finetune_report_is_the_training_history(trained_dir, tmp_path,
                                                  monkeypatch):
     # the report's columns are epoch 0 and the last epoch of the history;
     # finetune never scores the model separately
-    from qdistill import qnn
-
     def no_evaluate(*args):
         raise AssertionError("finetune called qnn.evaluate")
 
@@ -148,6 +163,36 @@ def test_transpile_report_rows(tmp_path):
     assert len(lines) == 2 + 12
     assert lines[0].startswith("# transpile-report")
     assert lines[1] == "template,basis,depth,total,g1q,g2q"
+
+
+def test_transpile_report_records_no_seed(tmp_path, capsys):
+    # it draws no random numbers, so it takes no --seed and records null
+    assert run(["transpile-report", "--qubits", "2",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert doc["seed"] is None and "seed" not in doc["config"]
+    for command in (["transpile-report"], ["replay", "--manifest", "m.json"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_options_cannot_be_abbreviated(tmp_path, capsys):
+    # a typed abbreviation is a usage error, and a manifest key that only
+    # prefixes an option is passed over like any key the parser lacks
+    with pytest.raises(SystemExit) as exc:
+        run(["transpile-report", "--qub", "2", "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --qub" in capsys.readouterr().err
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    assert run(["transpile-report", "--qubits", "2", "--out", str(d1)]) == 0
+    doc = json.loads((d1 / "manifest.json").read_text())
+    doc["config"]["qu"] = 3
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert run(["replay", "--manifest", str(path), "--out", str(d2)]) == 0
+    assert (d1 / "overhead.csv").read_bytes() == (d2 / "overhead.csv").read_bytes()
 
 
 def test_fidelity_sweep_small(tmp_path):
@@ -244,7 +289,25 @@ def test_fidelity_sweep_rejects_dense_size_above_limit(tmp_path, capsys):
               "--layers", "1", "--student-layers", "1",
               "--out", str(tmp_path)])
     assert rc == cli.EXIT_USAGE
-    assert "qmath.MAX_DIM = 4096" in capsys.readouterr().err
+    assert "circuit.MAX_DIM = 4096" in capsys.readouterr().err
+
+
+def test_non_finite_training_exits_4(tmp_path, capsys, monkeypatch):
+    real_train = qnn.train
+
+    def nan_theta(*args):
+        model, history = real_train(*args)
+        model.theta = np.full_like(model.theta, np.nan)
+        return model, history
+
+    monkeypatch.setattr(qnn, "train", nan_theta)
+    out = tmp_path / "out"
+    rc = run(["train", "--template", "c1", "--layers", "1", "--epochs", "1",
+              "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERIC
+    assert "Traceback" not in err and "not finite" in err
+    assert os.listdir(out) == []
 
 
 def test_data_errors_exit_3(tmp_path):
@@ -287,6 +350,37 @@ def test_malformed_dataset_exits_3(tmp_path, capsys, case):
               "--out", str(out)])
     _assert_data_error(rc, capsys, path)
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.filterwarnings("ignore:class .* has only")
+@pytest.mark.filterwarnings("ignore:constant feature")
+def test_eight_feature_csv_runs_and_replays(tmp_path):
+    # the CSV path end to end: an 8-feature dataset takes the 2:1 encoding
+    data = tmp_path / "eight.csv"
+    data.write_text(_CSV_HEADER + _CSV_ROWS * 5)
+    dataset = ["--data", str(data), "--classes", "0,1,2"]
+    run_dirs = [tmp_path / f"run{i}" for i in range(4)]
+    steps = [
+        ["train", *dataset, "--template", "c2", "--layers", "1",
+         "--epochs", "1"],
+        ["distill", "--teacher", str(run_dirs[0] / "c2_1l_seed0.json"),
+         "--template", "c2", "--layers", "1", "--budget", "100"],
+        ["finetune", *dataset, "--checkpoint",
+         str(run_dirs[1] / "student_c2_1l.json"), "--epochs", "1"],
+        ["noise-eval", *dataset, "--checkpoints",
+         str(run_dirs[2] / "student_c2_1l_ft.json")],
+    ]
+    for d, argv in zip(run_dirs, steps):
+        assert run([*argv, "--out", str(d)]) == 0
+        again = d.with_name(d.name + "_replay")
+        assert run(["replay", "--manifest", str(d / "manifest.json"),
+                    "--out", str(again)]) == 0
+        for name in json.loads((d / "manifest.json").read_text())["artifacts"]:
+            assert (d / name).read_bytes() == (again / name).read_bytes()
+    ckpt = json.loads((run_dirs[2] / "student_c2_1l_ft.json").read_text())
+    assert ckpt["encoding_mode"] == "2:1"
+    rows = (run_dirs[3] / "noise_eval.csv").read_text().splitlines()
+    assert "rows=15,split=12/3" in rows[0] and len(rows) == 2 + 2
 
 
 def test_classes_count_is_a_usage_error(tmp_path):
@@ -341,6 +435,7 @@ _BAD_PROFILES = {
     "zero_t1_t2": {**_GOOD_PROFILE, "t1_us": 0, "t2_us": 0},
     "zero_t2": {**_GOOD_PROFILE, "t2_us": 0},
     "negative_t1": {**_GOOD_PROFILE, "t1_us": -56.07},
+    "unknown_basis": {**_GOOD_PROFILE, "basis": "FOO"},
 }
 
 
@@ -522,6 +617,34 @@ def test_distill_manifest_with_jobs_replays_in_process(trained_dir, tmp_path,
     assert run(["replay", "--manifest", str(old), "--out", str(d2)]) == 0
     for name in doc["artifacts"]:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+class _ReadRecorder(dict):
+    """A config dict that records which of its keys are read."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY_ARGS))
+def test_every_parsed_option_is_read(trained_dir, tmp_path, command):
+    # an option the run never reads would be recorded in its manifest as
+    # if it had shaped the run; --jobs is hidden and kept only for parsing
+    teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
+    args = [a.format(teacher=teacher) for a in _REPLAY_ARGS[command]]
+    config = _ReadRecorder(cli._config_of(
+        cli._build_parser().parse_args([command, *args])))
+    cli._RUNNERS[command](config, str(tmp_path))
+    assert sorted(set(config) - config.read - {"jobs"}) == []
 
 
 def test_env_var_default_out(tmp_path, monkeypatch, trained_dir):

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from qdistill import data
 
+# the toy CSVs hold fewer rows per class than data.PER_CLASS
+pytestmark = pytest.mark.filterwarnings("ignore:class .* has only")
+
 
 def test_iris_shapes_and_split():
     ds = data.load_iris(seed=0)
@@ -39,9 +42,10 @@ def test_split_indices_disjoint_and_complete():
 
 def test_stratified_split_fraction():
     labels = np.array([0] * 40 + [1] * 60)
-    train, val = data.stratified_split(labels, 0.25, seed=0)
-    assert len(val) == 25
-    assert int(np.sum(labels[val] == 0)) == 10
+    train, val = data.stratified_split(labels, seed=0)
+    assert data.VAL_FRACTION == 0.2
+    assert len(val) == 20
+    assert int(np.sum(labels[val] == 0)) == 8
 
 
 def _toy_csv(rows_per_class=5, classes=(1, 7, 9)):
@@ -55,15 +59,15 @@ def _toy_csv(rows_per_class=5, classes=(1, 7, 9)):
 
 
 def test_features_csv_label_remap():
-    ds = data.load_features_csv(_toy_csv(), (1, 7, 9), seed=0,
-                                per_class=5, val_fraction=0.2)
+    ds = data.load_features_csv(_toy_csv(), (1, 7, 9), seed=0)
     assert set(ds.labels) == {0, 1, 2}
     assert ds.features.shape == (15, 8)
 
 
-def test_features_csv_subsampling_cap():
+def test_features_csv_subsampling_cap(monkeypatch):
+    monkeypatch.setattr(data, "PER_CLASS", 4)
     ds = data.load_features_csv(_toy_csv(rows_per_class=10), (1, 7, 9),
-                                seed=0, per_class=4, val_fraction=0.25)
+                                seed=0)
     assert ds.features.shape == (12, 8)
     assert all(int(np.sum(ds.labels == c)) == 4 for c in (0, 1, 2))
 
@@ -71,7 +75,7 @@ def test_features_csv_subsampling_cap():
 def test_features_csv_missing_class_warns():
     with pytest.warns(UserWarning):
         ds = data.load_features_csv(_toy_csv(classes=(1, 7)), (1, 7, 9),
-                                    seed=0, per_class=5, val_fraction=0.2)
+                                    seed=0)
     assert set(ds.labels) == {0, 1}
 
 
@@ -81,14 +85,15 @@ def test_features_csv_wrong_triplet():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2000), st.floats(0.1, 0.5))
-def test_stratified_split_properties(seed, frac):
-    labels = np.array([0] * 30 + [1] * 30 + [2] * 30)
-    train, val = data.stratified_split(labels, frac, seed)
+@given(st.integers(0, 2000), st.lists(st.integers(1, 60), min_size=1,
+                                      max_size=4))
+def test_stratified_split_properties(seed, sizes):
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    train, val = data.stratified_split(labels, seed)
     assert len(set(train.tolist()) & set(val.tolist())) == 0
-    assert len(train) + len(val) == 90
-    counts = [int(np.sum(labels[val] == c)) for c in (0, 1, 2)]
-    assert max(counts) - min(counts) <= 1
+    assert len(train) + len(val) == labels.size
+    counts = [int(np.sum(labels[val] == c)) for c in range(len(sizes))]
+    assert counts == [int(round(data.VAL_FRACTION * n)) for n in sizes]
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -99,7 +104,7 @@ def test_features_csv_rejects_non_finite_cells(cell):
     text[3] = ",".join(row)
     with pytest.raises(ValueError, match=f"CSV line 4: column f5 is {cell}"):
         data.load_features_csv(io.StringIO("\n".join(text) + "\n"),
-                               (1, 7, 9), per_class=5)
+                               (1, 7, 9))
 
 
 def test_features_csv_names_a_ragged_row():
@@ -108,4 +113,4 @@ def test_features_csv_names_a_ragged_row():
     with pytest.raises(ValueError,
                        match="CSV line 5: expected 9 fields, got 4"):
         data.load_features_csv(io.StringIO("\n".join(text) + "\n"),
-                               (1, 7, 9), per_class=5)
+                               (1, 7, 9))

@@ -30,6 +30,11 @@ def _distance(student, teacher):
     return syn._Evaluator(student, teacher).value(np.empty(0))
 
 
+def _trace_overlap(student, teacher):
+    """Tr(U^dag V) of teacher U and bound student V, as synthesis computes it."""
+    return syn._Evaluator(student, teacher).overlap(np.empty(0))
+
+
 def _bound(tid, n, seed):
     tpl = circ.build_template(tid, n, 1)
     theta = np.random.default_rng(seed).uniform(-math.pi, math.pi,
@@ -52,6 +57,65 @@ def test_distance_input_validation():
         syn.SynthesisProblem(np.eye(8), tpl)        # dim mismatch
     with pytest.raises(ValueError):
         syn.SynthesisProblem(2 * np.eye(4), tpl)    # not unitary
+
+
+def test_problem_rejects_dimension_mismatch():
+    tpl = circ.build_template("c2", 2, 1)
+    for bad in (np.eye(8), np.eye(2)):
+        with pytest.raises(ValueError, match="student acts on 2 qubits"):
+            syn.SynthesisProblem(bad, tpl)
+    with pytest.raises(ValueError, match="student acts on 1 qubits"):
+        syn.SynthesisProblem(np.eye(4), Circuit(1))
+
+
+def test_problem_rejects_non_square_teacher():
+    tpl = circ.build_template("c2", 2, 1)
+    for bad in (np.zeros((4, 2)), np.zeros(4), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="student acts on 2 qubits"):
+            syn.SynthesisProblem(bad, tpl)
+    with pytest.raises(ValueError):
+        syn.SynthesisProblem(np.zeros((2, 3)), Circuit(1))
+
+
+def test_problem_accepts_and_rejects_by_unitarity():
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    syn.SynthesisProblem(h, Circuit(1))
+    for bad in (2 * h, np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="not unitary"):
+            syn.SynthesisProblem(bad, Circuit(1))
+
+
+def test_problem_accepts_ten_qubit_teacher():
+    # the fixed tolerance covers accumulated rounding at dim 1024
+    u, _, _ = template_unitary("c15", 10, 7, 0)
+    syn.SynthesisProblem(u, Circuit(10))    # raises if judged not unitary
+
+
+def test_trace_overlap_of_identity():
+    x = Circuit(1, [Op(K.X, (0,))])
+    assert _trace_overlap(Circuit(1), np.eye(2)) == pytest.approx(2.0)
+    assert _trace_overlap(x, gate_matrix(K.X)) == pytest.approx(2.0)
+    assert _trace_overlap(x, np.eye(2)) == pytest.approx(0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+def test_overlap_unitary_invariance(sa, sb):
+    # |Tr(U^dag V)| is invariant under a common unitary factor W:
+    # the student "V then W" is W V, against the teacher W U
+    u = random_unitary(4, sa)
+    v, w = _bound("c6", 2, sa + 1), _bound("c6", 2, sb)
+    lhs = abs(_trace_overlap(Circuit(2, v.ops + w.ops),
+                             circ.unitary_of(w) @ u))
+    assert lhs == pytest.approx(abs(_trace_overlap(v, u)), abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_overlap_bounded_by_dimension(seed):
+    u = random_unitary(8, seed)
+    v = _bound("c6", 3, seed + 1)
+    assert abs(_trace_overlap(v, u)) <= 8.0 + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
