@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +175,11 @@ class _Rotation:
         on = self.mask * x
         return np.vdot(lam, x - on), np.vdot(lam, on), q
 
-    def terms(self, lam, x, e):
+    def reverse(self, lam, x, e, theta, adjoints, pull):
+        """One step of `StepList.gradient`: e[slot] from the step's output
+        block x, then lam pulled back through the step if pull."""
         e[self.slot] = -1j * complex(np.vdot(lam, self.generate(x)))
+        return self.apply(lam, theta, adjoint=True) if pull else lam
 
     def apply(self, x, theta, adjoint=False):
         a = theta[self.slot]
@@ -191,15 +195,21 @@ class _Rotation:
 
 
 class _Fused:
-    """RY rotations on distinct qubits, which commute, as one real step: on
-    a block at least as wide as it is tall, the Kronecker product of factors
-    cos(a/2) I + sin(a/2) (-i Y) as one matmul (dim^2 k); on a narrower one,
-    the members one by one (m dim k).  The reverse terms take one gather."""
+    """RY rotations on distinct qubits, which commute, as one real step K,
+    followed by the 0/1 permutation D of a literal run folded into it (c15's
+    CX ring), so that the step is D K.  `StepList` builds every fused step's
+    Kronecker product at once for a block at least as wide as it is tall,
+    and the step is one matmul K[rows] @ x (dim^2 k); a narrower block runs
+    its units, the members and then the permutation, one by one (m dim k).
+    The reverse terms take one gather."""
 
     real = True
 
     def __init__(self, members, n):
         self.members = members
+        self.units = list(members)
+        self.fold = None
+        self.index = None    # its place on the stacked matrices' step axis
         self.slots = np.array([m.slot for m in members])
         # -i Y x = gen * x[perm], real, for every member from one gather
         self.gen = np.array([(-1j * m.phase).real for m in members])
@@ -208,38 +218,70 @@ class _Fused:
         index = {m.qubit: j for j, m in enumerate(members)}
         self.layout = [index.get(q) for q in range(n - 1, -1, -1)]
 
-    def matrix(self, theta, adjoint=False):
-        """The step's dim x dim Kronecker product, or its adjoint."""
-        h = theta[self.slots] / 2
-        # [cos h, sin h] as cos(h - [0, pi/2]); the adjoint R(-a) has -sin h
-        cs = np.cos(np.add.outer(h, _SHIFT[int(adjoint)]))
-        f = (cs @ _RY_BASIS).reshape(-1, 2, 2)
-        k, *rest = [_I2 if j is None else f[j] for j in self.layout]
-        for g in rest:
-            d = 2 * len(k)
-            k = (k[:, None, :, None] * g[None, :, None, :]).reshape(d, d)
-        return k
+    def fold_in(self, permutation):
+        """Append the permutation that directly follows the members."""
+        self.fold = permutation
+        self.units.append(permutation)
+        # the terms read K x from the block after D, where K x = x[inverse]
+        self.perm = permutation.inverse[self.perm]
 
-    def apply(self, x, theta, adjoint=False):
-        if x.shape[1] >= x.shape[0]:
-            return self.matrix(theta, adjoint) @ x
-        for m in self.members[::-1] if adjoint else self.members:
-            x = m.apply(x, theta, adjoint)
+    def apply(self, x, theta):
+        for unit in self.units:
+            x = unit.apply(x, theta)
         return x
 
-    def terms(self, lam, x, e):
-        """e[slot] = <lam, -i Y x> per member, from one gather of x."""
+    def reverse(self, lam, x, e, theta, adjoints, pull):
+        """e[slot] = <lam, -i Y K x> per member, from one gather of x, with
+        lam first pulled back through the permutation; then lam pulled back
+        through K if pull, by its kept adjoint when there is one."""
+        if self.fold is not None:
+            lam = self.fold.apply(lam, theta, adjoint=True)
         g = (x[self.perm] * self.gen).reshape(len(self.members), -1)
         e[self.slots] = g @ lam.conj().ravel()
+        if not pull:
+            return lam
+        if adjoints is not None:
+            return adjoints[self.index] @ lam
+        for m in self.members[::-1]:
+            lam = m.apply(lam, theta, adjoint=True)
+        return lam
 
 
-_I2 = np.eye(2)
-# rows I and -i Y, flattened: a factor is [cos(a/2), sin(a/2)] @ _RY_BASIS
-_RY_BASIS = np.stack([_I2, (-1j * GENERATOR[GateKind.RY]).real]).reshape(2, 4)
-_SHIFT = np.array([[0.0, -math.pi / 2], [0.0, math.pi / 2]])
+# A factor of RY(2h) is cos h I + sin h (-i Y), its adjoint's cos h I -
+# sin h (-i Y): cos h, sin h and -sin h are cos(h + _SHIFTS), and the rows
+# of _FACTORS map them to the forward factor and the adjoint's, flattened.
+_SHIFTS = np.array([0.0, -math.pi / 2, math.pi / 2])
+_I2 = np.eye(2).ravel()
+_MINUS_IY = (-1j * GENERATOR[GateKind.RY]).real.ravel()
+_FACTORS = np.block([[_I2, _I2], [_MINUS_IY, 0 * _I2], [0 * _I2, _MINUS_IY]])
+# both directions' factor on a qubit that a fused step leaves alone
+_IDENTITY = np.tile(_I2, 2)
 # fused steps measured faster on square blocks up to 8 qubits (complex) and
-# 9 (real); past that dim^2 k outgrows m dim k, and the terms hold m blocks
+# 9 (real); past that dim^2 k outgrows m dim k, and the terms hold m blocks.
+# A wide block's matrices are built at once: a value call holds 2 L dim x
+# dim float64 matrices at its peak, a gradient call 3 L (the adjoints too),
+# for L fused steps: at 8 qubits 1 and 1.5 MiB per c15 layer.
 _FUSE_MAX_QUBITS = 8
+
+
+class _Permutation:
+    """A literal run whose matrix is a 0/1 permutation: D x = x[rows]."""
+
+    slot = None
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.inverse = np.argsort(rows)
+
+    def apply(self, x, theta, adjoint=False):
+        return x[self.inverse if adjoint else self.rows]
+
+    @classmethod
+    def of(cls, dense):
+        """The run's permutation, or None if its matrix is not one."""
+        m = dense.m[np.dtype(complex)][0]
+        rows = np.argmax(m.real, axis=1)
+        return cls(rows) if np.array_equal(m, np.eye(len(m))[rows]) else None
 
 
 class _Dense:
@@ -258,25 +300,44 @@ class _Dense:
             self.m[x.dtype] = (m.copy(), m.T.copy())
         return self.m[x.dtype][adjoint] @ x
 
-    def terms(self, lam, x, e):
-        pass
+    def reverse(self, lam, x, e, theta, adjoints, pull):
+        return self.apply(lam, theta, adjoint=True) if pull else lam
+
+
+class Tape(NamedTuple):
+    """What `StepList.run(keep=True)` keeps for `StepList.gradient`: the
+    input block and the block after every step, and the fused steps'
+    stacked adjoint matrices (None if the block is narrower than tall or
+    there is no fused step)."""
+
+    blocks: list
+    adjoints: np.ndarray | None
 
 
 class StepList:
     """A circuit as steps on (dim, k) blocks, column j one state: one
-    `_Dense` per literal run, one `_Fused` per maximal run of RY rotations
-    on distinct qubits (up to `_FUSE_MAX_QUBITS` qubits; one matmul on a
-    block at least as wide as tall, member by member on a narrower one), and
-    one `_Rotation` per other `Param` gate.  `real`: every step matrix is
-    real, so a real wide block stays real (the evaluator's float64 path).
+    `_Fused` per maximal run of RY rotations on distinct qubits (up to
+    `_FUSE_MAX_QUBITS` qubits), with a literal run that is a 0/1
+    permutation and directly follows it folded in; one `_Dense` per other
+    literal run; and one `_Rotation` per other `Param` gate.  `real`: every
+    step matrix is real, so a real wide block stays real (the evaluator's
+    float64 path).
+
+    On a block at least as wide as it is tall, `run` builds every fused
+    step's Kronecker product in one vectorized pass from one cos call, and
+    each fused step is one matmul; with keep it builds their adjoints too.
+    The build holds 2 L (value) or 3 L (with keep) dim x dim matrices for L
+    fused steps, 1.5 MiB per c15 layer at 8 qubits with keep.  A narrower
+    block runs each fused step's units one by one.  The kept matrices
+    travel only in the returned `Tape`: no step keeps state for a theta.
 
     `gradient` is the reverse sweep for exact derivatives (Jones & Gacon
     2020, arXiv:2009.02823).  For a real f(psi) of the output block, pass
     lam = df/dpsi^*; it returns e with e[slot] = <lam_k, -i G x_(k+1)> for
     the slot's rotation in step k, where lam_k = S_(k+1)^dag ... S_last^dag
-    lam (the rotations of one step commute, so they share lam_k and
-    x_(k+1)).  Then <lam, psi> has derivative e/2 in theta, and f has
-    derivative Re(e).
+    lam and x_(k+1) is the block after the step's rotations (the rotations
+    of one step commute, so they share lam_k and x_(k+1)).  Then <lam, psi>
+    has derivative e/2 in theta, and f has derivative Re(e).
     """
 
     def __init__(self, circuit: Circuit):
@@ -301,27 +362,74 @@ class StepList:
             if ry:
                 run.append(unit)
             elif unit is not None:
-                self.steps.append(unit)
+                last = self.steps[-1] if self.steps else None
+                fold = _Permutation.of(unit) if isinstance(unit, _Dense) \
+                    and isinstance(last, _Fused) else None
+                if fold is None:
+                    self.steps.append(unit)
+                else:
+                    last.fold_in(fold)
         self.real = all(step.real for step in self.steps)
+        # index tables of the stacked build: each fused step's slots, its
+        # factor per qubit (the identity's row where it has no member), and
+        # the rows its permutation gathers
+        fused = [s for s in self.steps if isinstance(s, _Fused)]
+        self._slots = np.array([m.slot for s in fused for m in s.members],
+                               dtype=int)
+        starts = np.cumsum([0] + [len(s.members) for s in fused])
+        self._layout = np.array(
+            [[len(self._slots) if j is None else start + j for j in s.layout]
+             for s, start in zip(fused, starts)], dtype=int)
+        self._rows = None
+        if any(s.fold is not None for s in fused):
+            self._rows = np.array([np.arange(2 ** n) if s.fold is None
+                                   else s.fold.rows for s in fused])
+        for i, step in enumerate(fused):
+            step.index = i
+
+    def _matrices(self, theta, keep):
+        """Every fused step's dim x dim matrix D K and, with keep, the
+        adjoint of its K, each stacked on a leading step axis (None
+        without keep).  Factors are Kronecker-multiplied qubit n-1 first,
+        as for one step alone, so each matrix is the same bits."""
+        dirs = 1 + keep
+        h = theta[self._slots] / 2
+        cs = np.cos(np.add.outer(h, _SHIFTS[:1 + dirs]))
+        f = np.concatenate([cs @ _FACTORS[:1 + dirs, :4 * dirs],
+                            _IDENTITY[None, :4 * dirs]])
+        a = f[self._layout].reshape(*self._layout.shape, dirs, 2, 2)
+        k = a[:, 0]
+        for j in range(1, a.shape[1]):
+            d = 2 * k.shape[-1]
+            k = (k[..., :, None, :, None] * a[:, j, ..., None, :, None, :]) \
+                .reshape(len(k), dirs, d, d)
+        forward = k[:, 0] if self._rows is None \
+            else k[np.arange(len(k))[:, None], 0, self._rows]
+        return forward, (k[:, 1] if keep else None)
 
     def run(self, x, theta, keep=False):
-        """The block after all steps; with keep, the input and every block
-        after a step, as a list that `gradient` takes."""
+        """The block after all steps; with keep, a `Tape` that `gradient`
+        takes."""
+        forward = adjoints = None
+        if len(self._layout) and x.shape[1] >= x.shape[0]:
+            forward, adjoints = self._matrices(theta, keep)
         blocks = [x]
         for step in self.steps:
-            x = step.apply(x, theta)
+            if forward is not None and isinstance(step, _Fused):
+                x = forward[step.index] @ x
+            else:
+                x = step.apply(x, theta)
             if keep:
                 blocks.append(x)
-        return blocks if keep else x
+        return Tape(blocks, adjoints) if keep else x
 
-    def gradient(self, lam, blocks, theta):
+    def gradient(self, lam, tape, theta):
         """The complex per-slot vector e, from one reverse sweep over the
-        blocks of `run(x, theta, keep=True)`."""
+        `Tape` of `run(x, theta, keep=True)`."""
         e = np.zeros(len(theta), complex)
         for k in range(len(self.steps) - 1, -1, -1):
-            self.steps[k].terms(lam, blocks[k + 1], e)
-            if k:
-                lam = self.steps[k].apply(lam, theta, adjoint=True)
+            lam = self.steps[k].reverse(lam, tape.blocks[k + 1], e, theta,
+                                        tape.adjoints, pull=k > 0)
         return e
 
 

@@ -147,9 +147,9 @@ def gradients(model: HybridModel, features_scaled, labels):
     bsz = x.shape[0]
     signs = z_signs(model.n_qubits)
     steps = model.pqc.steps
-    blocks = steps.run(encode_states(x, model.scheme).T, model.theta,
-                       keep=True)
-    psi = blocks[-1]
+    tape = steps.run(encode_states(x, model.scheme).T, model.theta,
+                     keep=True)
+    psi = tape.blocks[-1]
     z = (np.abs(psi) ** 2).T @ signs
     probs = head(model, z)
 
@@ -158,7 +158,7 @@ def gradients(model: HybridModel, features_scaled, labels):
     db = dlogits.sum(axis=0)
     dz = dlogits @ model.W                     # (B, n_qubits)
 
-    e = steps.gradient((signs @ dz.T) * psi, blocks, model.theta)
+    e = steps.gradient((signs @ dz.T) * psi, tape, model.theta)
     return e.real, dW, db
 
 

@@ -105,6 +105,12 @@ class SynthesisResult:
     converged: bool
     seed: int = 0
     improvements: list = field(default_factory=list)  # (evaluation, distance)
+    # counts of the work done, deterministic and written to no artifact:
+    # value_calls, value_and_grad_calls, anneal_evaluations and
+    # polish_evaluations (which sum to evaluations), anneal_steps (the
+    # temperature steps that made a visit) and anneal_ended_by ("step_cap"
+    # or "anneal_fraction"; None when there are no parameters to anneal)
+    stats: dict = field(default_factory=dict)
 
 
 class _Evaluator:
@@ -118,8 +124,11 @@ class _Evaluator:
 
     The gradient comes from one forward and one reverse sweep of the step
     list, started from lam = target: dt/da = e/2 for each slot's term e
-    (`StepList.gradient`).
+    (`StepList.gradient`).  Full mode's block is square, so each call builds
+    every fused step's matrix once, from one cos call, and value_and_grad's
+    reverse sweep applies the adjoints its forward run kept.
     Full mode computes in float64 when the target and every step are real.
+    It counts its value and value_and_grad calls for `SynthesisResult.stats`.
     """
 
     def __init__(self, student: Circuit, teacher_unitary, state_prep=False):
@@ -132,6 +141,7 @@ class _Evaluator:
         self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
         self.steps = student.steps
+        self.value_calls = self.value_and_grad_calls = 0
 
     def distance(self, t):
         return max(0.0, 1.0 - self.norm * abs(t))
@@ -140,16 +150,18 @@ class _Evaluator:
         return complex(np.vdot(self.target, self.steps.run(self.start, theta)))
 
     def value(self, theta) -> float:
+        self.value_calls += 1
         return self.distance(self.overlap(theta))
 
     def value_and_grad(self, theta):
-        blocks = self.steps.run(self.start, theta, keep=True)
-        t = np.vdot(self.target, blocks[-1])
+        self.value_and_grad_calls += 1
+        tape = self.steps.run(self.start, theta, keep=True)
+        t = np.vdot(self.target, tape.blocks[-1])
         mag = abs(t)
         if mag < 1e-300:
             return 1.0, np.zeros(self.n_params)
         w = -0.5 * self.norm * np.conj(t) / mag   # d distance/da = Re(w e)
-        e = self.steps.gradient(self.target, blocks, theta)
+        e = self.steps.gradient(self.target, tape, theta)
         # Re(w e) term by term: numpy's vectorized complex product, as in
         # (w * e).real, rounds differently from the scalar one
         grad = w.real * e.real - w.imag * e.imag
@@ -243,7 +255,9 @@ def _visit(rng, x, step, temperature):
 def _anneal(cost, dim, rng, anneal_evals):
     """One GSA chain over dim angles from a uniform random start: at most
     1000 temperature steps of 2 * dim visits each, ending sooner once
-    anneal_evals evaluations are spent."""
+    anneal_evals evaluations are spent.  Returns the number of temperature
+    steps that made a visit and what ended the chain, "step_cap" or
+    "anneal_fraction"."""
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     x_cur = rng.uniform(-math.pi, math.pi, dim)
     e_cur = cost(x_cur)
@@ -253,7 +267,7 @@ def _anneal(cost, dim, rng, anneal_evals):
         temperature_step = temperature / (step + 1.0)
         for j in range(2 * dim):
             if cost.nfev >= anneal_evals:
-                return
+                return (step + 1 if j else step), "anneal_fraction"
             x_visit = _visit(rng, x_cur, j, temperature)
             e = cost(x_visit)
             if e < e_cur:
@@ -265,6 +279,7 @@ def _anneal(cost, dim, rng, anneal_evals):
                     pqv = math.exp(math.log(pqv_temp) / (1.0 - ACCEPT))
                     if rng.uniform() <= pqv:
                         x_cur, e_cur = x_visit, e
+    return 1000, "step_cap"
 
 
 def _best_angle(probe, a0, d0, controlled):
@@ -310,17 +325,18 @@ def _rotation_solve(cost, evaluator, rng):
 
     No probe runs the circuit (Ostaszewski et al. 2021, arXiv:1905.09692).
     Each pass pulls the target back through the step list's rotations and
-    literal runs (a fused step's members one by one) once, at its starting
-    theta, for lam_k at every unit k, then walks the units in order carrying
-    the block x_k that enters unit k, in complex arithmetic.  At angle
-    a = theta[slot] the overlap is C + cos(a/2) P - i sin(a/2) Q
-    (`_Rotation.overlap_terms`), so each charged evaluation, probe or
-    confirm, is one closed-form value.  lam_k stays exact because the units
-    after k are still at their pass-start angles when k is visited.
+    literal runs (a fused step's members, then its folded permutation, one
+    by one) once, at its starting theta, for lam_k at every unit k, then
+    walks the units in order carrying the block x_k that enters unit k, in
+    complex arithmetic.  At angle a = theta[slot] the overlap is
+    C + cos(a/2) P - i sin(a/2) Q (`_Rotation.overlap_terms`), so each
+    charged evaluation, probe or confirm, is one closed-form value.  lam_k
+    stays exact because the units after k are still at their pass-start
+    angles when k is visited.
     Coordinates are therefore visited in op order, which is slot order.
     """
     units = [m for s in evaluator.steps.steps
-             for m in getattr(s, "members", [s])]
+             for m in getattr(s, "units", [s])]
     x = np.array(cost.best_x, float, copy=True)
     d_cur = cost.best_e
     while not cost.exhausted:
@@ -411,11 +427,16 @@ def synthesize(problem: SynthesisProblem,
                            problem.state_prep)
 
     if n == 0:
+        # the one evaluation is the anneal's start, and nothing anneals
         d = evaluator.value(np.empty(0))
+        stats = dict(value_calls=1, value_and_grad_calls=0,
+                     anneal_evaluations=1, polish_evaluations=0,
+                     anneal_steps=0, anneal_ended_by=None)
         return SynthesisResult(np.empty(0), d, 1,
                                evaluator.overlap(np.empty(0)),
                                d <= CONVERGE_THRESHOLD,
-                               seed=config.seed, improvements=[(1, d)])
+                               seed=config.seed, improvements=[(1, d)],
+                               stats=stats)
 
     if problem.budget < 10 * n:
         warnings.warn(
@@ -425,7 +446,8 @@ def synthesize(problem: SynthesisProblem,
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    _anneal(cost, n, rng, anneal_evals)
+    anneal_steps, anneal_ended_by = _anneal(cost, n, rng, anneal_evals)
+    anneal_evaluations = cost.nfev
 
     # the anneal stops within budget, short of the polish allowance
     if config.polish_method.lower() == "rotation-solve":
@@ -441,6 +463,12 @@ def synthesize(problem: SynthesisProblem,
         converged=cost.best_e <= CONVERGE_THRESHOLD,
         seed=config.seed,
         improvements=cost.improvements,
+        stats=dict(value_calls=evaluator.value_calls,
+                   value_and_grad_calls=evaluator.value_and_grad_calls,
+                   anneal_evaluations=anneal_evaluations,
+                   polish_evaluations=cost.nfev - anneal_evaluations,
+                   anneal_steps=anneal_steps,
+                   anneal_ended_by=anneal_ended_by),
     )
 
 

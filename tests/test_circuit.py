@@ -179,6 +179,11 @@ _HAND_BUILT = [
     Circuit(3, [Op(K.H, (1,)), Op(K.RZ, (2,), Param(0)),
                 Op(K.RY, (0,), Param(1)), Op(K.CZ, (1, 2)),
                 Op(K.RY, (2,), Param(2))]),
+    # a permutation folds into the fused run before it, which leaves qubit
+    # 1 idle; the literal run after the second fused run (H) does not
+    Circuit(3, [Op(K.RY, (0,), Param(0)), Op(K.RY, (2,), Param(1)),
+                Op(K.CX, (0, 1)), Op(K.X, (2,)), Op(K.RY, (1,), Param(2)),
+                Op(K.RY, (0,), Param(3)), Op(K.H, (1,))]),
 ]
 
 
@@ -202,6 +207,10 @@ def _step_kinds(c):
             for s in c.steps.steps]
 
 
+def _folded(c):
+    return [getattr(s, "fold", None) is not None for s in c.steps.steps]
+
+
 def test_step_list_fuses_each_run_of_distinct_qubit_ry():
     kinds = {tid: _step_kinds(circ.build_template(tid, 4, 1))
              for tid in circ.TEMPLATES}
@@ -212,10 +221,17 @@ def test_step_list_fuses_each_run_of_distinct_qubit_ry():
     assert kinds["c9"] == [dense] + [rot] * 4
     assert kinds["c12"] == [("_Fused", 4)] + [rot] * 4 + [dense] \
         + [("_Fused", 2)] + [rot] * 2 + [dense]
-    assert kinds["c15"] == [("_Fused", 4), dense]
+    # c15's CX ring, a permutation, folds into the fused RY run before it;
+    # c12's CZ runs are not permutations, and c2's CX chain follows an RZ
+    assert kinds["c15"] == [("_Fused", 4)]
+    assert _folded(circ.build_template("c15", 4, 2)) == [True, True]
+    assert not any(_folded(circ.build_template("c12", 4, 1)))
     assert _step_kinds(_HAND_BUILT[0]) == [("_Fused", 2), ("_Fused", 1), rot]
     assert _step_kinds(_HAND_BUILT[1]) == [("_Fused", 1), rot,
                                            ("_Fused", 2)]
+    assert _step_kinds(_HAND_BUILT[3]) == [("_Fused", 2), ("_Fused", 2),
+                                           dense]
+    assert _folded(_HAND_BUILT[3]) == [True, False, False]
     # past eight qubits every rotation is its own step
     assert _step_kinds(circ.build_template("c15", 9, 1)) == [rot] * 9 \
         + [dense]
@@ -234,21 +250,41 @@ def test_step_list_run_matches_unitary(case):
 @settings(max_examples=100, deadline=None)
 @given(_cases())
 def test_fused_steps_agree_with_their_members(case):
-    # a block at least as wide as it is tall runs the fused steps, each a
-    # Kronecker matmul; one column at a time runs the rotations one by one
+    # a block at least as wide as it is tall runs each fused step as one
+    # matmul by its stacked Kronecker matrix; one column at a time runs the
+    # rotations one by one, then the folded permutation
     c, theta, x = case
     x = np.hstack([x] * (1 + x.shape[0] // x.shape[1]))
     narrow = np.hstack([c.steps.run(x[:, [j]], theta)
                         for j in range(x.shape[1])])
     assert np.max(np.abs(c.steps.run(x, theta) - narrow)) <= 1e-13
-    for step in c.steps.steps:
-        if hasattr(step, "members"):
-            for adjoint in (False, True):
-                y = x
-                for m in step.members[::-1] if adjoint else step.members:
-                    y = m.apply(y, theta, adjoint)
-                assert np.max(np.abs(step.apply(x, theta, adjoint) - y)) \
-                    <= 1e-13
+    fused = [s for s in c.steps.steps if hasattr(s, "members")]
+    if not fused:
+        return
+    forward, adjoints = c.steps._matrices(theta, keep=True)
+    for step in fused:
+        y = x
+        for unit in step.units:
+            y = unit.apply(y, theta)
+        assert np.max(np.abs(forward[step.index] @ x - y)) <= 1e-13
+        # the reverse sweep pulls back through the permutation, then applies
+        # the kept adjoint of the rotations
+        y = x
+        for unit in step.units[::-1]:
+            y = unit.apply(y, theta, adjoint=True)
+        pulled = x if step.fold is None \
+            else step.fold.apply(x, theta, adjoint=True)
+        assert np.max(np.abs(adjoints[step.index] @ pulled - y)) <= 1e-13
+
+
+def test_wide_block_at_the_fusion_limit_matches_unitary():
+    # at 8 qubits the stacked build holds 256 x 256 matrices for each of
+    # the three layers' fused steps
+    c = circ.build_template("c15", circ._FUSE_MAX_QUBITS, 3)
+    theta = np.random.default_rng(8).uniform(-math.pi, math.pi, c.n_params)
+    assert [len(s.members) for s in c.steps.steps] == [8, 8, 8]
+    want = circ.unitary_of(circ.bind(c, theta))
+    assert np.max(np.abs(c.steps.run(np.eye(256), theta) - want)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

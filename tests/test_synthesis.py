@@ -259,6 +259,8 @@ def test_zero_parameter_student():
     assert res.distance == pytest.approx(0.0)
     assert res.evaluations == 1
     assert res.converged
+    assert res.stats["anneal_evaluations"] == res.stats["value_calls"] == 1
+    assert res.stats["polish_evaluations"] == 0
 
 
 def test_budget_respected():
@@ -288,8 +290,13 @@ def test_anneal_stops_at_step_cap_or_its_share(monkeypatch, method, budget,
     problem = syn.SynthesisProblem(gate_matrix(K.RX, 0.7), student,
                                    budget=budget)
     cfg = syn.AnnealConfig(seed=0, polish_method=method, anneal_fraction=1.0)
-    syn.synthesize(problem, cfg)
+    res = syn.synthesize(problem, cfg)
     assert starts == [polish_start]
+    # the chain ran all 1000 temperature steps either way
+    assert res.stats["anneal_steps"] == 1000
+    assert res.stats["anneal_evaluations"] == polish_start
+    assert res.stats["anneal_ended_by"] == ("step_cap" if budget == 3000
+                                            else "anneal_fraction")
 
 
 def test_small_budget_warns():
@@ -297,6 +304,54 @@ def test_small_budget_warns():
     with pytest.warns(UserWarning):
         syn.synthesize(syn.SynthesisProblem(u, tpl, budget=20),
                        syn.AnnealConfig(seed=0))
+
+
+@pytest.mark.parametrize("method", syn.POLISH_METHODS)
+def test_stats_count_the_work(method):
+    u = template_unitary("c15", 3, 2, seed=3)[0]
+    prob = syn.SynthesisProblem(u, circ.build_template("c15", 3, 1),
+                                budget=400)
+    cfg = syn.AnnealConfig(seed=2, polish_method=method, anneal_fraction=0.3)
+    res = syn.synthesize(prob, cfg)
+    stats = res.stats
+    assert stats["anneal_evaluations"] + stats["polish_evaluations"] \
+        == res.evaluations
+    assert stats["anneal_evaluations"] == 120
+    assert stats["anneal_ended_by"] == "anneal_fraction"
+    # 1 start plus 2 * 3 visits per temperature step
+    assert stats["anneal_steps"] == math.ceil((120 - 1) / 6)
+    if method == "grad-lbfgs":
+        # every anneal evaluation is a value call, and every polish call a
+        # value and gradient charged two evaluations
+        assert stats["value_calls"] == stats["anneal_evaluations"]
+        assert stats["polish_evaluations"] \
+            == 2 * stats["value_and_grad_calls"] > 0
+    else:
+        # the probes are closed-form: only the anneal and restarts run it
+        assert stats["value_and_grad_calls"] == 0
+        assert stats["anneal_evaluations"] <= stats["value_calls"] \
+            < res.evaluations
+    assert syn.synthesize(prob, cfg).stats == stats
+
+
+def test_one_cos_call_per_point(monkeypatch):
+    # every fused step's factors come from one np.cos call per evaluation,
+    # value or value and gradient, on a wide block
+    u = template_unitary("c15", 4, 7, seed=0)[0]
+    ev = syn._Evaluator(circ.build_template("c15", 4, 4), u)
+    theta = np.random.default_rng(0).uniform(-math.pi, math.pi, 16)
+    calls = []
+    cos = np.cos
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cos(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cos", counted)
+    ev.value_and_grad(theta)
+    assert len(calls) == 1
+    ev.value(theta)
+    assert len(calls) == 2
 
 
 def test_synthesis_deterministic_per_seed():
@@ -584,9 +639,10 @@ def test_real_student_against_real_teacher_runs_in_float64(n, t_layers,
     ev = syn._Evaluator(student, teacher)
     theta = np.random.default_rng(seed + 1).uniform(-math.pi, math.pi,
                                                     student.n_params)
-    blocks = ev.steps.run(ev.start, theta, keep=True)
+    tape = ev.steps.run(ev.start, theta, keep=True)
     assert ev.target.dtype == np.float64
-    assert all(b.dtype == np.float64 for b in blocks)
+    assert all(b.dtype == np.float64 for b in tape.blocks)
+    assert tape.adjoints.dtype == np.float64
     v = circ.unitary_of(circ.bind(student, theta))
     want = max(0.0, 1.0 - abs(np.trace(teacher.conj().T @ v)) / 2 ** n)
     assert abs(ev.value(theta) - want) <= 1e-13
