@@ -262,6 +262,10 @@ _IDENTITY = np.tile(_I2, 2)
 # dim float64 matrices at its peak, a gradient call 3 L (the adjoints too),
 # for L fused steps: at 8 qubits 1 and 1.5 MiB per c15 layer.
 _FUSE_MAX_QUBITS = 8
+# the stacked build gathers the factor entries of at most this many leading
+# qubits (a 16 x 16 block); at 8 qubits a full gather measured 2.3x slower
+# than broadcast Kronecker steps, which append the rest
+_GATHER_QUBITS = 4
 
 
 class _Permutation:
@@ -304,6 +308,26 @@ class _Dense:
         return self.apply(lam, theta, adjoint=True) if pull else lam
 
 
+def _gather_table(layout, dirs, rows):
+    """Indices into the flattened (factor, direction, entry) array f of
+    `StepList._matrices` for `dirs` directions of the fused steps whose
+    factor rows are `layout` (steps, n), qubit n-1 first.  Along axes (m,
+    direction, step, r, c), for each of the leading m = min(n,
+    _GATHER_QUBITS) qubits and entry (r, c) of the 2^m x 2^m block, it
+    picks that qubit's factor entry 2 bit(r) + bit(c).  With rows (steps,
+    2^n), the forward direction's r runs through each step's rows."""
+    steps, n = layout.shape
+    m = min(n, _GATHER_QUBITS)
+    shift = np.arange(m - 1, -1, -1)[:, None, None, None, None]
+    cols = (np.arange(2 ** m) >> shift) & 1               # (m, 1, 1, 1, c)
+    r = np.broadcast_to(np.arange(2 ** m), (dirs, steps, 2 ** m)).copy()
+    if rows is not None:
+        r[0] = rows
+    r = (r[..., None] >> shift) & 1                       # (m, d, s, r, 1)
+    base = layout[:, :m].T[:, None] * 4 * dirs + 4 * np.arange(dirs)[:, None]
+    return base[..., None, None] + 2 * r + cols
+
+
 class Tape(NamedTuple):
     """What `StepList.run(keep=True)` keeps for `StepList.gradient`: the
     input block and the block after every step, and the fused steps'
@@ -324,10 +348,12 @@ class StepList:
     float64 path).
 
     On a block at least as wide as it is tall, `run` builds every fused
-    step's Kronecker product in one vectorized pass from one cos call, and
-    each fused step is one matmul; with keep it builds their adjoints too.
-    The build holds 2 L (value) or 3 L (with keep) dim x dim matrices for L
-    fused steps, 1.5 MiB per c15 layer at 8 qubits with keep.  A narrower
+    step's Kronecker product in one vectorized pass from one cos call and
+    one gather, and each fused step is one matmul; with keep it builds
+    their adjoints too.  The gather's index tables take 24 KiB per fused
+    step from 4 qubits up.  The build holds 2 L (value) or 3 L (with keep)
+    dim x dim matrices for L fused steps, 1.5 MiB per c15 layer at 8
+    qubits with keep.  A narrower
     block runs each fused step's units one by one.  The kept matrices
     travel only in the returned `Tape`: no step keeps state for a theta.
 
@@ -379,33 +405,47 @@ class StepList:
         starts = np.cumsum([0] + [len(s.members) for s in fused])
         self._layout = np.array(
             [[len(self._slots) if j is None else start + j for j in s.layout]
-             for s, start in zip(fused, starts)], dtype=int)
-        self._rows = None
+             for s, start in zip(fused, starts)], dtype=int).reshape(-1, n)
+        rows = None
         if any(s.fold is not None for s in fused):
-            self._rows = np.array([np.arange(2 ** n) if s.fold is None
-                                   else s.fold.rows for s in fused])
+            rows = np.array([np.arange(2 ** n) if s.fold is None
+                             else s.fold.rows for s in fused])
+        # the gather's block holds the rows when it is the whole matrix;
+        # otherwise `_matrices` gathers them after the Kronecker steps
+        whole = n <= _GATHER_QUBITS
+        self._gather = tuple(_gather_table(self._layout, dirs,
+                                           rows if whole else None)
+                             for dirs in (1, 2))
+        self._rows = None if whole else rows
         for i, step in enumerate(fused):
             step.index = i
 
     def _matrices(self, theta, keep):
         """Every fused step's dim x dim matrix D K and, with keep, the
-        adjoint of its K, each stacked on a leading step axis (None
-        without keep).  Factors are Kronecker-multiplied qubit n-1 first,
-        as for one step alone, so each matrix is the same bits."""
+        adjoint of its K, each a contiguous stack on a leading step axis
+        (None without keep).  One gather (`_gather_table`) picks the leading
+        qubits' factor entries, with D's rows when that block is the whole
+        matrix, and multiplies them qubit n-1 first; broadcast Kronecker
+        steps append the other qubits, then a row gather applies D.  That
+        is the order of a Kronecker chain over one step's factors, so each
+        matrix is the same bits."""
         dirs = 1 + keep
         h = theta[self._slots] / 2
         cs = np.cos(np.add.outer(h, _SHIFTS[:1 + dirs]))
         f = np.concatenate([cs @ _FACTORS[:1 + dirs, :4 * dirs],
                             _IDENTITY[None, :4 * dirs]])
-        a = f[self._layout].reshape(*self._layout.shape, dirs, 2, 2)
-        k = a[:, 0]
-        for j in range(1, a.shape[1]):
+        g = f.ravel()[self._gather[keep]]
+        k = np.multiply.reduce(g)
+        steps = k.shape[1]
+        for j in range(len(g), self._layout.shape[1]):
+            a = f[self._layout[:, j]].reshape(steps, dirs, 2, 2)
+            a = a.swapaxes(0, 1)
             d = 2 * k.shape[-1]
-            k = (k[..., :, None, :, None] * a[:, j, ..., None, :, None, :]) \
-                .reshape(len(k), dirs, d, d)
-        forward = k[:, 0] if self._rows is None \
-            else k[np.arange(len(k))[:, None], 0, self._rows]
-        return forward, (k[:, 1] if keep else None)
+            k = (k[..., :, None, :, None] * a[..., None, :, None, :]) \
+                .reshape(dirs, steps, d, d)
+        forward = k[0] if self._rows is None \
+            else k[0, np.arange(steps)[:, None], self._rows]
+        return forward, (k[1] if keep else None)
 
     def run(self, x, theta, keep=False):
         """The block after all steps; with keep, a `Tape` that `gradient`

@@ -25,8 +25,12 @@ can only fuse into each qubit's leading physical PQC gates (``lead``); the
 merged rest of the PQC (``shared``) is the same for every row.  So the PQC is
 lowered once, and each row lowers only its 1q-only encoding plus ``lead``,
 emitted in the order the full merge flushes it.  There is no idle noise, so
-channels on disjoint qubits commute exactly: ``noisy_z_features`` runs each
-row's prefix alone, then ``shared`` once on the stacked batch.
+channels on disjoint qubits commute exactly: ``noisy_z_features`` evolves
+each row's prefix, then runs ``shared`` once on the stacked batch.  A prefix
+has only 1q gates and each 1q gate's noise acts on its own qubit, so the
+prefix leaves a product state: each qubit's 2x2 density evolves alone, the
+rows that share a prefix's gate sequence evolve as one stack, and the n
+densities are Kronecker-multiplied into the batch.
 """
 
 from __future__ import annotations
@@ -269,15 +273,51 @@ def _lowered_rows(model, rows, basis):
     return prefixes, shared
 
 
+def _batched_kron(a, b) -> np.ndarray:
+    """kron(a[i], b[i]) for each i of two (k, ., .) stacks."""
+    return np.einsum("kij,kab->kiajb", a, b).reshape(
+        len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+
+
+def _prefix_densities(prefixes, n_qubits: int, profile: DeviceProfile):
+    """The (dim, dim, b) batch of densities that each row's 1q-only prefix
+    leaves from |0...0>, under the profile's noise.
+
+    A prefix keeps the register a product state, so each qubit's 2x2
+    density (a row-major 4-vector) evolves alone by gate_noise[1] @ (U (x)
+    conj(U)).  The rows that share a prefix's (kind, qubit) sequence
+    evolve as one stack, and the n densities are Kronecker-multiplied,
+    qubit n-1 first, into their rows of the batch.
+    """
+    n = n_qubits
+    rho = np.empty((2 ** n, 2 ** n, len(prefixes)), dtype=complex)
+    groups = {}
+    for i, prefix in enumerate(prefixes):
+        key = tuple((op.kind, op.qubits[0]) for op in prefix)
+        groups.setdefault(key, []).append(i)
+    for key, rows in groups.items():
+        vec = np.zeros((n, len(rows), 4), dtype=complex)
+        vec[:, :, 0] = 1.0
+        for j, (kind, q) in enumerate(key):
+            u = np.array([gate_matrix(kind, prefixes[i][j].angle)
+                          for i in rows])
+            channel = profile.gate_noise[1] @ _batched_kron(u, u.conj())
+            vec[q] = (channel @ vec[q][..., None])[..., 0]
+        dens = vec.reshape(n, len(rows), 2, 2)
+        out = dens[n - 1]
+        for q in range(n - 2, -1, -1):
+            out = _batched_kron(out, dens[q])
+        rho[..., rows] = np.moveaxis(out, 0, -1)
+    return rho
+
+
 def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     """Readout-corrected per-qubit <Z> rows for pre-scaled feature rows."""
     n = model.n_qubits
     x = np.atleast_2d(np.asarray(features_scaled, float))
     prefixes, shared = _lowered_rows(model, x, profile.basis)
-    rho = np.empty((2 ** n, 2 ** n, x.shape[0]), dtype=complex)
-    for i, prefix in enumerate(prefixes):
-        rho[..., i] = run_noisy(Circuit(n, prefix), profile)
-    rho = run_noisy(Circuit(n, shared), profile, rho)
+    rho = run_noisy(Circuit(n, shared), profile,
+                    _prefix_densities(prefixes, n, profile))
     pops = np.real(np.diagonal(rho))                     # (b, dim)
     return (1.0 - 2.0 * profile.meas_err) * (pops @ z_signs(n))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -109,7 +110,9 @@ class SynthesisResult:
     # value_calls, value_and_grad_calls, anneal_evaluations and
     # polish_evaluations (which sum to evaluations), anneal_steps (the
     # temperature steps that made a visit) and anneal_ended_by ("step_cap"
-    # or "anneal_fraction"; None when there are no parameters to anneal)
+    # or "anneal_fraction"; None when there are no parameters to anneal);
+    # and anneal_s and polish_s, each phase's wall time in seconds, the only
+    # entries a rerun changes
     stats: dict = field(default_factory=dict)
 
 
@@ -428,10 +431,12 @@ def synthesize(problem: SynthesisProblem,
 
     if n == 0:
         # the one evaluation is the anneal's start, and nothing anneals
+        start = time.perf_counter()
         d = evaluator.value(np.empty(0))
         stats = dict(value_calls=1, value_and_grad_calls=0,
                      anneal_evaluations=1, polish_evaluations=0,
-                     anneal_steps=0, anneal_ended_by=None)
+                     anneal_steps=0, anneal_ended_by=None,
+                     anneal_s=time.perf_counter() - start, polish_s=0.0)
         return SynthesisResult(np.empty(0), d, 1,
                                evaluator.overlap(np.empty(0)),
                                d <= CONVERGE_THRESHOLD,
@@ -443,17 +448,20 @@ def synthesize(problem: SynthesisProblem,
             f"budget {problem.budget} is below the recommended 10x"
             f" parameter count ({10 * n})", stacklevel=2)
 
+    start = time.perf_counter()
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
     anneal_steps, anneal_ended_by = _anneal(cost, n, rng, anneal_evals)
     anneal_evaluations = cost.nfev
+    polish_start = time.perf_counter()
 
     # the anneal stops within budget, short of the polish allowance
     if config.polish_method.lower() == "rotation-solve":
         _rotation_solve(cost, evaluator, rng)
     else:
         _grad_polish(cost, rng, evaluator.value_and_grad)
+    polish_s = time.perf_counter() - polish_start
 
     return SynthesisResult(
         theta_star=cost.best_x,
@@ -468,7 +476,8 @@ def synthesize(problem: SynthesisProblem,
                    anneal_evaluations=anneal_evaluations,
                    polish_evaluations=cost.nfev - anneal_evaluations,
                    anneal_steps=anneal_steps,
-                   anneal_ended_by=anneal_ended_by),
+                   anneal_ended_by=anneal_ended_by,
+                   anneal_s=polish_start - start, polish_s=polish_s),
     )
 
 

@@ -277,6 +277,53 @@ def test_fused_steps_agree_with_their_members(case):
         assert np.max(np.abs(adjoints[step.index] @ pulled - y)) <= 1e-13
 
 
+def _kron_oracle(steps, theta):
+    """Each fused step's forward matrix D K and the adjoint of its K, as an
+    np.kron chain of its factors, qubit n-1 first, then D's row gather."""
+    cs = np.cos(np.add.outer(theta / 2, [0.0, -math.pi / 2, math.pi / 2]))
+    out = []
+    for step in steps.steps:
+        if not isinstance(step, circ._Fused):
+            continue
+        factors = [[np.eye(2)] * 2 for _ in range(len(step.layout))]
+        for m in step.members:
+            c, s, t = cs[m.slot]
+            factors[m.qubit] = [np.array([[c, -s], [s, c]]),
+                                np.array([[c, -t], [t, c]])]
+        forward, adjoint = factors[-1]
+        for f, a in factors[-2::-1]:
+            forward, adjoint = np.kron(forward, f), np.kron(adjoint, a)
+        if step.fold is not None:
+            forward = forward[step.fold.rows]
+        out.append((step.index, forward, adjoint))
+    return out
+
+
+_STACKED_CASES = {
+    **{f"c15-n{n}": circ.build_template("c15", n, 2) for n in range(2, 9)},
+    **{f"c12-n{n}": circ.build_template("c12", n, 2) for n in range(4, 7)},
+    **{f"hand-built-{i}": c for i, c in enumerate(_HAND_BUILT)},
+}
+
+
+@pytest.mark.parametrize("c", list(_STACKED_CASES.values()),
+                         ids=list(_STACKED_CASES))
+def test_stacked_build_is_the_kron_chain_bit_for_bit(c):
+    # the gather of the leading qubits' factor entries and the broadcast
+    # Kronecker steps after it multiply in the chain's order, so every
+    # matrix is the same bits, in both directions and with or without keep
+    rng = np.random.default_rng(c.n_qubits)
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, c.n_params)
+        value, none = c.steps._matrices(theta, keep=False)
+        forward, adjoints = c.steps._matrices(theta, keep=True)
+        assert none is None
+        for i, want, want_adjoint in _kron_oracle(c.steps, theta):
+            assert value[i].tobytes() == forward[i].tobytes() \
+                == want.tobytes()
+            assert adjoints[i].tobytes() == want_adjoint.tobytes()
+
+
 def test_wide_block_at_the_fusion_limit_matches_unitary():
     # at 8 qubits the stacked build holds 256 x 256 matrices for each of
     # the three layers' fused steps

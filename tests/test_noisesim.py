@@ -205,6 +205,31 @@ def test_row_prefix_and_shared_tail_equal_full_lowering(template, layers, mode,
         assert prefix + shared == want + tail
 
 
+@pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
+@pytest.mark.parametrize("mode", ["1:1", "2:1"])
+def test_product_state_prefixes_match_dense_prefix_runs(template, mode):
+    # each row's prefix as a dense run_noisy from |0...0>, then the shared
+    # tail on the stacked batch
+    scheme = encoding.EncodingScheme(mode, 4)
+    model = qnn.init_model(template, 2, scheme, seed=7)
+    rows = np.random.default_rng(7).uniform(-math.pi, math.pi,
+                                            (4, scheme.capacity))
+    rows[1] = 0.0   # zero angles merge gates away from this row's prefix
+    for device in (MELBOURNE, ALMADEN):
+        for basis in ("IBM", "RIGETTI"):
+            profile = dataclasses.replace(device, basis=basis)
+            prefixes, shared = noisesim._lowered_rows(model, rows, basis)
+            if basis == "IBM" and template != "c1":
+                assert len({tuple((op.kind, op.qubits) for op in prefix)
+                            for prefix in prefixes}) == 2
+            rho = np.stack([noisesim.run_noisy(Circuit(4, prefix), profile)
+                            for prefix in prefixes], axis=-1)
+            rho = noisesim.run_noisy(Circuit(4, shared), profile, rho)
+            want = (1 - 2 * profile.meas_err) * _populations_z(rho, 4)
+            got = noisesim.noisy_z_features(model, rows, profile)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def _embedded(m, qubits, units):
     """Full-register matrix of a local matrix; qubits[0] is its top bit."""
     k = len(qubits)
