@@ -13,15 +13,18 @@ overlap and the exact reverse-mode gradient from the student's compiled step
 list (`circuit.StepList`), the same one that trains and fine-tunes the
 classifier in `qnn`.
 
-Every angle is searched in [-pi, pi].  The global optimizer is one
-from-scratch generalized simulated annealing (GSA) chain from a uniform
-random start: heavy-tailed Tsallis visiting moves, the generalized
-Metropolis acceptance rule and a power-law temperature schedule, for at
-most 1000 temperature steps of 2 * dim visits each, with no restarts.  It
-ends sooner once the anneal's share of the budget is spent.  Its constants
-(initial temperature 5230.0, visit 2.62, accept -5.0) are fixed.  A local
-polish then runs from the best point, one of `POLISH_METHODS`: grad-lbfgs
-(default; L-BFGS-B on the exact gradient, charged two evaluations per call)
+The global optimizer is one from-scratch generalized simulated annealing
+(GSA) chain from a uniform random start in [-pi, pi]: heavy-tailed Tsallis
+visiting moves wrapped into [-pi, pi], the generalized Metropolis rule and
+a power-law temperature schedule, for at most 1000 temperature steps of
+2 * dim visits each, with no restarts.  It ends sooner once the anneal's
+share of the budget is spent.  Its constants (initial temperature 5230.0,
+visit 2.62, accept -5.0) are fixed.  A local polish then runs from the best
+point, one of `POLISH_METHODS`: grad-lbfgs (default; multi-start L-BFGS on
+the exact gradient with a backtracking Armijo search, each search ending at
+a relative drop of 1e-14, max|g| <= 1e-10, a failed line search or the
+budget, each call charged two evaluations; unboxed, as a 2pi shift only
+flips a rotation's global sign and a controlled rotation has period 4pi)
 or rotation-solve (closed-form coordinate updates, visited in step order,
 where one charged evaluation is one closed-form probe from cached adjoint
 environments rather than a circuit run).  Its evaluations are capped so the
@@ -109,10 +112,11 @@ class SynthesisResult:
     # counts of the work done, deterministic and written to no artifact:
     # value_calls, value_and_grad_calls, anneal_evaluations and
     # polish_evaluations (which sum to evaluations), anneal_steps (the
-    # temperature steps that made a visit) and anneal_ended_by ("step_cap"
-    # or "anneal_fraction"; None when there are no parameters to anneal);
-    # and anneal_s and polish_s, each phase's wall time in seconds, the only
-    # entries a rerun changes
+    # temperature steps that made a visit), anneal_ended_by ("step_cap" or
+    # "anneal_fraction"; None when there are no parameters to anneal),
+    # anneal_accepted (accepted moves) and polish_restarts (searches started
+    # after the first); and anneal_s and polish_s, each phase's wall time in
+    # seconds, the only entries a rerun changes
     stats: dict = field(default_factory=dict)
 
 
@@ -194,9 +198,6 @@ class _CostTracker:
             self.improvements.append((self.nfev, float(e)))
 
     def __call__(self, x):
-        if self.exhausted:
-            # budget exhausted: report a flat landscape so callers terminate
-            return self.best_e
         return self.charge(x, self._fun(x))
 
     def charge(self, x, e):
@@ -259,30 +260,31 @@ def _anneal(cost, dim, rng, anneal_evals):
     """One GSA chain over dim angles from a uniform random start: at most
     1000 temperature steps of 2 * dim visits each, ending sooner once
     anneal_evals evaluations are spent.  Returns the number of temperature
-    steps that made a visit and what ended the chain, "step_cap" or
-    "anneal_fraction"."""
+    steps that made a visit, what ended the chain ("step_cap" or
+    "anneal_fraction") and the number of accepted moves."""
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     x_cur = rng.uniform(-math.pi, math.pi, dim)
     e_cur = cost(x_cur)
+    accepted = 0
     for step in range(1000):
         t2 = math.exp((VISIT - 1.0) * math.log(step + 2.0)) - 1.0
         temperature = INITIAL_TEMP * t1 / t2
         temperature_step = temperature / (step + 1.0)
         for j in range(2 * dim):
             if cost.nfev >= anneal_evals:
-                return (step + 1 if j else step), "anneal_fraction"
+                return (step + 1 if j else step), "anneal_fraction", accepted
             x_visit = _visit(rng, x_cur, j, temperature)
             e = cost(x_visit)
-            if e < e_cur:
-                x_cur, e_cur = x_visit, e
-            else:
+            accept = e < e_cur
+            if not accept:
                 pqv_temp = 1.0 - ((1.0 - ACCEPT) * (e - e_cur)
                                   / temperature_step)
-                if pqv_temp > 0.0:
-                    pqv = math.exp(math.log(pqv_temp) / (1.0 - ACCEPT))
-                    if rng.uniform() <= pqv:
-                        x_cur, e_cur = x_visit, e
-    return 1000, "step_cap"
+                accept = pqv_temp > 0.0 and rng.uniform() <= math.exp(
+                    math.log(pqv_temp) / (1.0 - ACCEPT))
+            if accept:
+                x_cur, e_cur = x_visit, e
+                accepted += 1
+    return 1000, "step_cap", accepted
 
 
 def _best_angle(probe, a0, d0, controlled):
@@ -337,11 +339,13 @@ def _rotation_solve(cost, evaluator, rng):
     stays exact because the units after k are still at their pass-start
     angles when k is visited.
     Coordinates are therefore visited in op order, which is slot order.
+    Returns the number of restarts.
     """
     units = [m for s in evaluator.steps.steps
              for m in getattr(s, "units", [s])]
     x = np.array(cost.best_x, float, copy=True)
     d_cur = cost.best_e
+    restarts = 0
     while not cost.exhausted:
         improved = False
         block = np.asarray(evaluator.start, complex)
@@ -374,50 +378,81 @@ def _rotation_solve(cost, evaluator, rng):
             if cost.max_evals - cost.nfev > 10 * x.size:
                 x = rng.uniform(-math.pi, math.pi, x.size)
                 d_cur = cost(x)
+                restarts += 1
             else:
-                return
+                return restarts
+    return restarts
 
 
 def _grad_polish(cost, rng, fg):
-    """Multi-start L-BFGS-B on the exact gradient until the budget runs out.
+    """Multi-start L-BFGS on the exact gradient until the budget runs out;
+    returns the number of searches started after the first.
 
-    Each value-and-gradient call is charged two evaluations.  The first
-    search starts from the best annealed point; after a search converges the
-    next one restarts from the new best or, once that stops paying off, from
-    a fresh random point in the box.
+    Each search is unconstrained L-BFGS (Liu & Nocedal 1989; Nocedal &
+    Wright, Alg. 7.4): the two-loop recursion over the last 10 curvature
+    pairs, keeping a pair only when s.y > 1e-12 y.y, with the first step
+    scaled by 1 / max(1, |g|).  Its line search backtracks from t = 1 until
+    the Armijo condition holds (c1 = 1e-4), each retry at the minimizer of
+    the quadratic through the value, the slope and the rejected value,
+    clamped to [0.1 t, 0.5 t].  A search ends when an accepted step lowers
+    the value by at most 1e-14 relative, when max|g| <= 1e-10, when a line
+    search fails (20 trials, as in L-BFGS-B) or when the budget is spent.
+    The next search starts from the new best or, once that stops paying
+    off, from a fresh uniform point in [-pi, pi] while more than 50 n
+    evaluations remain.  Each value-and-gradient call is charged two
+    evaluations, and the budget is checked before every call.
+
+    There is no box on the angles.  A plain rotation at a + 2pi is -R(a), a
+    global sign the distance ignores, while a controlled rotation has period
+    4pi, so a box of [-pi, pi] would cut off half of its period.  Dropping
+    the box drops a restriction, not a guarantee: nothing downstream reads
+    the range of theta.
     """
-    # imported here, so that only runs that polish with grad-lbfgs load scipy
-    from scipy.optimize import minimize
-
-    n = cost.best_x.size
-
-    def counted(x):
-        if cost.exhausted:
-            return cost.best_e, np.zeros(n)
+    x, restarts = cost.best_x, -1
+    while not cost.exhausted:
+        restarts += 1
+        before = cost.best_e
         f, g = fg(x)
         cost.record(x, f, charge=2)
-        return f, g
-
-    # enough calls to converge one basin of this size before restarting
-    chunk_cap = max(1000, 20 * n)
-    start = cost.best_x
-    while not cost.exhausted:
-        remaining = min((cost.max_evals - cost.nfev) // 2, chunk_cap)
-        if remaining < 2:
-            return
-        before = cost.best_e
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            minimize(counted, start, jac=True, method="L-BFGS-B",
-                     bounds=[(-math.pi, math.pi)] * n,
-                     options={"maxfun": remaining, "ftol": 1e-14,
-                              "gtol": 1e-10})
+        pairs = []   # (s, y, 1 / s.y), oldest first
+        while np.max(np.abs(g)) > 1e-10:
+            q = g.copy()
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * (s @ q))
+                q -= alphas[-1] * y
+            q /= scale if pairs else max(1.0, math.sqrt(g @ g))
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                q += (alpha - rho * (y @ q)) * s
+            slope = -(g @ q)   # along the direction -q
+            t = 1.0
+            for _ in range(20):
+                if cost.exhausted:
+                    return restarts
+                x_new = x - t * q
+                f_new, g_new = fg(x_new)
+                cost.record(x_new, f_new, charge=2)
+                if f_new <= f + 1e-4 * t * slope:
+                    break
+                t_min = -slope * t * t / (2.0 * (f_new - f - slope * t))
+                t = min(max(t_min, 0.1 * t), 0.5 * t)
+            else:
+                break
+            if f - f_new <= 1e-14 * max(abs(f), abs(f_new), 1.0):
+                break
+            s, y = x_new - x, g_new - g
+            if s @ y > 1e-12 * (y @ y):
+                rho = 1.0 / (s @ y)
+                pairs = pairs[-9:] + [(s, y, rho)]
+                scale = rho * (y @ y)   # H0 = I / scale
+            x, f, g = x_new, f_new, g_new
         if cost.best_e < before - 1e-12:
-            start = cost.best_x
-        elif cost.max_evals - cost.nfev > 50 * n:
-            start = rng.uniform(-math.pi, math.pi, n)
+            x = cost.best_x
+        elif cost.max_evals - cost.nfev > 50 * x.size:
+            x = rng.uniform(-math.pi, math.pi, x.size)
         else:
-            return
+            break
+    return restarts
 
 
 def synthesize(problem: SynthesisProblem,
@@ -436,6 +471,7 @@ def synthesize(problem: SynthesisProblem,
         stats = dict(value_calls=1, value_and_grad_calls=0,
                      anneal_evaluations=1, polish_evaluations=0,
                      anneal_steps=0, anneal_ended_by=None,
+                     anneal_accepted=0, polish_restarts=0,
                      anneal_s=time.perf_counter() - start, polish_s=0.0)
         return SynthesisResult(np.empty(0), d, 1,
                                evaluator.overlap(np.empty(0)),
@@ -452,15 +488,16 @@ def synthesize(problem: SynthesisProblem,
     cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
     rng = np.random.default_rng(config.seed)
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    anneal_steps, anneal_ended_by = _anneal(cost, n, rng, anneal_evals)
+    anneal_steps, anneal_ended_by, anneal_accepted = _anneal(
+        cost, n, rng, anneal_evals)
     anneal_evaluations = cost.nfev
     polish_start = time.perf_counter()
 
     # the anneal stops within budget, short of the polish allowance
     if config.polish_method.lower() == "rotation-solve":
-        _rotation_solve(cost, evaluator, rng)
+        polish_restarts = _rotation_solve(cost, evaluator, rng)
     else:
-        _grad_polish(cost, rng, evaluator.value_and_grad)
+        polish_restarts = _grad_polish(cost, rng, evaluator.value_and_grad)
     polish_s = time.perf_counter() - polish_start
 
     return SynthesisResult(
@@ -477,6 +514,8 @@ def synthesize(problem: SynthesisProblem,
                    polish_evaluations=cost.nfev - anneal_evaluations,
                    anneal_steps=anneal_steps,
                    anneal_ended_by=anneal_ended_by,
+                   anneal_accepted=anneal_accepted,
+                   polish_restarts=polish_restarts,
                    anneal_s=polish_start - start, polish_s=polish_s),
     )
 

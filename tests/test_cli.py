@@ -400,15 +400,45 @@ def test_classes_with_iris_is_a_usage_error(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+# run in a fresh interpreter: the command lines come in as a JSON list in
+# argv[1], and the exit codes go out as a JSON list on stdout's last line
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None   # every import of scipy now raises ImportError
+import qdistill
+from qdistill import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    d = str(tmp_path)
+    student = f"{d}/distill/student_c2_1l.json"
+    commands = [
+        ["train", "--template", "c2", "--layers", "1", "--epochs", "1",
+         "--out", f"{d}/train"],
+        ["distill", "--teacher", f"{d}/train/c2_1l_seed0.json",
+         "--template", "c2", "--polish-method", "grad-lbfgs",
+         "--budget", "60", "--out", f"{d}/distill"],
+        ["finetune", "--checkpoint", student, "--epochs", "1",
+         "--out", f"{d}/finetune"],
+        ["noise-eval", "--checkpoints", student, "--out", f"{d}/noise"],
+        ["fidelity-sweep", "--qubits", "2", "--instances", "1",
+         "--budget", "60", "--out", f"{d}/sweep"],
+        ["transpile-report", "--out", f"{d}/transpile"],
+        ["replay", "--manifest", f"{d}/distill/manifest.json",
+         "--out", f"{d}/replay"],
+    ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, qdistill.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _WITHOUT_SCIPY,
+         json.dumps(commands)],
+        env=env, cwd=d, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(commands)
 
 
 _BAD_CHECKPOINTS = {

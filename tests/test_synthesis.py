@@ -261,6 +261,7 @@ def test_zero_parameter_student():
     assert res.converged
     assert res.stats["anneal_evaluations"] == res.stats["value_calls"] == 1
     assert res.stats["polish_evaluations"] == res.stats["polish_s"] == 0
+    assert res.stats["anneal_accepted"] == res.stats["polish_restarts"] == 0
     assert res.stats["anneal_s"] >= 0
 
 
@@ -327,11 +328,15 @@ def test_stats_count_the_work(method):
         assert stats["value_calls"] == stats["anneal_evaluations"]
         assert stats["polish_evaluations"] \
             == 2 * stats["value_and_grad_calls"] > 0
+        # every search makes at least one call
+        assert stats["value_and_grad_calls"] > stats["polish_restarts"] > 0
     else:
         # the probes are closed-form: only the anneal and restarts run it
         assert stats["value_and_grad_calls"] == 0
-        assert stats["anneal_evaluations"] <= stats["value_calls"] \
-            < res.evaluations
+        assert stats["value_calls"] == stats["anneal_evaluations"] \
+            + stats["polish_restarts"] < res.evaluations
+        assert stats["polish_restarts"] > 0
+    assert 0 < stats["anneal_accepted"] < stats["anneal_evaluations"]
     # each phase's wall time is the one entry a rerun may change
     assert stats.pop("anneal_s") >= 0 and stats.pop("polish_s") >= 0
     again = syn.synthesize(prob, cfg).stats
@@ -339,7 +344,70 @@ def test_stats_count_the_work(method):
     assert again == stats
     assert set(stats) == {"value_calls", "value_and_grad_calls",
                           "anneal_evaluations", "polish_evaluations",
-                          "anneal_steps", "anneal_ended_by"}
+                          "anneal_steps", "anneal_ended_by",
+                          "anneal_accepted", "polish_restarts"}
+
+
+def _quadratic(dim=6, seed=0):
+    """A strictly convex quadratic's value-and-gradient, its minimizer, and a
+    counter of its calls."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    hess = q @ np.diag(np.linspace(0.5, 5.0, dim)) @ q.T
+    x_star = rng.uniform(-1.0, 1.0, dim)
+    calls = []
+
+    def fg(x):
+        calls.append(x)
+        r = x - x_star
+        return 0.5 * r @ hess @ r, hess @ r
+
+    return fg, x_star, calls
+
+
+def _polish_from(x0, fg, calls, max_calls, seed=0):
+    """`_grad_polish` from x0, recorded as the best point so far, with a
+    budget of max_calls value-and-gradient calls; returns the cost tracker
+    and the restart count, and leaves only the polish's calls in calls."""
+    cost = syn._CostTracker(None, 2 * max_calls)
+    cost.record(x0, fg(x0)[0], charge=0)
+    calls.clear()
+    return cost, syn._grad_polish(cost, np.random.default_rng(seed), fg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_polish_reaches_a_quadratic_minimizer(seed):
+    # twice the calls it needs: the polish stops on its own, once a search
+    # from the best point gains nothing and too little budget is left for a
+    # random restart
+    fg, _, calls = _quadratic(seed=seed)
+    cost, _ = _polish_from(np.zeros(6), fg, calls, max_calls=40)
+    assert len(calls) <= 20
+    assert 0.0 <= cost.best_e <= 1e-10   # the minimum value is 0
+
+
+def test_grad_polish_stops_at_its_call_cap():
+    fg, _, calls = _quadratic(seed=1)
+    cost, _ = _polish_from(np.full(6, 3.0), fg, calls, max_calls=7)
+    assert 0 < len(calls) <= 7
+    assert cost.nfev == 2 * len(calls)
+
+
+def test_grad_polish_at_a_stationary_point_makes_one_call():
+    fg, x_star, calls = _quadratic(seed=2)
+    cost, restarts = _polish_from(x_star, fg, calls, max_calls=20)
+    assert len(calls) == 1 and cost.nfev == 2 and restarts == 0
+
+
+def test_grad_polish_is_bit_identical_on_rerun():
+    results = []
+    for _ in range(2):
+        fg, _, calls = _quadratic(seed=3)
+        cost, restarts = _polish_from(np.full(6, -2.0), fg, calls,
+                                      max_calls=40)
+        results.append((cost.best_x.tobytes(), cost.best_e, cost.nfev,
+                        restarts))
+    assert results[0] == results[1]
 
 
 def test_one_cos_call_per_point(monkeypatch):
