@@ -175,7 +175,7 @@ class _Rotation:
         on = self.mask * x
         return np.vdot(lam, x - on), np.vdot(lam, on), q
 
-    def reverse(self, lam, x, e, theta, adjoints, pull):
+    def reverse(self, lam, x, e, theta, pull):
         """One step of `StepList.gradient`: e[slot] from the step's output
         block x, then lam pulled back through the step if pull."""
         e[self.slot] = -1j * complex(np.vdot(lam, self.generate(x)))
@@ -199,9 +199,10 @@ class _Fused:
     followed by the 0/1 permutation D of a literal run folded into it (c15's
     CX ring), so that the step is D K.  `StepList` builds every fused step's
     Kronecker product at once for a block at least as wide as it is tall,
-    and the step is one matmul K[rows] @ x (dim^2 k); a narrower block runs
-    its units, the members and then the permutation, one by one (m dim k).
-    The reverse terms take one gather."""
+    where the step is one matmul (D K) @ x (dim^2 k) and its reverse terms
+    come from `StepList.gradient`'s environment product; a narrower block
+    runs its units, the members and then the permutation, one by one (m dim
+    k), and `reverse` takes the terms from one gather."""
 
     real = True
 
@@ -230,37 +231,32 @@ class _Fused:
             x = unit.apply(x, theta)
         return x
 
-    def reverse(self, lam, x, e, theta, adjoints, pull):
-        """e[slot] = <lam, -i Y K x> per member, from one gather of x, with
-        lam first pulled back through the permutation; then lam pulled back
-        through K if pull, by its kept adjoint when there is one."""
+    def reverse(self, lam, x, e, theta, pull):
+        """A narrow block's step of `StepList.gradient`: e[slot] = <lam, -i
+        Y K x> per member, from one gather of x, with lam first pulled back
+        through the permutation; then lam pulled back through the members
+        if pull."""
         if self.fold is not None:
             lam = self.fold.apply(lam, theta, adjoint=True)
         g = (x[self.perm] * self.gen).reshape(len(self.members), -1)
         e[self.slots] = g @ lam.conj().ravel()
-        if not pull:
-            return lam
-        if adjoints is not None:
-            return adjoints[self.index] @ lam
-        for m in self.members[::-1]:
-            lam = m.apply(lam, theta, adjoint=True)
+        if pull:
+            for m in self.members[::-1]:
+                lam = m.apply(lam, theta, adjoint=True)
         return lam
 
 
-# A factor of RY(2h) is cos h I + sin h (-i Y), its adjoint's cos h I -
-# sin h (-i Y): cos h, sin h and -sin h are cos(h + _SHIFTS), and the rows
-# of _FACTORS map them to the forward factor and the adjoint's, flattened.
-_SHIFTS = np.array([0.0, -math.pi / 2, math.pi / 2])
+# A factor of RY(2h) is cos h I + sin h (-i Y): cos h and sin h are cos(h +
+# _SHIFTS), and the rows of _FACTORS map them to the factor, flattened
+_SHIFTS = np.array([0.0, -math.pi / 2])
 _I2 = np.eye(2).ravel()
-_MINUS_IY = (-1j * GENERATOR[GateKind.RY]).real.ravel()
-_FACTORS = np.block([[_I2, _I2], [_MINUS_IY, 0 * _I2], [0 * _I2, _MINUS_IY]])
-# both directions' factor on a qubit that a fused step leaves alone
-_IDENTITY = np.tile(_I2, 2)
+_FACTORS = np.stack([_I2, (-1j * GENERATOR[GateKind.RY]).real.ravel()])
 # fused steps measured faster on square blocks up to 8 qubits (complex) and
-# 9 (real); past that dim^2 k outgrows m dim k, and the terms hold m blocks.
-# A wide block's matrices are built at once: a value call holds 2 L dim x
-# dim float64 matrices at its peak, a gradient call 3 L (the adjoints too),
-# for L fused steps: at 8 qubits 1 and 1.5 MiB per c15 layer.
+# 9 (real); past that dim^2 k outgrows m dim k.  A wide block's matrices are
+# built at once: a call holds 2 L dim x dim float64 matrices at its peak for
+# L fused steps, 1 MiB per c15 layer at 8 qubits, and a gradient call then
+# holds the matrices and L dim x dim environments (complex ones for a
+# complex block), 1 or 1.5 MiB per c15 layer.
 _FUSE_MAX_QUBITS = 8
 # the stacked build gathers the factor entries of at most this many leading
 # qubits (a 16 x 16 block); at 8 qubits a full gather measured 2.3x slower
@@ -304,35 +300,32 @@ class _Dense:
             self.m[x.dtype] = (m.copy(), m.T.copy())
         return self.m[x.dtype][adjoint] @ x
 
-    def reverse(self, lam, x, e, theta, adjoints, pull):
+    def reverse(self, lam, x, e, theta, pull):
         return self.apply(lam, theta, adjoint=True) if pull else lam
 
 
-def _gather_table(layout, dirs, rows):
-    """Indices into the flattened (factor, direction, entry) array f of
-    `StepList._matrices` for `dirs` directions of the fused steps whose
-    factor rows are `layout` (steps, n), qubit n-1 first.  Along axes (m,
-    direction, step, r, c), for each of the leading m = min(n,
-    _GATHER_QUBITS) qubits and entry (r, c) of the 2^m x 2^m block, it
-    picks that qubit's factor entry 2 bit(r) + bit(c).  With rows (steps,
-    2^n), the forward direction's r runs through each step's rows."""
+def _gather_table(layout, rows):
+    """Indices into the flattened (factor, entry) array f of
+    `StepList._matrices` for the fused steps whose factor rows are `layout`
+    (steps, n), qubit n-1 first.  Along axes (m, step, r, c), for each of
+    the leading m = min(n, _GATHER_QUBITS) qubits and entry (r, c) of the
+    2^m x 2^m block, it picks that qubit's factor entry 2 bit(r) + bit(c).
+    With rows (steps, 2^n), r runs through each step's rows."""
     steps, n = layout.shape
     m = min(n, _GATHER_QUBITS)
-    shift = np.arange(m - 1, -1, -1)[:, None, None, None, None]
-    cols = (np.arange(2 ** m) >> shift) & 1               # (m, 1, 1, 1, c)
-    r = np.broadcast_to(np.arange(2 ** m), (dirs, steps, 2 ** m)).copy()
-    if rows is not None:
-        r[0] = rows
-    r = (r[..., None] >> shift) & 1                       # (m, d, s, r, 1)
-    base = layout[:, :m].T[:, None] * 4 * dirs + 4 * np.arange(dirs)[:, None]
-    return base[..., None, None] + 2 * r + cols
+    shift = np.arange(m - 1, -1, -1)[:, None, None, None]
+    cols = (np.arange(2 ** m) >> shift) & 1               # (m, 1, 1, c)
+    r = np.broadcast_to(np.arange(2 ** m), (steps, 2 ** m)) if rows is None \
+        else rows
+    r = (r[..., None] >> shift) & 1                       # (m, s, r, 1)
+    return layout[:, :m].T[..., None, None] * 4 + 2 * r + cols
 
 
 class Tape(NamedTuple):
     """What `StepList.run(keep=True)` keeps for `StepList.gradient`: the
-    input block and the block after every step, and the fused steps'
-    stacked adjoint matrices (None if the block is narrower than tall or
-    there is no fused step)."""
+    input block (None for the identity) and the block after every step, and
+    the fused steps' stacked adjoint matrices (D K)^T (None if the block is
+    narrower than tall or there is no fused step)."""
 
     blocks: list
     adjoints: np.ndarray | None
@@ -349,13 +342,16 @@ class StepList:
 
     On a block at least as wide as it is tall, `run` builds every fused
     step's Kronecker product in one vectorized pass from one cos call and
-    one gather, and each fused step is one matmul; with keep it builds
-    their adjoints too.  The gather's index tables take 24 KiB per fused
-    step from 4 qubits up.  The build holds 2 L (value) or 3 L (with keep)
-    dim x dim matrices for L fused steps, 1.5 MiB per c15 layer at 8
-    qubits with keep.  A narrower
-    block runs each fused step's units one by one.  The kept matrices
-    travel only in the returned `Tape`: no step keeps state for a theta.
+    one gather, and each fused step is one matmul; with keep the `Tape`
+    holds their transposes as the adjoints.  From the identity (x None) the
+    leading fused step of a real list takes its matrix as its block.  The gather's index table
+    takes 8 KiB per fused step from 4 qubits up, and the reverse terms'
+    tables 16 dim bytes per member, 32 KiB per c15 layer at 8 qubits.  The
+    build holds 2 L dim x dim matrices for L fused steps, 1 MiB per c15
+    layer at 8 qubits.  A narrower block runs each fused step's units one
+    by one.  The kept
+    matrices travel only in the returned `Tape`: no step keeps state for a
+    theta.
 
     `gradient` is the reverse sweep for exact derivatives (Jones & Gacon
     2020, arXiv:2009.02823).  For a real f(psi) of the output block, pass
@@ -363,11 +359,17 @@ class StepList:
     the slot's rotation in step k, where lam_k = S_(k+1)^dag ... S_last^dag
     lam and x_(k+1) is the block after the step's rotations (the rotations
     of one step commute, so they share lam_k and x_(k+1)).  Then <lam, psi>
-    has derivative e/2 in theta, and f has derivative Re(e).
+    has derivative e/2 in theta, and f has derivative Re(e).  On a wide
+    block a fused step D K costs one environment product and one adjoint
+    matmul: with M = conj(lam) y^T for lam and the block y after D, member
+    j's term is sum_r sigma_j(r) M[r, pi_j(r)], where (pi_j, sigma_j) is the
+    signed permutation D G_j D^T, and one gather over the stacked M's takes
+    every such term after the sweep.
     """
 
     def __init__(self, circuit: Circuit):
         n = circuit.n_qubits
+        self.dim = dim = 2 ** n
         units, literal = [], []
         for op in circuit.ops:
             if not isinstance(op.angle, Param):
@@ -376,7 +378,7 @@ class StepList:
             if literal:
                 units.append(_Dense(Circuit(n, literal)))
                 literal = []
-            units.append(_Rotation(op, 2 ** n))
+            units.append(_Rotation(op, dim))
         if literal:
             units.append(_Dense(Circuit(n, literal)))
         self.steps, run = [], []
@@ -400,63 +402,76 @@ class StepList:
         # factor per qubit (the identity's row where it has no member), and
         # the rows its permutation gathers
         fused = [s for s in self.steps if isinstance(s, _Fused)]
+        for i, step in enumerate(fused):
+            step.index = i
         self._slots = np.array([m.slot for s in fused for m in s.members],
                                dtype=int)
         starts = np.cumsum([0] + [len(s.members) for s in fused])
         self._layout = np.array(
             [[len(self._slots) if j is None else start + j for j in s.layout]
              for s, start in zip(fused, starts)], dtype=int).reshape(-1, n)
-        rows = None
-        if any(s.fold is not None for s in fused):
-            rows = np.array([np.arange(2 ** n) if s.fold is None
-                             else s.fold.rows for s in fused])
+        rows = np.array([np.arange(dim) if s.fold is None else s.fold.rows
+                         for s in fused], dtype=int).reshape(-1, dim)
         # the gather's block holds the rows when it is the whole matrix;
         # otherwise `_matrices` gathers them after the Kronecker steps
         whole = n <= _GATHER_QUBITS
-        self._gather = tuple(_gather_table(self._layout, dirs,
-                                           rows if whole else None)
-                             for dirs in (1, 2))
-        self._rows = None if whole else rows
-        for i, step in enumerate(fused):
-            step.index = i
+        self._gather = _gather_table(self._layout, rows if whole else None)
+        self._rows = None if whole or all(s.fold is None for s in fused) \
+            else rows
+        # the reverse terms' tables, in slot order: member j of the fused
+        # step at index i reads M_i[r, pi_j(r)] with sign sigma_j(r), where
+        # pi_j = perm_j[rows] (perm_j reads K x after D) and sigma_j =
+        # gen_j[rows], as flat indices into the stacked environments
+        r = np.arange(dim)
+        self._terms = np.array(
+            [s.index * dim * dim + r * dim + perm[rows[s.index]]
+             for s in fused for perm in s.perm], dtype=int).reshape(-1, dim)
+        self._signs = np.array(
+            [gen[rows[s.index], 0] for s in fused for gen in s.gen],
+            dtype=float).reshape(-1, dim)
 
     def _matrices(self, theta, keep):
-        """Every fused step's dim x dim matrix D K and, with keep, the
-        adjoint of its K, each a contiguous stack on a leading step axis
+        """Every fused step's dim x dim matrix D K, a contiguous stack on a
+        leading step axis, and with keep its transpose (D K)^T, the adjoint
         (None without keep).  One gather (`_gather_table`) picks the leading
         qubits' factor entries, with D's rows when that block is the whole
         matrix, and multiplies them qubit n-1 first; broadcast Kronecker
         steps append the other qubits, then a row gather applies D.  That
         is the order of a Kronecker chain over one step's factors, so each
         matrix is the same bits."""
-        dirs = 1 + keep
         h = theta[self._slots] / 2
-        cs = np.cos(np.add.outer(h, _SHIFTS[:1 + dirs]))
-        f = np.concatenate([cs @ _FACTORS[:1 + dirs, :4 * dirs],
-                            _IDENTITY[None, :4 * dirs]])
-        g = f.ravel()[self._gather[keep]]
+        cs = np.cos(np.add.outer(h, _SHIFTS))
+        f = np.concatenate([cs @ _FACTORS, _I2[None]])
+        g = f.ravel()[self._gather]
         k = np.multiply.reduce(g)
-        steps = k.shape[1]
+        steps = k.shape[0]
         for j in range(len(g), self._layout.shape[1]):
-            a = f[self._layout[:, j]].reshape(steps, dirs, 2, 2)
-            a = a.swapaxes(0, 1)
+            a = f[self._layout[:, j]].reshape(steps, 2, 2)
             d = 2 * k.shape[-1]
             k = (k[..., :, None, :, None] * a[..., None, :, None, :]) \
-                .reshape(dirs, steps, d, d)
-        forward = k[0] if self._rows is None \
-            else k[0, np.arange(steps)[:, None], self._rows]
-        return forward, (k[1] if keep else None)
+                .reshape(steps, d, d)
+        if self._rows is not None:
+            k = k[np.arange(steps)[:, None], self._rows]
+        return k, (k.transpose(0, 2, 1) if keep else None)
 
     def run(self, x, theta, keep=False):
-        """The block after all steps; with keep, a `Tape` that `gradient`
+        """The block after all steps, from the (dim, k) block x or, for x
+        None, from the identity; with keep, a `Tape` that `gradient`
         takes."""
-        forward = adjoints = None
-        if len(self._layout) and x.shape[1] >= x.shape[0]:
-            forward, adjoints = self._matrices(theta, keep)
+        wide = len(self._layout) > 0 and (x is None
+                                          or x.shape[1] >= x.shape[0])
+        forward, adjoints = self._matrices(theta, keep) if wide \
+            else (None, None)
+        # a real list's leading fused step turns the identity into its
+        # matrix; a rotation needs a complex block
+        if x is None and not (wide and self.real
+                              and isinstance(self.steps[0], _Fused)):
+            x = np.eye(self.dim, dtype=float if self.real else complex)
         blocks = [x]
         for step in self.steps:
-            if forward is not None and isinstance(step, _Fused):
-                x = forward[step.index] @ x
+            if wide and isinstance(step, _Fused):
+                x = forward[step.index] if x is None \
+                    else forward[step.index] @ x
             else:
                 x = step.apply(x, theta)
             if keep:
@@ -464,12 +479,25 @@ class StepList:
         return Tape(blocks, adjoints) if keep else x
 
     def gradient(self, lam, tape, theta):
-        """The complex per-slot vector e, from one reverse sweep over the
-        `Tape` of `run(x, theta, keep=True)`."""
-        e = np.zeros(len(theta), complex)
+        """The per-slot vector e, real when lam and the tape are, from one
+        reverse sweep over the `Tape` of `run(x, theta, keep=True)`."""
+        e = np.zeros(len(theta), np.result_type(lam, tape.blocks[-1]))
+        adjoints = tape.adjoints
+        if adjoints is not None:
+            envs = np.empty(adjoints.shape, e.dtype)
+            conj = e.dtype.kind == "c"
         for k in range(len(self.steps) - 1, -1, -1):
-            lam = self.steps[k].reverse(lam, tape.blocks[k + 1], e, theta,
-                                        tape.adjoints, pull=k > 0)
+            step, x = self.steps[k], tape.blocks[k + 1]
+            if adjoints is not None and isinstance(step, _Fused):
+                np.matmul(lam.conj() if conj else lam, x.T,
+                          out=envs[step.index])
+                if k:
+                    lam = adjoints[step.index] @ lam
+            else:
+                lam = step.reverse(lam, x, e, theta, pull=k > 0)
+        if adjoints is not None:
+            e[self._slots] = (envs.ravel()[self._terms]
+                              * self._signs).sum(axis=1)
         return e
 
 

@@ -56,8 +56,10 @@ DISTANCE_TIE = 1e-12
 INITIAL_TEMP = 5230.0
 VISIT = 2.62
 ACCEPT = -5.0
-# rotation-solve's search grid for the controlled-rotation maximizer
-_GRID = np.linspace(-math.pi, math.pi, 721)
+# rotation-solve's search grid for the controlled-rotation maximizer: one
+# 4pi period at a spacing of pi/360
+_GRID = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1441)
+_GRID_STEP = float(_GRID[1] - _GRID[0])
 # Unitarity check tolerance.  Bound random c2x6, c6x2 and c15x7 templates
 # at n = 6, 8 and 10 gave max|U^dag U - I| <= 1.33e-15, so it needs no
 # scaling with the dimension up to 2^10 (2^11 and 2^12 are unmeasured).
@@ -114,9 +116,10 @@ class SynthesisResult:
     # polish_evaluations (which sum to evaluations), anneal_steps (the
     # temperature steps that made a visit), anneal_ended_by ("step_cap" or
     # "anneal_fraction"; None when there are no parameters to anneal),
-    # anneal_accepted (accepted moves) and polish_restarts (searches started
-    # after the first); and anneal_s and polish_s, each phase's wall time in
-    # seconds, the only entries a rerun changes
+    # anneal_accepted (accepted moves), polish_restarts (searches started
+    # after the first) and polish_directions (L-BFGS directions computed, 0
+    # for rotation-solve); and anneal_s and polish_s, each phase's wall time
+    # in seconds, the only entries a rerun changes
     stats: dict = field(default_factory=dict)
 
 
@@ -131,10 +134,13 @@ class _Evaluator:
 
     The gradient comes from one forward and one reverse sweep of the step
     list, started from lam = target: dt/da = e/2 for each slot's term e
-    (`StepList.gradient`).  Full mode's block is square, so each call builds
-    every fused step's matrix once, from one cos call, and value_and_grad's
-    reverse sweep applies the adjoints its forward run kept.
-    Full mode computes in float64 when the target and every step are real.
+    (`StepList.gradient`).  Full mode runs from the identity (x None), so
+    each call builds every fused step's matrix once, from one cos call, a
+    real list's leading fused step takes its matrix as its block, and
+    value_and_grad's reverse sweep takes one environment product per fused
+    step and applies the adjoints its forward run kept.  Full mode computes
+    in float64 when the target and every step are real, and then e and the
+    gradient are real.
     It counts its value and value_and_grad calls for `SynthesisResult.stats`.
     """
 
@@ -145,6 +151,7 @@ class _Evaluator:
         if student.steps.real and not (state_prep or self.target.imag.any()):
             self.target = self.target.real.copy()
         self.start = np.eye(dim, cols, dtype=self.target.dtype)
+        self.x0 = self.start if state_prep else None   # None: the identity
         self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
         self.steps = student.steps
@@ -154,7 +161,7 @@ class _Evaluator:
         return max(0.0, 1.0 - self.norm * abs(t))
 
     def overlap(self, theta) -> complex:
-        return complex(np.vdot(self.target, self.steps.run(self.start, theta)))
+        return complex(np.vdot(self.target, self.steps.run(self.x0, theta)))
 
     def value(self, theta) -> float:
         self.value_calls += 1
@@ -162,17 +169,18 @@ class _Evaluator:
 
     def value_and_grad(self, theta):
         self.value_and_grad_calls += 1
-        tape = self.steps.run(self.start, theta, keep=True)
-        t = np.vdot(self.target, tape.blocks[-1])
+        tape = self.steps.run(self.x0, theta, keep=True)
+        t = np.vdot(self.target, tape.blocks[-1]).item()
         mag = abs(t)
         if mag < 1e-300:
             return 1.0, np.zeros(self.n_params)
-        w = -0.5 * self.norm * np.conj(t) / mag   # d distance/da = Re(w e)
+        w = -0.5 * self.norm * t.conjugate() / mag   # d distance/da = Re(w e)
         e = self.steps.gradient(self.target, tape, theta)
+        if e.dtype.kind == "f":
+            return self.distance(t), w * e
         # Re(w e) term by term: numpy's vectorized complex product, as in
         # (w * e).real, rounds differently from the scalar one
-        grad = w.real * e.real - w.imag * e.imag
-        return self.distance(t), grad
+        return self.distance(t), w.real * e.real - w.imag * e.imag
 
 
 class _CostTracker:
@@ -295,7 +303,10 @@ def _best_angle(probe, a0, d0, controlled):
 
     The squared overlap is a low-order trigonometric polynomial of the angle:
     period 2pi with 3 coefficients for plain rotations (2 probes), period 4pi
-    with 5 for controlled ones (4 probes, maximized on a grid).
+    with 5 for controlled ones (4 probes, maximized on a grid over the whole
+    period, then by up to 3 Newton steps on the polynomial's slope, each
+    taken only where the curvature is negative and the step within one grid
+    spacing).
     """
     y0 = (1.0 - d0) ** 2
     if controlled:
@@ -309,7 +320,17 @@ def _best_angle(probe, a0, d0, controlled):
         vals = (coef[0] + coef[1] * np.cos(_GRID) + coef[2] * np.sin(_GRID)
                 + coef[3] * np.cos(_GRID / 2.0)
                 + coef[4] * np.sin(_GRID / 2.0))
-        return float(_GRID[np.argmax(vals)])
+        a = float(_GRID[np.argmax(vals)])
+        _, c1, s1, c2, s2 = coef.tolist()
+        for _ in range(3):
+            cos, sin = math.cos(a), math.sin(a)
+            cos2, sin2 = math.cos(a / 2.0), math.sin(a / 2.0)
+            slope = s1 * cos - c1 * sin + 0.5 * (s2 * cos2 - c2 * sin2)
+            curv = -c1 * cos - s1 * sin - 0.25 * (c2 * cos2 + s2 * sin2)
+            if not (curv < 0.0 and abs(slope) <= -curv * _GRID_STEP):
+                break
+            a -= slope / curv
+        return a
     y1 = (1.0 - probe(a0 + math.pi)) ** 2
     y2 = (1.0 - probe(a0 + math.pi / 2.0)) ** 2
     alpha = 0.5 * (y0 + y1)
@@ -384,18 +405,86 @@ def _rotation_solve(cost, evaluator, rng):
     return restarts
 
 
+# curvature pairs an L-BFGS search keeps
+_MEMORY = 10
+
+
+class _InverseHessian:
+    """The L-BFGS inverse Hessian of the last `_MEMORY` curvature pairs in
+    the compact form of Byrd, Nocedal & Schnabel (Math. Programming 63,
+    1994): H = gamma I + [S gamma Y] W [S gamma Y]^T with W = [[R^-T (D +
+    gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]], where S and Y hold the pairs as
+    columns, R = triu(S^T Y), D = diag(S^T Y) and gamma = s.y / y.y of the
+    newest pair.  It is the matrix the two-loop recursion applies, and
+    `times` applies it in a few products.
+
+    S, Y, R^-1, Y^T Y and D live in preallocated buffers.  A kept pair adds
+    a column to each from one product (S y and Y y at once) and the
+    triangular update of R^-1; dropping the oldest pair shifts each by one,
+    which is exact for R^-1 because R is upper triangular.  Nothing is
+    inverted or solved.
+    """
+
+    def __init__(self, n):
+        self.pairs = np.zeros((_MEMORY, 2, n))   # (s, y) rows, oldest first
+        self.r_inv = np.zeros((_MEMORY, _MEMORY))
+        self.yy = np.zeros((_MEMORY, _MEMORY))
+        self.sy = np.zeros(_MEMORY)
+        self.k = 0
+        self.gamma = 1.0
+
+    def update(self, s, y):
+        """Keep the pair (s, y) when s.y > 1e-12 y.y, dropping the oldest
+        pair if `_MEMORY` are kept."""
+        sy, yy = float(s @ y), float(y @ y)
+        if not sy > 1e-12 * yy:
+            return
+        k = self.k
+        if k == _MEMORY:
+            k -= 1
+            self.pairs[:k] = self.pairs[1:]
+            self.r_inv[:k, :k] = self.r_inv[1:, 1:]
+            self.yy[:k, :k] = self.yy[1:, 1:]
+            self.sy[:k] = self.sy[1:]
+        self.pairs[k, 0], self.pairs[k, 1] = s, y
+        cross = self.pairs[:k + 1].reshape(2 * k + 2, -1) @ y  # s_i.y, y_i.y
+        self.r_inv[:k, k] = self.r_inv[:k, :k] @ cross[:2 * k:2] * (-1.0 / sy)
+        self.r_inv[k, k] = 1.0 / sy
+        self.yy[k, :k + 1] = self.yy[:k + 1, k] = cross[1::2]
+        self.sy[k] = sy
+        self.gamma = sy / yy
+        self.k = k + 1
+
+    def times(self, g):
+        """H g; with no pair kept, g scaled by 1 / max(1, |g|)."""
+        k, gamma = self.k, self.gamma
+        if not k:
+            return g / max(1.0, math.sqrt(g @ g))
+        pairs = self.pairs[:k].reshape(2 * k, -1)
+        sg_yg = pairs @ g
+        r_inv = self.r_inv[:k, :k]
+        p = r_inv @ sg_yg[::2]                                  # R^-1 S^T g
+        coef = np.empty((k, 2))
+        coef[:, 0] = r_inv.T @ (self.sy[:k] * p + gamma
+                                * (self.yy[:k, :k] @ p - sg_yg[1::2]))
+        coef[:, 1] = -gamma * p
+        return gamma * g + coef.ravel() @ pairs
+
+
 def _grad_polish(cost, rng, fg):
     """Multi-start L-BFGS on the exact gradient until the budget runs out;
-    returns the number of searches started after the first.
+    returns the number of searches started after the first and the number
+    of search directions computed.
 
-    Each search is unconstrained L-BFGS (Liu & Nocedal 1989; Nocedal &
-    Wright, Alg. 7.4): the two-loop recursion over the last 10 curvature
-    pairs, keeping a pair only when s.y > 1e-12 y.y, with the first step
-    scaled by 1 / max(1, |g|).  Its line search backtracks from t = 1 until
-    the Armijo condition holds (c1 = 1e-4), each retry at the minimizer of
-    the quadratic through the value, the slope and the rejected value,
-    clamped to [0.1 t, 0.5 t].  A search ends when an accepted step lowers
-    the value by at most 1e-14 relative, when max|g| <= 1e-10, when a line
+    Each search is unconstrained L-BFGS (Liu & Nocedal 1989): its direction
+    is -H g for the compact inverse Hessian of the last 10 curvature pairs
+    (`_InverseHessian`), keeping a pair only when s.y > 1e-12 y.y, with the
+    first step scaled by 1 / max(1, |g|).  Its line search backtracks from
+    t = 1 until the Armijo condition holds (c1 = 1e-4), each retry at the
+    minimizer of the quadratic through the value, the slope and the
+    rejected value, clamped to [0.1 t, 0.5 t].  A search ends when an
+    accepted step lowers the value by at most 1e-14 relative, when max|g|
+    <= 1e-10, when the gradient or the direction is not finite, when a line
     search fails (20 trials, as in L-BFGS-B) or when the budget is spent.
     The next search starts from the new best or, once that stops paying
     off, from a fresh uniform point in [-pi, pi] while more than 50 n
@@ -408,27 +497,23 @@ def _grad_polish(cost, rng, fg):
     the box drops a restriction, not a guarantee: nothing downstream reads
     the range of theta.
     """
-    x, restarts = cost.best_x, -1
+    x, restarts, directions = cost.best_x, -1, 0
     while not cost.exhausted:
         restarts += 1
         before = cost.best_e
         f, g = fg(x)
         cost.record(x, f, charge=2)
-        pairs = []   # (s, y, 1 / s.y), oldest first
-        while np.max(np.abs(g)) > 1e-10:
-            q = g.copy()
-            alphas = []
-            for s, y, rho in reversed(pairs):
-                alphas.append(rho * (s @ q))
-                q -= alphas[-1] * y
-            q /= scale if pairs else max(1.0, math.sqrt(g @ g))
-            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-                q += (alpha - rho * (y @ q)) * s
-            slope = -(g @ q)   # along the direction -q
+        hessian = _InverseHessian(x.size)
+        while 1e-10 < np.abs(g).max() < math.inf:
+            q = hessian.times(g)
+            directions += 1
+            slope = -float(g @ q)   # along the direction -q
+            if not math.isfinite(slope):
+                break
             t = 1.0
             for _ in range(20):
                 if cost.exhausted:
-                    return restarts
+                    return restarts, directions
                 x_new = x - t * q
                 f_new, g_new = fg(x_new)
                 cost.record(x_new, f_new, charge=2)
@@ -440,11 +525,7 @@ def _grad_polish(cost, rng, fg):
                 break
             if f - f_new <= 1e-14 * max(abs(f), abs(f_new), 1.0):
                 break
-            s, y = x_new - x, g_new - g
-            if s @ y > 1e-12 * (y @ y):
-                rho = 1.0 / (s @ y)
-                pairs = pairs[-9:] + [(s, y, rho)]
-                scale = rho * (y @ y)   # H0 = I / scale
+            hessian.update(x_new - x, g_new - g)
             x, f, g = x_new, f_new, g_new
         if cost.best_e < before - 1e-12:
             x = cost.best_x
@@ -452,7 +533,7 @@ def _grad_polish(cost, rng, fg):
             x = rng.uniform(-math.pi, math.pi, x.size)
         else:
             break
-    return restarts
+    return restarts, directions
 
 
 def synthesize(problem: SynthesisProblem,
@@ -472,6 +553,7 @@ def synthesize(problem: SynthesisProblem,
                      anneal_evaluations=1, polish_evaluations=0,
                      anneal_steps=0, anneal_ended_by=None,
                      anneal_accepted=0, polish_restarts=0,
+                     polish_directions=0,
                      anneal_s=time.perf_counter() - start, polish_s=0.0)
         return SynthesisResult(np.empty(0), d, 1,
                                evaluator.overlap(np.empty(0)),
@@ -496,8 +578,10 @@ def synthesize(problem: SynthesisProblem,
     # the anneal stops within budget, short of the polish allowance
     if config.polish_method.lower() == "rotation-solve":
         polish_restarts = _rotation_solve(cost, evaluator, rng)
+        polish_directions = 0
     else:
-        polish_restarts = _grad_polish(cost, rng, evaluator.value_and_grad)
+        polish_restarts, polish_directions = _grad_polish(
+            cost, rng, evaluator.value_and_grad)
     polish_s = time.perf_counter() - polish_start
 
     return SynthesisResult(
@@ -516,6 +600,7 @@ def synthesize(problem: SynthesisProblem,
                    anneal_ended_by=anneal_ended_by,
                    anneal_accepted=anneal_accepted,
                    polish_restarts=polish_restarts,
+                   polish_directions=polish_directions,
                    anneal_s=polish_start - start, polish_s=polish_s),
     )
 

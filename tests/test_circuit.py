@@ -243,8 +243,11 @@ def test_step_list_fuses_each_run_of_distinct_qubit_ry():
 @given(_cases())
 def test_step_list_run_matches_unitary(case):
     c, theta, x = case
-    want = circ.unitary_of(circ.bind(c, theta)) @ x
-    assert np.max(np.abs(c.steps.run(x, theta) - want)) <= 1e-12
+    u = circ.unitary_of(circ.bind(c, theta))
+    assert np.max(np.abs(c.steps.run(x, theta) - u @ x)) <= 1e-12
+    # x None runs from the identity: a real list's leading fused step takes
+    # its matrix as its block, and any other first step an identity block
+    assert np.max(np.abs(c.steps.run(None, theta) - u)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,35 +270,32 @@ def test_fused_steps_agree_with_their_members(case):
         for unit in step.units:
             y = unit.apply(y, theta)
         assert np.max(np.abs(forward[step.index] @ x - y)) <= 1e-13
-        # the reverse sweep pulls back through the permutation, then applies
-        # the kept adjoint of the rotations
+        # the kept adjoint pulls back through the permutation and the
+        # rotations in one matmul
         y = x
         for unit in step.units[::-1]:
             y = unit.apply(y, theta, adjoint=True)
-        pulled = x if step.fold is None \
-            else step.fold.apply(x, theta, adjoint=True)
-        assert np.max(np.abs(adjoints[step.index] @ pulled - y)) <= 1e-13
+        assert np.max(np.abs(adjoints[step.index] @ x - y)) <= 1e-13
 
 
 def _kron_oracle(steps, theta):
-    """Each fused step's forward matrix D K and the adjoint of its K, as an
-    np.kron chain of its factors, qubit n-1 first, then D's row gather."""
-    cs = np.cos(np.add.outer(theta / 2, [0.0, -math.pi / 2, math.pi / 2]))
+    """Each fused step's matrix D K, as an np.kron chain of its factors,
+    qubit n-1 first, then D's row gather."""
+    cs = np.cos(np.add.outer(theta / 2, [0.0, -math.pi / 2]))
     out = []
     for step in steps.steps:
         if not isinstance(step, circ._Fused):
             continue
-        factors = [[np.eye(2)] * 2 for _ in range(len(step.layout))]
+        factors = [np.eye(2)] * len(step.layout)
         for m in step.members:
-            c, s, t = cs[m.slot]
-            factors[m.qubit] = [np.array([[c, -s], [s, c]]),
-                                np.array([[c, -t], [t, c]])]
-        forward, adjoint = factors[-1]
-        for f, a in factors[-2::-1]:
-            forward, adjoint = np.kron(forward, f), np.kron(adjoint, a)
+            c, s = cs[m.slot]
+            factors[m.qubit] = np.array([[c, -s], [s, c]])
+        forward = factors[-1]
+        for f in factors[-2::-1]:
+            forward = np.kron(forward, f)
         if step.fold is not None:
             forward = forward[step.fold.rows]
-        out.append((step.index, forward, adjoint))
+        out.append((step.index, forward))
     return out
 
 
@@ -311,17 +311,18 @@ _STACKED_CASES = {
 def test_stacked_build_is_the_kron_chain_bit_for_bit(c):
     # the gather of the leading qubits' factor entries and the broadcast
     # Kronecker steps after it multiply in the chain's order, so every
-    # matrix is the same bits, in both directions and with or without keep
+    # matrix is the same bits with or without keep, and the kept adjoint,
+    # D baked in, is the transpose of the permuted chain
     rng = np.random.default_rng(c.n_qubits)
     for _ in range(3):
         theta = rng.uniform(-math.pi, math.pi, c.n_params)
         value, none = c.steps._matrices(theta, keep=False)
         forward, adjoints = c.steps._matrices(theta, keep=True)
         assert none is None
-        for i, want, want_adjoint in _kron_oracle(c.steps, theta):
+        for i, want in _kron_oracle(c.steps, theta):
             assert value[i].tobytes() == forward[i].tobytes() \
                 == want.tobytes()
-            assert adjoints[i].tobytes() == want_adjoint.tobytes()
+            assert adjoints[i].tobytes() == want.T.tobytes()
 
 
 def test_wide_block_at_the_fusion_limit_matches_unitary():
@@ -332,6 +333,54 @@ def test_wide_block_at_the_fusion_limit_matches_unitary():
     assert [len(s.members) for s in c.steps.steps] == [8, 8, 8]
     want = circ.unitary_of(circ.bind(c, theta))
     assert np.max(np.abs(c.steps.run(np.eye(256), theta) - want)) <= 1e-12
+
+
+def _unit_by_unit_terms(steps, lam, x, theta):
+    """e[slot] = -i <lam_u, G x_u> for each rotation unit u, where x_u is
+    the block after u and lam_u is lam pulled back to it, walking every
+    step's units (a fused step's members and its permutation) one by one."""
+    units = [u for s in steps.steps for u in getattr(s, "units", [s])]
+    blocks = []
+    for u in units:
+        x = u.apply(x, theta)
+        blocks.append(x)
+    e = np.zeros(len(theta), complex)
+    for u, block in zip(units[::-1], blocks[::-1]):
+        if u.slot is not None:
+            e[u.slot] = -1j * np.vdot(lam, u.generate(block))
+        lam = u.apply(lam, theta, adjoint=True)
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(circ.TEMPLATES)), st.integers(2, 8),
+       st.integers(1, 3), st.sampled_from(["1", "8", "dim", "120"]),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_gradient_matches_its_units_one_by_one(tid, n, layers, width, real,
+                                               seed):
+    # a wide block takes each fused step's terms from its environment
+    # product and its kept adjoint (D baked in), a narrow one from the
+    # member gather; both must match the unit-by-unit sweep
+    c = circ.build_template(tid, n, layers)
+    dim = 2 ** n
+    cols = dim if width == "dim" else int(width)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-math.pi, math.pi, c.n_params)
+    x, lam = (rng.normal(size=(dim, cols))
+              + (0 if real else 1j) * rng.normal(size=(dim, cols))
+              for _ in range(2))
+    x, lam = x / np.linalg.norm(x), lam / np.linalg.norm(lam)
+    wide = cols >= dim and len(c.steps._layout) > 0
+    # a rotation, alone or as a narrow block's fused member, takes complex
+    # blocks only; real ones stay real through a real list's matrices
+    real = real and wide and c.steps.real
+    tape = c.steps.run(x if real else x.astype(complex), theta, keep=True)
+    assert (tape.adjoints is not None) == wide
+    e = c.steps.gradient(lam if real else lam.astype(complex), tape, theta)
+    assert (e.dtype.kind == "f") == real
+    want = _unit_by_unit_terms(c.steps, lam.astype(complex),
+                               x.astype(complex), theta)
+    assert np.max(np.abs(e - want)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

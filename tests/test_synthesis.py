@@ -261,7 +261,8 @@ def test_zero_parameter_student():
     assert res.converged
     assert res.stats["anneal_evaluations"] == res.stats["value_calls"] == 1
     assert res.stats["polish_evaluations"] == res.stats["polish_s"] == 0
-    assert res.stats["anneal_accepted"] == res.stats["polish_restarts"] == 0
+    assert res.stats["anneal_accepted"] == res.stats["polish_restarts"] \
+        == res.stats["polish_directions"] == 0
     assert res.stats["anneal_s"] >= 0
 
 
@@ -328,14 +329,20 @@ def test_stats_count_the_work(method):
         assert stats["value_calls"] == stats["anneal_evaluations"]
         assert stats["polish_evaluations"] \
             == 2 * stats["value_and_grad_calls"] > 0
-        # every search makes at least one call
+        # every search makes at least one call, and every direction a line
+        # search of 1 to 20 calls, but the last may find the budget spent
+        searches = stats["polish_restarts"] + 1
+        directions = stats["polish_directions"]
         assert stats["value_and_grad_calls"] > stats["polish_restarts"] > 0
+        assert searches + directions - 1 <= stats["value_and_grad_calls"] \
+            <= searches + 20 * directions
     else:
         # the probes are closed-form: only the anneal and restarts run it
         assert stats["value_and_grad_calls"] == 0
         assert stats["value_calls"] == stats["anneal_evaluations"] \
             + stats["polish_restarts"] < res.evaluations
         assert stats["polish_restarts"] > 0
+        assert stats["polish_directions"] == 0
     assert 0 < stats["anneal_accepted"] < stats["anneal_evaluations"]
     # each phase's wall time is the one entry a rerun may change
     assert stats.pop("anneal_s") >= 0 and stats.pop("polish_s") >= 0
@@ -345,7 +352,8 @@ def test_stats_count_the_work(method):
     assert set(stats) == {"value_calls", "value_and_grad_calls",
                           "anneal_evaluations", "polish_evaluations",
                           "anneal_steps", "anneal_ended_by",
-                          "anneal_accepted", "polish_restarts"}
+                          "anneal_accepted", "polish_restarts",
+                          "polish_directions"}
 
 
 def _quadratic(dim=6, seed=0):
@@ -368,7 +376,8 @@ def _quadratic(dim=6, seed=0):
 def _polish_from(x0, fg, calls, max_calls, seed=0):
     """`_grad_polish` from x0, recorded as the best point so far, with a
     budget of max_calls value-and-gradient calls; returns the cost tracker
-    and the restart count, and leaves only the polish's calls in calls."""
+    and the restart and direction counts, and leaves only the polish's
+    calls in calls."""
     cost = syn._CostTracker(None, 2 * max_calls)
     cost.record(x0, fg(x0)[0], charge=0)
     calls.clear()
@@ -395,19 +404,83 @@ def test_grad_polish_stops_at_its_call_cap():
 
 def test_grad_polish_at_a_stationary_point_makes_one_call():
     fg, x_star, calls = _quadratic(seed=2)
-    cost, restarts = _polish_from(x_star, fg, calls, max_calls=20)
-    assert len(calls) == 1 and cost.nfev == 2 and restarts == 0
+    cost, (restarts, directions) = _polish_from(x_star, fg, calls,
+                                                max_calls=20)
+    assert len(calls) == 1 and cost.nfev == 2 and restarts == directions == 0
 
 
 def test_grad_polish_is_bit_identical_on_rerun():
     results = []
     for _ in range(2):
         fg, _, calls = _quadratic(seed=3)
-        cost, restarts = _polish_from(np.full(6, -2.0), fg, calls,
-                                      max_calls=40)
+        cost, counts = _polish_from(np.full(6, -2.0), fg, calls,
+                                    max_calls=40)
         results.append((cost.best_x.tobytes(), cost.best_e, cost.nfev,
-                        restarts))
+                        counts))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_grad_polish_ends_a_search_at_a_non_finite_gradient(bad):
+    # each search makes only its first call and computes no direction,
+    # and the restarts stop while the budget still covers them
+    calls = []
+
+    def fg(x):
+        calls.append(x)
+        g = np.zeros(6)
+        g[0] = bad
+        return 1.0, g
+
+    cost, (restarts, directions) = _polish_from(np.zeros(6), fg, calls,
+                                                max_calls=400)
+    assert len(calls) == restarts + 1 > 1
+    assert directions == 0
+    assert cost.nfev == 2 * len(calls) <= cost.max_evals
+
+
+def _two_loop(pairs, g):
+    """The two-loop recursion (Nocedal & Wright, Alg. 7.4) over the kept
+    pairs, oldest first, from H0 = (s.y / y.y) I for the newest pair, and
+    g / max(1, |g|) without pairs: the oracle for `_InverseHessian`."""
+    if not pairs:
+        return g / max(1.0, np.linalg.norm(g))
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append((s @ q) / (s @ y))
+        q -= alphas[-1] * y
+    s, y = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - (y @ q) / (s @ y)) * s
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 25), st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_compact_inverse_hessian_matches_the_two_loop_recursion(count, n,
+                                                                seed):
+    # each pair's y is A s for its own SPD A (condition up to 1e3) or, for
+    # about one pair in four, -A s, which the pair rule rejects; past 10
+    # kept pairs the window drops its oldest
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    h = syn._InverseHessian(n)
+    kept = []
+    for _ in range(count):
+        s = rng.normal(size=n)
+        y = basis @ (rng.uniform(1.0, 1e3, n) * (basis.T @ s))
+        if rng.uniform() < 0.25:
+            y = -y
+        if s @ y > 1e-12 * (y @ y):
+            kept = (kept + [(s, y)])[-syn._MEMORY:]
+        h.update(s, y)
+        assert h.k == len(kept)
+        g = rng.normal(size=n)
+        want = _two_loop(kept, g)
+        assert np.linalg.norm(h.times(g) - want) \
+            <= 1e-12 * np.linalg.norm(want)
 
 
 def test_one_cos_call_per_point(monkeypatch):
@@ -650,6 +723,16 @@ def test_rotation_solve_budget_runs_out_mid_coordinate(monkeypatch, student):
     # probes made after the budget ran out are returned but not charged
     assert seen["after_budget"] > 0
     assert res.evaluations <= 5 + syn.POLISH_ALLOWANCE
+
+
+def test_rotation_solve_searches_a_controlled_rotations_whole_period():
+    # CRX has period 4pi: its maximizer at 2pi - 0.3 lies outside [-pi, pi]
+    target = circ.unitary_of(Circuit(2, [Op(K.CRX, (0, 1),
+                                            2 * math.pi - 0.3)]))
+    problem = syn.SynthesisProblem(
+        target, Circuit(2, [Op(K.CRX, (0, 1), Param(0))]), budget=200)
+    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve")
+    assert syn.synthesize(problem, cfg).distance <= 1e-12
 
 
 def _above_rounding_floor(improvements):
