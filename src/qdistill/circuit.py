@@ -135,12 +135,15 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 # block of column states for any theta, and differentiates it exactly.
 
 class _Rotation:
-    """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block.
+    """One parameterized gate exp(-i a/2 G) as a step on a (dim, k) block,
+    or on a (C, dim, dim) stack of chains with theta (C, P).
 
     G acts on the target bit as the signed permutation of
     `gates.SIGNED_PERMUTATION`, so G x = phase * x[perm] (perm is None for the
     diagonal RZ and CRZ).  For a controlled rotation the phase is zero on the
-    rows whose control bit is 0, which the gate leaves alone.
+    rows whose control bit is 0, which the gate leaves alone.  A chain's
+    cos(a/2) and sin(a/2) come from `math`, as for one theta, so each chain
+    of a stack is the same bits as its own run.
     """
 
     real = False
@@ -161,7 +164,8 @@ class _Rotation:
         self.phase = phase[:, None]
 
     def generate(self, x):
-        return self.phase * (x if self.perm is None else x[self.perm])
+        return self.phase * (x if self.perm is None
+                             else np.take(x, self.perm, axis=-2))
 
     def overlap_terms(self, lam, x):
         """(C, P, Q) with <lam, R(a) x> = C + cos(a/2) P - i sin(a/2) Q.
@@ -177,18 +181,30 @@ class _Rotation:
 
     def reverse(self, lam, x, e, theta, pull):
         """One step of `StepList.gradient`: e[slot] from the step's output
-        block x, then lam pulled back through the step if pull."""
-        e[self.slot] = -1j * complex(np.vdot(lam, self.generate(x)))
+        block x (one vdot per chain of a stack), then lam pulled back
+        through the step if pull."""
+        g = self.generate(x)
+        if e.ndim == 1:
+            e[self.slot] = -1j * complex(np.vdot(lam, g))
+        else:
+            for c in range(len(e)):
+                e[c, self.slot] = -1j * complex(np.vdot(lam[c], g[c]))
         return self.apply(lam, theta, adjoint=True) if pull else lam
 
     def apply(self, x, theta, adjoint=False):
-        a = theta[self.slot]
-        c, s = math.cos(a / 2), math.sin(a / 2)
+        unit = 1j if adjoint else -1j
+        if theta.ndim == 1:
+            h = theta[self.slot] / 2
+            c, w = math.cos(h), unit * math.sin(h)
+        else:
+            h = theta[:, self.slot] / 2
+            c = np.array([math.cos(v) for v in h])[:, None, None]
+            w = np.array([unit * math.sin(v) for v in h])[:, None, None]
         diag = c if self.mask is None else 1.0 + (c - 1.0) * self.mask
-        off = (1j if adjoint else -1j) * s * self.phase
+        off = w * self.phase
         if self.perm is None:
             return (diag + off) * x
-        out = x[self.perm]
+        out = np.take(x, self.perm, axis=-2)
         out *= off
         out += diag * x
         return out
@@ -250,6 +266,7 @@ class _Fused:
 # _SHIFTS), and the rows of _FACTORS map them to the factor, flattened
 _SHIFTS = np.array([0.0, -math.pi / 2])
 _I2 = np.eye(2).ravel()
+_I2_ROW = _I2[None]
 _FACTORS = np.stack([_I2, (-1j * GENERATOR[GateKind.RY]).real.ravel()])
 # fused steps measured faster on square blocks up to 8 qubits (complex) and
 # 9 (real); past that dim^2 k outgrows m dim k.  A wide block's matrices are
@@ -274,7 +291,7 @@ class _Permutation:
         self.inverse = np.argsort(rows)
 
     def apply(self, x, theta, adjoint=False):
-        return x[self.inverse if adjoint else self.rows]
+        return np.take(x, self.inverse if adjoint else self.rows, axis=-2)
 
     @classmethod
     def of(cls, dense):
@@ -325,7 +342,9 @@ class Tape(NamedTuple):
     """What `StepList.run(keep=True)` keeps for `StepList.gradient`: the
     input block (None for the identity) and the block after every step, and
     the fused steps' stacked adjoint matrices (D K)^T (None if the block is
-    narrower than tall or there is no fused step)."""
+    narrower than tall or there is no fused step).  For a chain stack,
+    theta (C, P), each block after the first step is (C, dim, dim) and the
+    adjoints are (steps, C, dim, dim)."""
 
     blocks: list
     adjoints: np.ndarray | None
@@ -338,20 +357,27 @@ class StepList:
     permutation and directly follows it folded in; one `_Dense` per other
     literal run; and one `_Rotation` per other `Param` gate.  `real`: every
     step matrix is real, so a real wide block stays real (the evaluator's
-    float64 path).
+    float64 path).  Any other real block is made complex before the first
+    step, so it runs as the complex block of the same values.
 
     On a block at least as wide as it is tall, `run` builds every fused
     step's Kronecker product in one vectorized pass from one cos call and
     one gather, and each fused step is one matmul; with keep the `Tape`
     holds their transposes as the adjoints.  From the identity (x None) the
-    leading fused step of a real list takes its matrix as its block.  The gather's index table
-    takes 8 KiB per fused step from 4 qubits up, and the reverse terms'
-    tables 16 dim bytes per member, 32 KiB per c15 layer at 8 qubits.  The
-    build holds 2 L dim x dim matrices for L fused steps, 1 MiB per c15
-    layer at 8 qubits.  A narrower block runs each fused step's units one
-    by one.  The kept
-    matrices travel only in the returned `Tape`: no step keeps state for a
-    theta.
+    leading fused step of a real list takes its matrix as its block.  The
+    gather's index table takes 8 KiB per fused step from 4 qubits up, and
+    the reverse terms' tables 16 dim bytes per member, 32 KiB per c15 layer
+    at 8 qubits.  The build holds 2 L dim x dim matrices for L fused steps,
+    1 MiB per c15 layer at 8 qubits.  A narrower block runs each fused
+    step's units one by one.  The kept matrices travel only in the returned
+    `Tape`: no step keeps state for a theta.
+
+    From the identity, theta may be a (C, P) stack of chains: every step
+    then runs on a (C, dim, dim) stack, the build's gather reads one (C,
+    factors, 4) array through per-chain offsets (tables cached per C), the
+    fused steps are stacked matmuls and a rotation takes each chain's angle
+    through `math`, so chain c is the same bits as the call with theta[c].
+    Narrow blocks (state prep, `qnn` batches) take one theta.
 
     `gradient` is the reverse sweep for exact derivatives (Jones & Gacon
     2020, arXiv:2009.02823).  For a real f(psi) of the output block, pass
@@ -429,49 +455,81 @@ class StepList:
         self._signs = np.array(
             [gen[rows[s.index], 0] for s in fused for gen in s.gen],
             dtype=float).reshape(-1, dim)
+        self._chain_tables = {}
+
+    def _tables(self, theta):
+        """(gather, terms, identity row) for theta (P,) or a (C, P) stack.
+        The stack's gather table, (m, C, steps, r, c), adds chain c's offset
+        into the (C, factors, 4) factor array; its terms table, (C, members,
+        dim), reads the (steps, C, dim, dim) environments; its identity
+        factor is (C, 1, 4).  Built once per C."""
+        if theta.ndim == 1:
+            return self._gather, self._terms, _I2_ROW
+        chains = len(theta)
+        if chains not in self._chain_tables:
+            c = np.arange(chains)
+            square = self.dim * self.dim
+            step, entry = np.divmod(self._terms, square)
+            self._chain_tables[chains] = (
+                self._gather[:, None]
+                + (4 * (len(self._slots) + 1) * c)[:, None, None, None],
+                (step * chains + c[:, None, None]) * square + entry,
+                np.tile(_I2_ROW, (chains, 1, 1)))
+        return self._chain_tables[chains]
 
     def _matrices(self, theta, keep):
-        """Every fused step's dim x dim matrix D K, a contiguous stack on a
-        leading step axis, and with keep its transpose (D K)^T, the adjoint
-        (None without keep).  One gather (`_gather_table`) picks the leading
-        qubits' factor entries, with D's rows when that block is the whole
-        matrix, and multiplies them qubit n-1 first; broadcast Kronecker
-        steps append the other qubits, then a row gather applies D.  That
-        is the order of a Kronecker chain over one step's factors, so each
-        matrix is the same bits."""
-        h = theta[self._slots] / 2
+        """Every fused step's dim x dim matrix D K, a stack on a leading
+        step axis (then the chain axis of a (C, P) theta), and with keep its
+        transpose (D K)^T, the adjoint (None without keep).  One gather
+        (`_gather_table`) picks the leading qubits' factor entries, with D's
+        rows when that block is the whole matrix, and multiplies them qubit
+        n-1 first; broadcast Kronecker steps append the other qubits, then a
+        row gather applies D.  That is the order of a Kronecker chain over
+        one step's factors, so each matrix is the same bits."""
+        gather, _, identity = self._tables(theta)
+        h = (theta[self._slots] if theta.ndim == 1
+             else theta[:, self._slots]) / 2
+        lead = h.shape[:-1]
         cs = np.cos(np.add.outer(h, _SHIFTS))
-        f = np.concatenate([cs @ _FACTORS, _I2[None]])
-        g = f.ravel()[self._gather]
+        f = np.concatenate([cs @ _FACTORS, identity], axis=-2)
+        g = f.ravel()[gather]
         k = np.multiply.reduce(g)
-        steps = k.shape[0]
+        steps = len(self._layout)
         for j in range(len(g), self._layout.shape[1]):
-            a = f[self._layout[:, j]].reshape(steps, 2, 2)
+            a = f[..., self._layout[:, j], :].reshape(lead + (steps, 2, 2))
             d = 2 * k.shape[-1]
             k = (k[..., :, None, :, None] * a[..., None, :, None, :]) \
-                .reshape(steps, d, d)
+                .reshape(lead + (steps, d, d))
         if self._rows is not None:
-            k = k[np.arange(steps)[:, None], self._rows]
-        return k, (k.transpose(0, 2, 1) if keep else None)
+            k = np.ascontiguousarray(
+                k[..., np.arange(steps)[:, None], self._rows, :])
+        if lead:
+            k = k.swapaxes(0, 1)
+        return k, (k.swapaxes(-1, -2) if keep else None)
 
     def run(self, x, theta, keep=False):
         """The block after all steps, from the (dim, k) block x or, for x
-        None, from the identity; with keep, a `Tape` that `gradient`
+        None, from the identity, where theta may be a (C, P) stack and the
+        result is (C, dim, dim); with keep, a `Tape` that `gradient`
         takes."""
         wide = len(self._layout) > 0 and (x is None
                                           or x.shape[1] >= x.shape[0])
         forward, adjoints = self._matrices(theta, keep) if wide \
             else (None, None)
-        # a real list's leading fused step turns the identity into its
-        # matrix; a rotation needs a complex block
-        if x is None and not (wide and self.real
-                              and isinstance(self.steps[0], _Fused)):
-            x = np.eye(self.dim, dtype=float if self.real else complex)
+        if x is None:
+            # a real list's leading fused step turns the identity into its
+            # matrix; a rotation needs a complex block
+            if not (wide and self.real and isinstance(self.steps[0], _Fused)):
+                x = np.eye(self.dim, dtype=float if self.real else complex)
+                if theta.ndim == 2:
+                    x = np.broadcast_to(x, (len(theta),) + x.shape)
+        elif x.dtype.kind != "c" and not (wide and self.real):
+            x = x.astype(complex)
         blocks = [x]
         for step in self.steps:
             if wide and isinstance(step, _Fused):
-                x = forward[step.index] if x is None \
-                    else forward[step.index] @ x
+                m = forward[step.index]
+                x = m if x is None else m @ x
             else:
                 x = step.apply(x, theta)
             if keep:
@@ -479,25 +537,36 @@ class StepList:
         return Tape(blocks, adjoints) if keep else x
 
     def gradient(self, lam, tape, theta):
-        """The per-slot vector e, real when lam and the tape are, from one
-        reverse sweep over the `Tape` of `run(x, theta, keep=True)`."""
-        e = np.zeros(len(theta), np.result_type(lam, tape.blocks[-1]))
+        """The per-slot vector e, or (C, P) for a chain stack, real when lam
+        and the tape are, from one reverse sweep over the `Tape` of `run(x,
+        theta, keep=True)`."""
+        e = np.zeros(theta.shape, np.result_type(lam, tape.blocks[-1]))
+        if e.dtype.kind == "c":
+            lam = np.asarray(lam, complex)
         adjoints = tape.adjoints
         if adjoints is not None:
+            # C-contiguous, so that the terms' flat offsets read it
             envs = np.empty(adjoints.shape, e.dtype)
             conj = e.dtype.kind == "c"
         for k in range(len(self.steps) - 1, -1, -1):
             step, x = self.steps[k], tape.blocks[k + 1]
             if adjoints is not None and isinstance(step, _Fused):
-                np.matmul(lam.conj() if conj else lam, x.T,
-                          out=envs[step.index])
+                i = step.index
+                np.matmul(lam.conj() if conj else lam, x.swapaxes(-1, -2),
+                          out=envs[i])
                 if k:
-                    lam = adjoints[step.index] @ lam
+                    lam = adjoints[i] @ lam
             else:
+                if lam.ndim < x.ndim:   # one lam for every chain so far
+                    lam = np.broadcast_to(lam, x.shape)
                 lam = step.reverse(lam, x, e, theta, pull=k > 0)
         if adjoints is not None:
-            e[self._slots] = (envs.ravel()[self._terms]
-                              * self._signs).sum(axis=1)
+            terms = (envs.ravel()[self._tables(theta)[1]]
+                     * self._signs).sum(axis=-1)
+            if e.ndim == 1:
+                e[self._slots] = terms
+            else:
+                e[:, self._slots] = terms
         return e
 
 

@@ -49,7 +49,7 @@ class EncodingScheme:
 _RANGE_TOL = 1e-9
 
 
-def _checked_rows(features, scheme: EncodingScheme) -> np.ndarray:
+def checked_rows(features, scheme: EncodingScheme) -> np.ndarray:
     """Pre-scaled features as (rows, capacity) floats, or a ValueError."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.ndim != 2 or x.shape[1] != scheme.capacity:
@@ -63,7 +63,7 @@ def _checked_rows(features, scheme: EncodingScheme) -> np.ndarray:
 
 def encode(features, scheme: EncodingScheme) -> Circuit:
     """Deterministic encoder circuit for one pre-scaled feature vector."""
-    row = _checked_rows(np.ravel(features), scheme)[0]
+    row = checked_rows(np.ravel(features), scheme)[0]
     rotations = scheme.rotations
     ops = []
     for q in range(scheme.n_qubits):
@@ -80,7 +80,7 @@ def encode_states(features, scheme: EncodingScheme) -> np.ndarray:
     block takes each rotation as cos(a/2) v - i sin(a/2) G v, with
     G v = phase * v[..., col] read from `gates.SIGNED_PERMUTATION`.
     """
-    x = _checked_rows(features, scheme)
+    x = checked_rows(features, scheme)
     bsz, n = x.shape[0], scheme.n_qubits
     half = (x / 2).reshape(bsz, n, len(scheme.rotations))
     v = np.full((bsz, n, 2), 1 / math.sqrt(2), dtype=complex)

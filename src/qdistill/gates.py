@@ -104,6 +104,22 @@ def gate_matrix(kind: GateKind, angle: float | None = None) -> np.ndarray:
         return _FIXED[kind].copy()
     if angle is None:
         raise ValueError(f"{kind} requires an angle")
-    r = (math.cos(angle / 2) * _I2
-         - 1j * math.sin(angle / 2) * GENERATOR[kind])
+    r = _rotation(kind, math.cos(angle / 2), 1j * math.sin(angle / 2))
     return _controlled(r) if kind in CONTROLLED else r
+
+
+def _rotation(kind, c, w):
+    """cos(a/2) I - i sin(a/2) G from c = cos(a/2) and w = i sin(a/2), two
+    scalars or two (k, 1, 1) stacks."""
+    return c * _I2 - w * GENERATOR[kind]
+
+
+def gate_stack(kind: GateKind, angles, count: int) -> np.ndarray:
+    """The (count, 2, 2) stack of a one-qubit gate's matrices, one per angle
+    of a (count,) array (angles None for a fixed gate), each the same bits
+    as `gate_matrix` at that angle: cos and sin come from `math`."""
+    if angles is None:
+        return np.broadcast_to(gate_matrix(kind), (count, 2, 2))
+    h = np.asarray(angles, float) / 2
+    return _rotation(kind, np.array([math.cos(v) for v in h])[:, None, None],
+                     np.array([1j * math.sin(v) for v in h])[:, None, None])

@@ -23,8 +23,9 @@ charged per physical gate, not per logical gate.  1q-run merging buffers each
 qubit's 1q gates and flushes them at its next 2q gate, so a row's encoding
 can only fuse into each qubit's leading physical PQC gates (``lead``); the
 merged rest of the PQC (``shared``) is the same for every row.  So the PQC is
-lowered once, and each row lowers only its 1q-only encoding plus ``lead``,
-emitted in the order the full merge flushes it.  There is no idle noise, so
+lowered once, and the rows' 1q-only encodings plus ``lead`` are lowered all at
+once (`transpile.merge_1q_rows`), emitted in the order the full merge flushes
+them.  There is no idle noise, so
 channels on disjoint qubits commute exactly: ``noisy_z_features`` evolves
 each row's prefix, then runs ``shared`` once on the stacked batch.  A prefix
 has only 1q gates and each 1q gate's noise acts on its own qubit, so the
@@ -42,11 +43,11 @@ from importlib import resources as importlib_resources
 
 import numpy as np
 
-from .circuit import Circuit, apply_matrix, bind, z_signs
-from .encoding import apply_scaler, encode
-from .gates import PAULI, gate_matrix
+from .circuit import Circuit, Op, apply_matrix, bind, z_signs
+from .encoding import apply_scaler, checked_rows
+from .gates import PAULI, GateKind, gate_matrix, gate_stack
 from .qnn import head, hit_rate
-from .transpile import BASES, lower
+from .transpile import BASES, lower, merge_1q_rows
 
 _CPTP_TOL = 1e-10
 
@@ -256,7 +257,18 @@ def _split_entangled(ops):
 
 
 def _lowered_rows(model, rows, basis):
-    """(prefixes, shared): each row's merged 1q prefix; the shared PQC tail."""
+    """(prefixes, shared): the rows' merged 1q prefixes, as groups of the
+    rows that share a (kind, qubit) sequence; the shared PQC tail.
+
+    Every row's prefix on qubit q is one op list with row-dependent angles:
+    H and the encoding's rotations (`EncodingScheme.rotations`) at the row's
+    features, then ``lead``'s ops on q.  `transpile.merge_1q_rows` lowers
+    and merges it for all rows at once, as ``lower(Circuit(n, encode(row)
+    .ops + lead), basis, merge_1q=True)`` does for one row, and the qubits'
+    runs follow in the order the full merge flushes them.  A group is
+    (key, rows, angles): the (kind, qubit) sequence, the rows' indices in
+    order, and per gate a (len(rows),) angle array (None for a fixed
+    gate)."""
     n = model.n_qubits
     physical = lower(bind(model.pqc, model.theta), basis)
     lead, _ = _split_entangled(physical.ops)
@@ -264,12 +276,35 @@ def _lowered_rows(model, rows, basis):
     # the full merge flushes a prefix at its qubit's first 2q gate, others last
     order = list(dict.fromkeys([q for op in shared for q in op.qubits]
                                + list(range(n))))
+    x = checked_rows(rows, model.scheme)
+    kinds = model.scheme.rotations
+    slots = []
+    for q in order:
+        ops = [Op(GateKind.H, (q,))]
+        ops += [Op(kind, (q,), x[:, q * len(kinds) + j])
+                for j, kind in enumerate(kinds)]
+        ops += [op for op in lead if op.qubits == (q,)]
+        slots += [(kind, q, angles, present) for kind, angles, present
+                  in merge_1q_rows(ops, basis, len(x))]
+    present = np.array([s[3] for s in slots], bool).reshape(len(slots),
+                                                            len(x))
+    patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
+    groups = {}
+    for p, pattern in enumerate(patterns):
+        members = np.flatnonzero(inverse.ravel() == p)
+        chosen = [s for s, on in zip(slots, pattern) if on]
+        key = tuple((kind, q) for kind, q, _, _ in chosen)
+        groups.setdefault(key, []).append(
+            (members, [None if a is None else a[members]
+                       for _, _, a, _ in chosen]))
     prefixes = []
-    for row in rows:
-        runs = lower(Circuit(n, list(encode(row, model.scheme).ops) + lead),
-                     basis, merge_1q=True).ops
-        prefixes.append(sorted(runs,
-                               key=lambda op: order.index(op.qubits[0])))
+    for key, parts in groups.items():
+        members = np.concatenate([m for m, _ in parts])
+        by_row = np.argsort(members)
+        angles = [None if parts[0][1][j] is None else
+                  np.concatenate([a[j] for _, a in parts])[by_row]
+                  for j in range(len(key))]
+        prefixes.append((key, members[by_row], angles))
     return prefixes, shared
 
 
@@ -281,26 +316,23 @@ def _batched_kron(a, b) -> np.ndarray:
 
 def _prefix_densities(prefixes, n_qubits: int, profile: DeviceProfile):
     """The (dim, dim, b) batch of densities that each row's 1q-only prefix
-    leaves from |0...0>, under the profile's noise.
+    leaves from |0...0>, under the profile's noise, for the row groups of
+    `_lowered_rows`.
 
     A prefix keeps the register a product state, so each qubit's 2x2
     density (a row-major 4-vector) evolves alone by gate_noise[1] @ (U (x)
-    conj(U)).  The rows that share a prefix's (kind, qubit) sequence
+    conj(U)).  The rows of a group, which share a (kind, qubit) sequence,
     evolve as one stack, and the n densities are Kronecker-multiplied,
     qubit n-1 first, into their rows of the batch.
     """
     n = n_qubits
-    rho = np.empty((2 ** n, 2 ** n, len(prefixes)), dtype=complex)
-    groups = {}
-    for i, prefix in enumerate(prefixes):
-        key = tuple((op.kind, op.qubits[0]) for op in prefix)
-        groups.setdefault(key, []).append(i)
-    for key, rows in groups.items():
+    count = sum(len(rows) for _, rows, _ in prefixes)
+    rho = np.empty((2 ** n, 2 ** n, count), dtype=complex)
+    for key, rows, angles in prefixes:
         vec = np.zeros((n, len(rows), 4), dtype=complex)
         vec[:, :, 0] = 1.0
-        for j, (kind, q) in enumerate(key):
-            u = np.array([gate_matrix(kind, prefixes[i][j].angle)
-                          for i in rows])
+        for (kind, q), a in zip(key, angles):
+            u = gate_stack(kind, a, len(rows))
             channel = profile.gate_noise[1] @ _batched_kron(u, u.conj())
             vec[q] = (channel @ vec[q][..., None])[..., 0]
         dens = vec.reshape(n, len(rows), 2, 2)

@@ -8,10 +8,15 @@ teacher up to phase.  In state-prep mode only the action on |0...0> counts,
 d = 1 - |<psi|V|0...0>| with psi the teacher's first column.  Reported
 distances are clamped at 0 against rounding, so they stay in [0, 1].
 
-One evaluator per ``synthesize`` call computes the distance, the trace
-overlap and the exact reverse-mode gradient from the student's compiled step
-list (`circuit.StepList`), the same one that trains and fine-tunes the
-classifier in `qnn`.
+One evaluator per ``synthesize`` or ``distill`` call computes the distance,
+the trace overlap and the exact reverse-mode gradient from the student's
+compiled step list (`circuit.StepList`), the same one that trains and
+fine-tunes the classifier in `qnn`.  ``distill``'s seeds are chains in
+lockstep: each chain's anneal and polish are generators that yield the
+points they need evaluated, and one loop (`_lockstep`) answers every live
+chain's pending point with one stacked evaluator call per tick.  Each chain
+draws, stops and counts as it would alone, and its result is the same bits
+as ``synthesize`` at its seed.
 
 The global optimizer is one from-scratch generalized simulated annealing
 (GSA) chain from a uniform random start in [-pi, pi]: heavy-tailed Tsallis
@@ -117,14 +122,18 @@ class SynthesisResult:
     # temperature steps that made a visit), anneal_ended_by ("step_cap" or
     # "anneal_fraction"; None when there are no parameters to anneal),
     # anneal_accepted (accepted moves), polish_restarts (searches started
-    # after the first) and polish_directions (L-BFGS directions computed, 0
-    # for rotation-solve); and anneal_s and polish_s, each phase's wall time
-    # in seconds, the only entries a rerun changes
+    # after the first), polish_directions (L-BFGS directions computed, 0
+    # for rotation-solve) and chains (the chains that shared the stacked
+    # evaluator calls: 1 for ``synthesize``, the seed count for
+    # ``distill``); and anneal_s and polish_s, the wall time in seconds of
+    # each phase of the whole group of chains, the only entries a rerun
+    # changes
     stats: dict = field(default_factory=dict)
 
 
 class _Evaluator:
-    """Distance, trace overlap and exact gradient of a student vs. the teacher.
+    """Distance, trace overlap and exact gradient of a student vs. the teacher,
+    for a (C, P) stack of chains' points at once.
 
     The student runs as its compiled step list (`Circuit.steps`) on a block X
     that starts as the identity, or as |0...0> in state-prep mode, where X is
@@ -134,14 +143,15 @@ class _Evaluator:
 
     The gradient comes from one forward and one reverse sweep of the step
     list, started from lam = target: dt/da = e/2 for each slot's term e
-    (`StepList.gradient`).  Full mode runs from the identity (x None), so
-    each call builds every fused step's matrix once, from one cos call, a
-    real list's leading fused step takes its matrix as its block, and
-    value_and_grad's reverse sweep takes one environment product per fused
-    step and applies the adjoints its forward run kept.  Full mode computes
-    in float64 when the target and every step are real, and then e and the
-    gradient are real.
-    It counts its value and value_and_grad calls for `SynthesisResult.stats`.
+    (`StepList.gradient`).  Full mode runs every chain of the stack from the
+    identity in one stacked call (x None), so each call builds every fused
+    step's matrix once, from one cos call, a real list's leading fused step
+    takes its matrix as its block, and the reverse sweep takes one
+    environment product per fused step and applies the adjoints its forward
+    run kept; t is one vdot per chain.  State prep runs one narrow block per
+    chain.  Full mode computes in float64 when the target and every step
+    are real, and then e and the gradient are real.  Chain c's answer is
+    the same bits as a call with its point alone.
     """
 
     def __init__(self, student: Circuit, teacher_unitary, state_prep=False):
@@ -155,39 +165,97 @@ class _Evaluator:
         self.norm = 1.0 if state_prep else 1.0 / dim
         self.n_params = student.n_params
         self.steps = student.steps
-        self.value_calls = self.value_and_grad_calls = 0
 
     def distance(self, t):
         return max(0.0, 1.0 - self.norm * abs(t))
 
+    def overlaps(self, thetas) -> list:
+        if self.x0 is None:
+            blocks = self.steps.run(None, thetas)
+        else:
+            blocks = [self.steps.run(self.x0, theta) for theta in thetas]
+        return [complex(np.vdot(self.target, x)) for x in blocks]
+
+    def values(self, thetas) -> list:
+        return [self.distance(t) for t in self.overlaps(thetas)]
+
+    def values_and_grads(self, thetas) -> list:
+        if self.x0 is None:
+            tape = self.steps.run(None, thetas, keep=True)
+            e = self.steps.gradient(self.target, tape, thetas)
+            blocks = tape.blocks[-1]
+        else:
+            tapes = [self.steps.run(self.x0, theta, keep=True)
+                     for theta in thetas]
+            e = np.array([self.steps.gradient(self.target, tape, theta)
+                          for tape, theta in zip(tapes, thetas)])
+            blocks = [tape.blocks[-1] for tape in tapes]
+        ts = [np.vdot(self.target, x).item() for x in blocks]
+        lost = [abs(t) < 1e-300 for t in ts]    # no phase to differentiate
+        # d distance/da = Re(w e)
+        w = np.array([0.0 if gone else -0.5 * self.norm * t.conjugate()
+                      / abs(t) for t, gone in zip(ts, lost)])
+        if e.dtype.kind == "f":
+            grads = w[:, None] * e
+        else:
+            # Re(w e) term by term: numpy's vectorized complex product, as
+            # in (w * e).real, rounds differently from the scalar one
+            grads = w.real[:, None] * e.real - w.imag[:, None] * e.imag
+        if any(lost):
+            grads[lost] = 0.0
+        return [(1.0 if gone else self.distance(t), g)
+                for t, gone, g in zip(ts, lost, grads)]
+
     def overlap(self, theta) -> complex:
-        return complex(np.vdot(self.target, self.steps.run(self.x0, theta)))
+        return self.overlaps(theta[None])[0]
 
     def value(self, theta) -> float:
-        self.value_calls += 1
-        return self.distance(self.overlap(theta))
+        return self.values(theta[None])[0]
 
     def value_and_grad(self, theta):
-        self.value_and_grad_calls += 1
-        tape = self.steps.run(self.x0, theta, keep=True)
-        t = np.vdot(self.target, tape.blocks[-1]).item()
-        mag = abs(t)
-        if mag < 1e-300:
-            return 1.0, np.zeros(self.n_params)
-        w = -0.5 * self.norm * t.conjugate() / mag   # d distance/da = Re(w e)
-        e = self.steps.gradient(self.target, tape, theta)
-        if e.dtype.kind == "f":
-            return self.distance(t), w * e
-        # Re(w e) term by term: numpy's vectorized complex product, as in
-        # (w * e).real, rounds differently from the scalar one
-        return self.distance(t), w.real * e.real - w.imag * e.imag
+        return self.values_and_grads(theta[None])[0]
+
+
+# what a chain's request asks for: the distance, or it and its gradient
+_VALUE, _VALUE_AND_GRAD = "value", "value_and_grad"
+
+
+def _lockstep(chains, answer):
+    """Run chains, generators that yield (kind, theta) requests and are sent
+    each answer, to their ends in lockstep.  Each tick stacks the live
+    chains' pending thetas of one kind into a (C, P) array and answers them
+    with one call of answer[kind], which returns one answer per row.
+    Returns each chain's return value and its request count by kind."""
+    out = [None] * len(chains)
+    calls = [dict.fromkeys(answer, 0) for _ in chains]
+    pending = {}
+
+    def advance(i, reply):
+        try:
+            pending[i] = chains[i].send(reply)
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i in range(len(chains)):
+        advance(i, None)
+    while pending:
+        groups = {}
+        for i, (kind, theta) in pending.items():
+            groups.setdefault(kind, []).append((i, theta))
+        pending.clear()
+        for kind, group in groups.items():
+            replies = answer[kind](np.array([theta for _, theta in group]))
+            for (i, _), reply in zip(group, replies):
+                calls[i][kind] += 1
+                advance(i, reply)
+    return out, calls
 
 
 class _CostTracker:
     """Counts evaluations and keeps the best-ever point and improvement trace."""
 
     def __init__(self, fun, max_evals):
-        self._fun = fun
+        self._fun = fun    # the distance every charged value equals
         self.max_evals = max_evals
         self.nfev = 0
         self.best_x = None
@@ -205,12 +273,9 @@ class _CostTracker:
             self.best_x = np.array(x, float, copy=True)
             self.improvements.append((self.nfev, float(e)))
 
-    def __call__(self, x):
-        return self.charge(x, self._fun(x))
-
     def charge(self, x, e):
-        """`__call__` for a value computed elsewhere: one evaluation, or,
-        once the budget is spent, no charge and the best value so far."""
+        """One evaluation of the value e at x, or, once the budget is spent,
+        no charge and the best value so far."""
         if self.exhausted:
             return self.best_e
         self.record(x, e)
@@ -225,6 +290,16 @@ def _wrap(values):
     return np.where(bump, wrapped + _MIN_VISIT_BOUND, wrapped)
 
 
+def _wrap_one(value):
+    """`_wrap` of one angle in `math` floats (fmod is exact, so the same
+    bits)."""
+    wrapped = math.fmod(math.fmod(value + math.pi, _SPAN) + _SPAN,
+                        _SPAN) - math.pi
+    if math.fabs(wrapped + math.pi) < _MIN_VISIT_BOUND:
+        wrapped += _MIN_VISIT_BOUND
+    return wrapped
+
+
 # Temperature-free factors of the Tsallis visiting distribution at VISIT
 _FACTOR4_P = (math.sqrt(math.pi)
               * math.exp((4.0 - VISIT) * math.log(VISIT - 1.0))
@@ -237,42 +312,47 @@ _FACTOR6 = (math.pi * (1.0 - _FACTOR5) / math.sin(math.pi * (1.0 - _FACTOR5))
 
 def _visit(rng, x, step, temperature):
     """GSA's heavy-tailed Tsallis move from x: steps below x.size move every
-    coordinate at once, step x.size + i only coordinate i."""
+    coordinate at once, step x.size + i only coordinate i.  It draws 2 s
+    standard normals (g, then y, for s moved coordinates), then two uniforms
+    in [0, 1) for a full move, or one for a single-coordinate move whose
+    visit passes `TAIL_LIMIT`."""
     dim = x.size
     size = dim if step < dim else 1
-    g = rng.normal(size=size)
-    y = rng.normal(size=size)
+    draws = rng.standard_normal(2 * size)
+    g, y = draws[:size], draws[size:]
     factor4 = _FACTOR4_P * math.exp(math.log(temperature) / (VISIT - 1.0))
     g *= math.exp(-(VISIT - 1.0) * math.log(_FACTOR6 / factor4)
                   / (3.0 - VISIT))
     visits = g / np.exp((VISIT - 1.0) * np.log(np.fabs(y)) / (3.0 - VISIT))
     if step < dim:
-        upper_sample, lower_sample = rng.uniform(size=2)
+        upper_sample, lower_sample = rng.random(2)
         visits = np.where(visits > TAIL_LIMIT, TAIL_LIMIT * upper_sample,
                           visits)
         visits = np.where(visits < -TAIL_LIMIT, -TAIL_LIMIT * lower_sample,
                           visits)
         return _wrap(visits + x)
-    out = np.copy(x)
+    out = x.copy()
     index = step - dim
     visit = float(visits[0])
     if visit > TAIL_LIMIT:
-        visit = TAIL_LIMIT * float(rng.uniform())
+        visit = TAIL_LIMIT * rng.random()
     elif visit < -TAIL_LIMIT:
-        visit = -TAIL_LIMIT * float(rng.uniform())
-    out[index] = _wrap(visit + x[index])
+        visit = -TAIL_LIMIT * rng.random()
+    out[index] = _wrap_one(visit + x[index])
     return out
 
 
 def _anneal(cost, dim, rng, anneal_evals):
-    """One GSA chain over dim angles from a uniform random start: at most
-    1000 temperature steps of 2 * dim visits each, ending sooner once
-    anneal_evals evaluations are spent.  Returns the number of temperature
-    steps that made a visit, what ended the chain ("step_cap" or
+    """One GSA chain over dim angles from a uniform random start, as a
+    generator of (kind, theta) requests (`_lockstep`): at most 1000
+    temperature steps of 2 * dim visits each, ending sooner once
+    anneal_evals evaluations are spent, so its number of evaluations does
+    not depend on the values.  Returns the number of temperature steps
+    that made a visit, what ended the chain ("step_cap" or
     "anneal_fraction") and the number of accepted moves."""
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     x_cur = rng.uniform(-math.pi, math.pi, dim)
-    e_cur = cost(x_cur)
+    e_cur = cost.charge(x_cur, (yield _VALUE, x_cur))
     accepted = 0
     for step in range(1000):
         t2 = math.exp((VISIT - 1.0) * math.log(step + 2.0)) - 1.0
@@ -282,12 +362,12 @@ def _anneal(cost, dim, rng, anneal_evals):
             if cost.nfev >= anneal_evals:
                 return (step + 1 if j else step), "anneal_fraction", accepted
             x_visit = _visit(rng, x_cur, j, temperature)
-            e = cost(x_visit)
+            e = cost.charge(x_visit, (yield _VALUE, x_visit))
             accept = e < e_cur
             if not accept:
                 pqv_temp = 1.0 - ((1.0 - ACCEPT) * (e - e_cur)
                                   / temperature_step)
-                accept = pqv_temp > 0.0 and rng.uniform() <= math.exp(
+                accept = pqv_temp > 0.0 and rng.random() <= math.exp(
                     math.log(pqv_temp) / (1.0 - ACCEPT))
             if accept:
                 x_cur, e_cur = x_visit, e
@@ -343,7 +423,9 @@ def _best_angle(probe, a0, d0, controlled):
 
 
 def _rotation_solve(cost, evaluator, rng):
-    """Cyclic exact line search over rotation angles (Rotosolve).
+    """Cyclic exact line search over rotation angles (Rotosolve), as a
+    generator of (kind, theta) requests (`_lockstep`): only its restarts
+    yield.
 
     Every parameter is the angle of exactly one rotation gate, so each
     coordinate jumps straight to its constrained maximizer (`_best_angle`).
@@ -360,7 +442,8 @@ def _rotation_solve(cost, evaluator, rng):
     stays exact because the units after k are still at their pass-start
     angles when k is visited.
     Coordinates are therefore visited in op order, which is slot order.
-    Returns the number of restarts.
+    Returns the number of restarts and of L-BFGS directions (0), as
+    `_lbfgs` does.
     """
     units = [m for s in evaluator.steps.steps
              for m in getattr(s, "units", [s])]
@@ -398,11 +481,11 @@ def _rotation_solve(cost, evaluator, rng):
         if not improved:
             if cost.max_evals - cost.nfev > 10 * x.size:
                 x = rng.uniform(-math.pi, math.pi, x.size)
-                d_cur = cost(x)
+                d_cur = cost.charge(x, (yield _VALUE, x))
                 restarts += 1
             else:
-                return restarts
-    return restarts
+                return restarts, 0
+    return restarts, 0
 
 
 # curvature pairs an L-BFGS search keeps
@@ -472,9 +555,17 @@ class _InverseHessian:
 
 
 def _grad_polish(cost, rng, fg):
-    """Multi-start L-BFGS on the exact gradient until the budget runs out;
-    returns the number of searches started after the first and the number
-    of search directions computed.
+    """`_lbfgs` as one chain whose requests fg(theta) answers, returning
+    (restarts, directions)."""
+    answer = {_VALUE_AND_GRAD: lambda thetas: [fg(theta) for theta in thetas]}
+    return _lockstep([_lbfgs(cost, rng)], answer)[0][0]
+
+
+def _lbfgs(cost, rng):
+    """Multi-start L-BFGS on the exact gradient until the budget runs out,
+    as a generator of (kind, theta) requests (`_lockstep`); returns the
+    number of searches started after the first and the number of search
+    directions computed.
 
     Each search is unconstrained L-BFGS (Liu & Nocedal 1989): its direction
     is -H g for the compact inverse Hessian of the last 10 curvature pairs
@@ -501,7 +592,7 @@ def _grad_polish(cost, rng, fg):
     while not cost.exhausted:
         restarts += 1
         before = cost.best_e
-        f, g = fg(x)
+        f, g = yield _VALUE_AND_GRAD, x
         cost.record(x, f, charge=2)
         hessian = _InverseHessian(x.size)
         while 1e-10 < np.abs(g).max() < math.inf:
@@ -515,7 +606,7 @@ def _grad_polish(cost, rng, fg):
                 if cost.exhausted:
                     return restarts, directions
                 x_new = x - t * q
-                f_new, g_new = fg(x_new)
+                f_new, g_new = yield _VALUE_AND_GRAD, x_new
                 cost.record(x_new, f_new, charge=2)
                 if f_new <= f + 1e-4 * t * slope:
                     break
@@ -539,11 +630,19 @@ def _grad_polish(cost, rng, fg):
 def synthesize(problem: SynthesisProblem,
                config: AnnealConfig | None = None) -> SynthesisResult:
     """Minimize the student-teacher Hilbert-Schmidt distance over theta."""
-    config = config or AnnealConfig()
+    return _synthesize_chains(problem, [config or AnnealConfig()])[0]
+
+
+def _synthesize_chains(problem: SynthesisProblem, configs) -> list:
+    """One chain per config, each anneal then polish, in lockstep on one
+    evaluator (`_lockstep`); returns each chain's `SynthesisResult`, the
+    same as its own run but for stats' chains, anneal_s and polish_s,
+    which are the group's."""
     student = problem.student
     n = student.n_params
     evaluator = _Evaluator(student, problem.teacher_unitary,
                            problem.state_prep)
+    chains = len(configs)
 
     if n == 0:
         # the one evaluation is the anneal's start, and nothing anneals
@@ -553,56 +652,64 @@ def synthesize(problem: SynthesisProblem,
                      anneal_evaluations=1, polish_evaluations=0,
                      anneal_steps=0, anneal_ended_by=None,
                      anneal_accepted=0, polish_restarts=0,
-                     polish_directions=0,
+                     polish_directions=0, chains=chains,
                      anneal_s=time.perf_counter() - start, polish_s=0.0)
-        return SynthesisResult(np.empty(0), d, 1,
-                               evaluator.overlap(np.empty(0)),
-                               d <= CONVERGE_THRESHOLD,
-                               seed=config.seed, improvements=[(1, d)],
-                               stats=stats)
+        trace = evaluator.overlap(np.empty(0))
+        return [SynthesisResult(np.empty(0), d, 1, trace,
+                                d <= CONVERGE_THRESHOLD, seed=config.seed,
+                                improvements=[(1, d)], stats=dict(stats))
+                for config in configs]
 
     if problem.budget < 10 * n:
         warnings.warn(
             f"budget {problem.budget} is below the recommended 10x"
-            f" parameter count ({10 * n})", stacklevel=2)
+            f" parameter count ({10 * n})", stacklevel=3)
 
+    answer = {_VALUE: evaluator.values,
+              _VALUE_AND_GRAD: evaluator.values_and_grads}
     start = time.perf_counter()
-    cost = _CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
-    rng = np.random.default_rng(config.seed)
-    anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
-    anneal_steps, anneal_ended_by, anneal_accepted = _anneal(
-        cost, n, rng, anneal_evals)
-    anneal_evaluations = cost.nfev
+    costs = [_CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
+             for _ in configs]
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    anneals, anneal_calls = _lockstep(
+        [_anneal(cost, n, rng,
+                 max(1, int(problem.budget * config.anneal_fraction)))
+         for cost, rng, config in zip(costs, rngs, configs)], answer)
+    anneal_evaluations = [cost.nfev for cost in costs]
     polish_start = time.perf_counter()
 
     # the anneal stops within budget, short of the polish allowance
-    if config.polish_method.lower() == "rotation-solve":
-        polish_restarts = _rotation_solve(cost, evaluator, rng)
-        polish_directions = 0
-    else:
-        polish_restarts, polish_directions = _grad_polish(
-            cost, rng, evaluator.value_and_grad)
+    polishes, polish_calls = _lockstep(
+        [_rotation_solve(cost, evaluator, rng)
+         if config.polish_method.lower() == "rotation-solve"
+         else _lbfgs(cost, rng)
+         for cost, rng, config in zip(costs, rngs, configs)], answer)
     polish_s = time.perf_counter() - polish_start
+    traces = evaluator.overlaps(np.array([cost.best_x for cost in costs]))
 
-    return SynthesisResult(
-        theta_star=cost.best_x,
-        distance=float(cost.best_e),
-        evaluations=cost.nfev,
-        trace_of_best=evaluator.overlap(cost.best_x),
-        converged=cost.best_e <= CONVERGE_THRESHOLD,
-        seed=config.seed,
-        improvements=cost.improvements,
-        stats=dict(value_calls=evaluator.value_calls,
-                   value_and_grad_calls=evaluator.value_and_grad_calls,
-                   anneal_evaluations=anneal_evaluations,
-                   polish_evaluations=cost.nfev - anneal_evaluations,
-                   anneal_steps=anneal_steps,
-                   anneal_ended_by=anneal_ended_by,
-                   anneal_accepted=anneal_accepted,
-                   polish_restarts=polish_restarts,
-                   polish_directions=polish_directions,
-                   anneal_s=polish_start - start, polish_s=polish_s),
-    )
+    results = []
+    for i, (cost, config) in enumerate(zip(costs, configs)):
+        calls = {kind: anneal_calls[i][kind] + polish_calls[i][kind]
+                 for kind in answer}
+        steps, ended_by, accepted = anneals[i]
+        restarts, directions = polishes[i]
+        results.append(SynthesisResult(
+            theta_star=cost.best_x,
+            distance=float(cost.best_e),
+            evaluations=cost.nfev,
+            trace_of_best=traces[i],
+            converged=cost.best_e <= CONVERGE_THRESHOLD,
+            seed=config.seed,
+            improvements=cost.improvements,
+            stats=dict(value_calls=calls[_VALUE],
+                       value_and_grad_calls=calls[_VALUE_AND_GRAD],
+                       anneal_evaluations=anneal_evaluations[i],
+                       polish_evaluations=cost.nfev - anneal_evaluations[i],
+                       anneal_steps=steps, anneal_ended_by=ended_by,
+                       anneal_accepted=accepted, polish_restarts=restarts,
+                       polish_directions=directions, chains=chains,
+                       anneal_s=polish_start - start, polish_s=polish_s)))
+    return results
 
 
 def distill(teacher_model, student_template, config: AnnealConfig | None = None,
@@ -612,9 +719,11 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
 
     The teacher's circuit parameters are frozen and its unitary becomes the
     synthesis target.  Each seed (default: ``config.seed``) runs an
-    independent chain; of the chains within `DISTANCE_TIE` of the best
-    distance, the lowest seed wins.  The returned student model shares the
-    teacher's encoding scheme, scaler, and dense head; only the PQC differs.
+    independent chain, all of them in lockstep on one stacked evaluator
+    (`_synthesize_chains`), each with the result ``synthesize`` gives at its
+    seed; of the chains within `DISTANCE_TIE` of the best distance, the
+    lowest seed wins.  The returned student model shares the teacher's
+    encoding scheme, scaler, and dense head; only the PQC differs.
     """
     from . import qnn
 
@@ -627,8 +736,8 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
     student = build_template(template_id, n, layers)
     teacher_u = unitary_of(bind(teacher_model.pqc, teacher_model.theta))
     problem = SynthesisProblem(teacher_u, student, budget=budget)
-    results = [synthesize(problem, dataclasses.replace(config, seed=s))
-               for s in seeds]
+    results = _synthesize_chains(
+        problem, [dataclasses.replace(config, seed=s) for s in seeds])
     best = min(r.distance for r in results)
     result = min((r for r in results if r.distance <= best + DISTANCE_TIE),
                  key=lambda r: r.seed)

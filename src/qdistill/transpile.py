@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Op
-from .gates import GateKind, gate_matrix
+from .gates import GateKind, gate_matrix, gate_stack
 
 _K = GateKind
 _HALF = math.pi / 2
@@ -223,6 +223,110 @@ def _merge_1q_runs(ops, n_qubits: int, basis):
     for q in range(n_qubits):
         flush(q)
     return out
+
+
+def _zero_angles(values):
+    """`_is_zero_angle` of each value: fmod by 2 pi is exact, and so, by
+    Sterbenz's lemma, is the step from it to the remainder of least
+    magnitude, so every decision is the same."""
+    r = np.fmod(values, 2.0 * math.pi)
+    r = np.where(np.fabs(r) > math.pi, r - np.copysign(2.0 * math.pi, r), r)
+    return np.fabs(r) < 1e-9
+
+
+def _zyz_rows(u):
+    """`_zyz_angles` of each matrix of a (k, 2, 2) stack, as three (k,)
+    arrays of the same bits: the determinant in real arithmetic, as numpy's
+    complex scalars multiply, and the moduli from hypot, as their abs."""
+    r, i = u.real, u.imag
+    det = np.empty(len(u), complex)
+    det.real = (r[:, 0, 0] * r[:, 1, 1] - i[:, 0, 0] * i[:, 1, 1]) \
+        - (r[:, 0, 1] * r[:, 1, 0] - i[:, 0, 1] * i[:, 1, 0])
+    det.imag = (r[:, 0, 0] * i[:, 1, 1] + i[:, 0, 0] * r[:, 1, 1]) \
+        - (r[:, 0, 1] * i[:, 1, 0] + i[:, 0, 1] * r[:, 1, 0])
+    su = u / np.sqrt(det)[:, None, None]
+    a00 = np.hypot(su[:, 0, 0].real, su[:, 0, 0].imag)
+    a10 = np.hypot(su[:, 1, 0].real, su[:, 1, 0].imag)
+    theta = 2.0 * np.array([math.atan2(y, x) for y, x in zip(a10, a00)])
+    ang_sum = 2.0 * np.angle(su[:, 1, 1])
+    ang_dif = 2.0 * np.angle(su[:, 1, 0])
+    phi = np.where(a00 < 1e-9, ang_dif,
+                   np.where(a10 < 1e-9, ang_sum, (ang_sum + ang_dif) / 2.0))
+    lam = np.where((a00 < 1e-9) | (a10 < 1e-9), 0.0,
+                   (ang_sum - ang_dif) / 2.0)
+    return theta, phi, lam
+
+
+def merge_1q_rows(ops, basis: str, count: int) -> list:
+    """One qubit's 1q ops, lowered and merged for `count` rows at once, as
+    ``lower(..., merge_1q=True)`` lowers and merges each row's ops.
+
+    An op's angle is None, a float, or a (count,) array of the rows'
+    angles.  Returns slots (kind, angles, present): the kind, a (count,)
+    angle array (None for a fixed gate) and a (count,) mask of the rows
+    whose run has the gate; row r's run is the present slots in order.
+    `_coalesce_rotations`, `_resynthesize_run` and `_euler_native` run as
+    masks over the rows, with the same arithmetic: coalescing keeps a stack
+    per row (its top, and the slot below each pushed slot), and a row's
+    native Euler sequence replaces its run where that is no longer.
+    """
+    name = str(basis).upper()
+    ops = [e for op in ops for e in _expand_op(op.kind, op.qubits, op.angle,
+                                                name)
+           if e.kind is not GateKind.ID]
+    k = len(ops)
+    # each gate's kind as a number, and -1 (no kind) below a row's first
+    code = np.array([list(GateKind).index(op.kind) for op in ops] + [-1])
+    angle = np.zeros((k, count))
+    alive = np.zeros((k, count), bool)
+    below = np.full((k, count), -1)
+    top = np.full(count, -1)
+    rows = np.arange(count)
+    for j, op in enumerate(ops):
+        if op.kind not in _AXIS_OF:
+            alive[j], below[j], top = True, top, np.full(count, j)
+            continue
+        merge = code[top] == code[j]
+        value = np.where(merge, angle[top, rows] + op.angle, op.angle)
+        alive[top[merge], rows[merge]] = False
+        under = np.where(merge, below[top, rows], top)
+        keep = ~_zero_angles(value)
+        angle[j], alive[j], below[j] = value, keep, under
+        top = np.where(keep, j, under)
+    length = alive.sum(axis=0)
+
+    # each row of two or more gates: its product, Euler angles and native
+    # sequence, which replaces the row's run where that is no longer
+    multi = np.flatnonzero(length >= 2)
+    u = np.tile(np.eye(2, dtype=complex), (len(multi), 1, 1))
+    for j, op in enumerate(ops):
+        on = alive[j, multi]
+        if on.any():
+            rotation = angle[j, multi[on]] if op.kind in _AXIS_OF else None
+            u[on] = gate_stack(op.kind, rotation, int(on.sum())) @ u[on]
+    theta, phi, lam = (np.zeros(count) for _ in range(3))
+    theta[multi], phi[multi], lam[multi] = _zyz_rows(u)
+    flat, euler = np.zeros(count, bool), np.zeros(count, bool)
+    flat[multi] = [abs(math.sin(t / 2.0)) < 1e-9 for t in theta[multi]]
+    euler[multi] = ~flat[multi]
+    rz, sx = GateKind.RZ, (GateKind.SX, None)
+    if GateKind.RX in BASES[name]:
+        branches = [(euler, [(rz, lam - _HALF), (GateKind.RX, theta),
+                             (rz, phi + _HALF)])]
+    else:
+        at_half = np.fabs(theta - _HALF) < 1e-9
+        branches = [(euler & at_half, [(rz, lam - _HALF), sx,
+                                       (rz, phi + _HALF)]),
+                    (euler & ~at_half, [(rz, lam), sx, (rz, theta + math.pi),
+                                        sx, (rz, phi + math.pi)])]
+    branches.append((flat, [(rz, phi + lam)]))
+    native = [(kind, a, where & ~_zero_angles(a) if kind is rz else where)
+              for where, gates in branches for kind, a in gates]
+    swap = (flat | euler) & (sum(where.astype(int) for _, _, where in native)
+                             <= length)
+    return ([(op.kind, angle[j] if op.kind in _AXIS_OF else None,
+              alive[j] & ~swap) for j, op in enumerate(ops)]
+            + [(kind, a, where & swap) for kind, a, where in native])
 
 
 # ---------------------------------------------------------------------------

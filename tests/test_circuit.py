@@ -371,16 +371,52 @@ def test_gradient_matches_its_units_one_by_one(tid, n, layers, width, real,
               for _ in range(2))
     x, lam = x / np.linalg.norm(x), lam / np.linalg.norm(lam)
     wide = cols >= dim and len(c.steps._layout) > 0
-    # a rotation, alone or as a narrow block's fused member, takes complex
-    # blocks only; real ones stay real through a real list's matrices
-    real = real and wide and c.steps.real
-    tape = c.steps.run(x if real else x.astype(complex), theta, keep=True)
+    tape = c.steps.run(x, theta, keep=True)
     assert (tape.adjoints is not None) == wide
-    e = c.steps.gradient(lam if real else lam.astype(complex), tape, theta)
-    assert (e.dtype.kind == "f") == real
+    e = c.steps.gradient(lam, tape, theta)
+    # a real block stays real through a real list's wide matrices; any
+    # other is made complex before the first step (a rotation, alone or as
+    # a narrow block's fused member, needs it), and then runs as the
+    # complex block of the same values, bit for bit
+    stays_real = real and wide and c.steps.real
+    assert (e.dtype.kind == "f") == stays_real
+    if real and not stays_real:
+        complex_tape = c.steps.run(x.astype(complex), theta, keep=True)
+        assert tape.blocks[-1].tobytes() == complex_tape.blocks[-1].tobytes()
+        assert e.tobytes() == c.steps.gradient(
+            lam.astype(complex), complex_tape, theta).tobytes()
     want = _unit_by_unit_terms(c.steps, lam.astype(complex),
                                x.astype(complex), theta)
     assert np.max(np.abs(e - want)) <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.one_of(
+           _templates(n), _circuits(n), st.sampled_from(_HAND_BUILT))),
+       st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_chain_stack_is_each_chains_run_bit_for_bit(c, chains, real, seed):
+    # from the identity, theta (C, P) runs C chains at once: every block of
+    # the tape, every kept adjoint and every row of the gradient is the
+    # same bits as the call with that chain's theta alone
+    dim = 2 ** c.n_qubits
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-math.pi, math.pi, (chains, c.n_params))
+    lam = rng.normal(size=(dim, dim)) \
+        + (0 if real else 1j) * rng.normal(size=(dim, dim))
+    steps = c.steps
+    out = steps.run(None, thetas)
+    tape = steps.run(None, thetas, keep=True)
+    e = steps.gradient(lam, tape, thetas)
+    assert out.shape == (chains, dim, dim) and e.shape == thetas.shape
+    for i, theta in enumerate(thetas):
+        alone = steps.run(None, theta, keep=True)
+        assert out[i].tobytes() == steps.run(None, theta).tobytes()
+        for block, want in zip(tape.blocks[1:], alone.blocks[1:]):
+            assert np.broadcast_to(block, out.shape)[i].tobytes() \
+                == want.tobytes()
+        if alone.adjoints is not None:
+            assert tape.adjoints[:, i].tobytes() == alone.adjoints.tobytes()
+        assert e[i].tobytes() == steps.gradient(lam, alone, theta).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

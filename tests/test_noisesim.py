@@ -184,6 +184,16 @@ def test_noisy_z_features_edge_shapes():
     assert np.max(np.abs(one[0] - many[0])) <= 1e-12
 
 
+def _row_prefixes(groups, count):
+    """Each row's prefix as ops, from `_lowered_rows`' row groups."""
+    out = [None] * count
+    for key, rows, angles in groups:
+        for i, row in enumerate(rows):
+            out[row] = [Op(kind, (q,), None if a is None else float(a[i]))
+                        for (kind, q), a in zip(key, angles)]
+    return out
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(["c1", "c2", "c6", "c9", "c12", "c15"]),
        st.integers(1, 2), st.sampled_from(["1:1", "2:1"]),
@@ -197,12 +207,46 @@ def test_row_prefix_and_shared_tail_equal_full_lowering(template, layers, mode,
     rows = rng.uniform(-math.pi, math.pi, (3, scheme.capacity))
     prefixes, shared = noisesim._lowered_rows(model, rows, basis)
     bound = circ.bind(model.pqc, model.theta)
-    for row, prefix in zip(rows, prefixes):
+    for row, prefix in zip(rows, _row_prefixes(prefixes, len(rows))):
         full = Circuit(4, list(encoding.encode(row, scheme).ops)
                        + list(bound.ops))
         want, tail = noisesim._split_entangled(
             lower(full, basis, merge_1q=True).ops)
         assert prefix + shared == want + tail
+
+
+def _op_bits(op):
+    angle = None if op.angle is None else float(op.angle).hex()
+    return op.kind, op.qubits, angle
+
+
+@pytest.mark.parametrize("template", ["c6", "c15"])
+@pytest.mark.parametrize("mode", ["1:1", "2:1"])
+@pytest.mark.parametrize("basis", ["IBM", "RIGETTI"])
+def test_batched_prefixes_equal_each_rows_lowering(template, mode, basis):
+    # random features, and columns at the angles where the merge rules
+    # branch: +-pi (a min-max scaled extreme), +-pi/2 and 0, signed zero too
+    scheme = encoding.EncodingScheme(mode, 4)
+    model = qnn.init_model(template, 2, scheme, seed=3)
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-math.pi, math.pi, (60, scheme.capacity))
+    special = np.array([math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0,
+                        -0.0])
+    rows[:40] = np.where(rng.uniform(size=(40, scheme.capacity)) < 0.6,
+                         rng.choice(special, (40, scheme.capacity)),
+                         rows[:40])
+    prefixes, _ = noisesim._lowered_rows(model, rows, basis)
+    lead, _ = noisesim._split_entangled(
+        lower(circ.bind(model.pqc, model.theta), basis).ops)
+    got = _row_prefixes(prefixes, len(rows))
+    for row, prefix in zip(rows, got):
+        want = lower(Circuit(4, list(encoding.encode(row, scheme).ops)
+                             + lead), basis, merge_1q=True).ops
+        # each qubit's run; the prefix holds them in flush order
+        assert len(prefix) == len(want)
+        for q in range(4):
+            assert [_op_bits(op) for op in prefix if op.qubits == (q,)] \
+                == [_op_bits(op) for op in want if op.qubits == (q,)]
 
 
 @pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
@@ -220,8 +264,8 @@ def test_product_state_prefixes_match_dense_prefix_runs(template, mode):
             profile = dataclasses.replace(device, basis=basis)
             prefixes, shared = noisesim._lowered_rows(model, rows, basis)
             if basis == "IBM" and template != "c1":
-                assert len({tuple((op.kind, op.qubits) for op in prefix)
-                            for prefix in prefixes}) == 2
+                assert len(prefixes) == 2
+            prefixes = _row_prefixes(prefixes, len(rows))
             rho = np.stack([noisesim.run_noisy(Circuit(4, prefix), profile)
                             for prefix in prefixes], axis=-1)
             rho = noisesim.run_noisy(Circuit(4, shared), profile, rho)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,9 +280,10 @@ def test_anneal_stops_at_step_cap_or_its_share(monkeypatch, method, budget,
                                                polish_start):
     # one parameter: each temperature step makes 2 visits, so the chain's
     # 1000 steps end at evaluation 1 + 1000 * 2 = 2001, unless the anneal's
-    # share of the budget runs out first
+    # share of the budget runs out first; each polish chain is made once
+    # the anneals have ended
     starts = []
-    for name in ("_grad_polish", "_rotation_solve"):
+    for name in ("_lbfgs", "_rotation_solve"):
         polish = getattr(syn, name)
 
         def spy(cost, *args, polish=polish):
@@ -344,16 +346,22 @@ def test_stats_count_the_work(method):
         assert stats["polish_restarts"] > 0
         assert stats["polish_directions"] == 0
     assert 0 < stats["anneal_accepted"] < stats["anneal_evaluations"]
-    # each phase's wall time is the one entry a rerun may change
+    assert stats["chains"] == 1
+    # each phase's wall time is the one entry a rerun may change, and a
+    # chain run beside others changes only it and the chain count
     assert stats.pop("anneal_s") >= 0 and stats.pop("polish_s") >= 0
     again = syn.synthesize(prob, cfg).stats
     assert again.pop("anneal_s") >= 0 and again.pop("polish_s") >= 0
     assert again == stats
+    beside = syn._synthesize_chains(
+        prob, [dataclasses.replace(cfg, seed=s) for s in (5, 2, 9)])[1].stats
+    assert beside.pop("anneal_s") >= 0 and beside.pop("polish_s") >= 0
+    assert beside == {**stats, "chains": 3}
     assert set(stats) == {"value_calls", "value_and_grad_calls",
                           "anneal_evaluations", "polish_evaluations",
                           "anneal_steps", "anneal_ended_by",
                           "anneal_accepted", "polish_restarts",
-                          "polish_directions"}
+                          "polish_directions", "chains"}
 
 
 def _quadratic(dim=6, seed=0):
@@ -556,6 +564,44 @@ def test_improvements_are_monotone():
     assert evs == sorted(evs)
 
 
+def _chain_record(result):
+    """Everything a chain's result holds but the group's timings and its
+    chain count."""
+    stats = {k: v for k, v in result.stats.items()
+             if k not in ("anneal_s", "polish_s", "chains")}
+    return (result.theta_star.tobytes(), result.distance, result.evaluations,
+            result.trace_of_best, result.improvements, result.seed, stats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(circ.TEMPLATES)), st.integers(2, 4),
+       st.integers(1, 2), st.integers(60, 400),
+       st.sampled_from(syn.POLISH_METHODS), st.floats(0.05, 1.0),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
+                unique=True),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_lockstep_chains_equal_their_one_chain_runs(tid, n, layers, budget,
+                                                    method, fraction, seeds,
+                                                    complex_teacher, seed):
+    # the chains of one call share every stacked evaluator call, yet each
+    # draws, stops, counts and ends as it does alone; a complex teacher
+    # runs a real student in complex arithmetic
+    teacher = random_unitary(2 ** n, seed) if complex_teacher \
+        else template_unitary("c15", n, 2, seed)[0]
+    problem = syn.SynthesisProblem(teacher, circ.build_template(tid, n, layers),
+                                   budget=budget)
+    configs = [syn.AnnealConfig(seed=s, polish_method=method,
+                                anneal_fraction=fraction) for s in seeds]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # small budgets
+        together = syn._synthesize_chains(problem, configs)
+        alone = [syn.synthesize(problem, config) for config in configs]
+    for chain, solo in zip(together, alone):
+        assert chain.stats["chains"] == len(seeds)
+        assert solo.stats["chains"] == 1
+        assert _chain_record(chain) == _chain_record(solo)
+
+
 def _small_teacher():
     from qdistill import data, encoding, qnn
     ds = data.load_iris(seed=0)
@@ -587,11 +633,12 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
         syn.distill(teacher, ("c2", 1), cfg, budget=300, seeds=[])
 
     # equal distances: the lower seed wins, whatever the seed order
-    def tied(problem, config):
-        return syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5,
-                                   1, 0j, False, seed=config.seed)
+    def tied(problem, configs):
+        return [syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5,
+                                    1, 0j, False, seed=config.seed)
+                for config in configs]
 
-    monkeypatch.setattr(syn, "synthesize", tied)
+    monkeypatch.setattr(syn, "_synthesize_chains", tied)
     _, result = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
     assert result.seed == 0
 
@@ -600,12 +647,13 @@ def test_distill_treats_rounding_level_gaps_as_ties(monkeypatch):
     # two chains that reached one optimum, 3e-16 apart: the lower seed wins
     distance = {7: 0.6325258357864334, 8: 0.6325258357864331, 9: 0.7}
 
-    def chain(problem, config):
-        return syn.SynthesisResult(np.zeros(problem.student.n_params),
-                                   distance[config.seed], 1, 0j, False,
-                                   seed=config.seed)
+    def chains(problem, configs):
+        return [syn.SynthesisResult(np.zeros(problem.student.n_params),
+                                    distance[config.seed], 1, 0j, False,
+                                    seed=config.seed)
+                for config in configs]
 
-    monkeypatch.setattr(syn, "synthesize", chain)
+    monkeypatch.setattr(syn, "_synthesize_chains", chains)
     _, result = syn.distill(_small_teacher(), ("c2", 1), seeds=[9, 8, 7])
     assert (result.seed, result.distance) == (7, distance[7])
 
