@@ -50,14 +50,16 @@ _RANGE_TOL = 1e-9
 
 
 def checked_rows(features, scheme: EncodingScheme) -> np.ndarray:
-    """Pre-scaled features as (rows, capacity) floats, or a ValueError."""
+    """Pre-scaled features as (rows, capacity) floats, or a ValueError for
+    the wrong width or any feature that is not finite and in [-pi, pi]."""
     x = np.atleast_2d(np.asarray(features, dtype=float))
     if x.ndim != 2 or x.shape[1] != scheme.capacity:
         raise ValueError(
             f"expected {scheme.capacity} features for {scheme.mode} on "
             f"{scheme.n_qubits} qubits, got {x.shape[-1]}")
-    if np.any(np.abs(x) > math.pi + _RANGE_TOL):
-        raise ValueError("features must be scaled into [-pi, pi]")
+    # written so that NaN fails it too: every comparison with NaN is False
+    if not np.all(np.abs(x) <= math.pi + _RANGE_TOL):
+        raise ValueError("features must be finite and scaled into [-pi, pi]")
     return x
 
 

@@ -23,15 +23,16 @@ charged per physical gate, not per logical gate.  1q-run merging buffers each
 qubit's 1q gates and flushes them at its next 2q gate, so a row's encoding
 can only fuse into each qubit's leading physical PQC gates (``lead``); the
 merged rest of the PQC (``shared``) is the same for every row.  So the PQC is
-lowered once, and the rows' 1q-only encodings plus ``lead`` are lowered all at
-once (`transpile.merge_1q_rows`), emitted in the order the full merge flushes
-them.  There is no idle noise, so
-channels on disjoint qubits commute exactly: ``noisy_z_features`` evolves
-each row's prefix, then runs ``shared`` once on the stacked batch.  A prefix
-has only 1q gates and each 1q gate's noise acts on its own qubit, so the
-prefix leaves a product state: each qubit's 2x2 density evolves alone, the
-rows that share a prefix's gate sequence evolve as one stack, and the n
-densities are Kronecker-multiplied into the batch.
+lowered once, and the rows' 1q-only encodings plus ``lead`` are lowered and
+merged all at once by `transpile.merge_1q_rows`, the one 1q merge, which
+``lower(..., merge_1q=True)`` calls once per kind sequence of its runs; they
+are emitted in the order the full merge flushes them.  There is no idle
+noise, so channels on disjoint qubits commute exactly: ``noisy_z_features``
+evolves each row's prefix, then runs ``shared`` once on the stacked batch.
+A prefix has only 1q gates and each 1q gate's noise acts on its own qubit,
+so the prefix leaves a product state: each qubit's 2x2 density evolves
+alone, the rows that share a prefix's gate sequence evolve as one stack, and
+the n densities are Kronecker-multiplied into the batch.
 """
 
 from __future__ import annotations
@@ -262,13 +263,14 @@ def _lowered_rows(model, rows, basis):
 
     Every row's prefix on qubit q is one op list with row-dependent angles:
     H and the encoding's rotations (`EncodingScheme.rotations`) at the row's
-    features, then ``lead``'s ops on q.  `transpile.merge_1q_rows` lowers
-    and merges it for all rows at once, as ``lower(Circuit(n, encode(row)
-    .ops + lead), basis, merge_1q=True)`` does for one row, and the qubits'
-    runs follow in the order the full merge flushes them.  A group is
-    (key, rows, angles): the (kind, qubit) sequence, the rows' indices in
-    order, and per gate a (len(rows),) angle array (None for a fixed
-    gate)."""
+    features, then ``lead``'s ops on q.  `transpile.merge_1q_rows`, the
+    merge that ``lower(..., merge_1q=True)`` calls once per kind sequence of
+    its runs, lowers and merges it for all rows at once, so each row gets
+    the ops of ``lower(Circuit(n, encode(row).ops + lead), basis,
+    merge_1q=True)``, and the qubits' runs follow in the order the full
+    merge flushes them.  A group is (key, rows, angles): the (kind, qubit)
+    sequence, the rows' indices in order, and per gate a (len(rows),) angle
+    array (None for a fixed gate)."""
     n = model.n_qubits
     physical = lower(bind(model.pqc, model.theta), basis)
     lead, _ = _split_entangled(physical.ops)

@@ -554,13 +554,6 @@ class _InverseHessian:
         return gamma * g + coef.ravel() @ pairs
 
 
-def _grad_polish(cost, rng, fg):
-    """`_lbfgs` as one chain whose requests fg(theta) answers, returning
-    (restarts, directions)."""
-    answer = {_VALUE_AND_GRAD: lambda thetas: [fg(theta) for theta in thetas]}
-    return _lockstep([_lbfgs(cost, rng)], answer)[0][0]
-
-
 def _lbfgs(cost, rng):
     """Multi-start L-BFGS on the exact gradient until the budget runs out,
     as a generator of (kind, theta) requests (`_lockstep`); returns the

@@ -12,9 +12,13 @@ earliest moment in which all of its qubits are free.  No commutation-aware
 scheduling and no routing (all-to-all coupling is assumed).
 
 ``lower`` takes bound circuits only; bind a template's parameters first.
-The optional ``merge_1q`` pass collapses each run of adjacent single-qubit
-gates into a minimal native Euler sequence, after coalescing same-axis
-rotations.  It is applied after lowering.
+The optional ``merge_1q`` pass runs after lowering.  It buffers each qubit's
+single-qubit gates, flushes the run at that qubit's next 2q gate, coalesces
+same-axis rotations and replaces the run with a minimal native Euler
+sequence where that is no longer.  There is one merge, `merge_1q_rows`, which
+merges many runs of one kind sequence at once as arrays and masks over them:
+``lower`` groups its runs by kind sequence and calls it once per group, and
+noisy evaluation calls it on all rows' encoding prefixes at once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Op
-from .gates import GateKind, gate_matrix, gate_stack
+from .gates import GateKind, gate_stack
 
 _K = GateKind
 _HALF = math.pi / 2
@@ -122,7 +126,7 @@ def lower(circuit: Circuit, basis: str, merge_1q: bool = False) -> Circuit:
     for op in circuit.ops:
         ops.extend(_expand_op(op.kind, op.qubits, op.angle, name))
     if merge_1q:
-        ops = _merge_1q_runs(ops, circuit.n_qubits, BASES[name])
+        ops = _merge_1q_runs(ops, circuit.n_qubits, name)
     return Circuit(circuit.n_qubits, ops)
 
 
@@ -132,85 +136,18 @@ def lower(circuit: Circuit, basis: str, merge_1q: bool = False) -> Circuit:
 _AXIS_OF = {GateKind.RX: "x", GateKind.RY: "y", GateKind.RZ: "z"}
 
 
-def _zyz_angles(u: np.ndarray):
-    """(theta, phi, lam) with u ~ RZ(phi) RY(theta) RZ(lam) up to phase."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    su = u / np.sqrt(det)
-    theta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) < 1e-9:
-        return theta, 2.0 * np.angle(su[1, 0]), 0.0
-    if abs(su[1, 0]) < 1e-9:
-        return theta, 2.0 * np.angle(su[1, 1]), 0.0
-    ang_sum = 2.0 * np.angle(su[1, 1])
-    ang_dif = 2.0 * np.angle(su[1, 0])
-    return theta, (ang_sum + ang_dif) / 2.0, (ang_sum - ang_dif) / 2.0
-
-
-def _is_zero_angle(a: float) -> bool:
-    return abs(math.remainder(a, 2.0 * math.pi)) < 1e-9
-
-
-def _euler_native(u: np.ndarray, basis) -> list[Op]:
-    """Minimal native 1q sequence for a literal 2x2 unitary (qubit filled later).
-
-    Every basis has RZ, plus RX or SX.
-    """
-    theta, phi, lam = _zyz_angles(u)
-    half = math.pi / 2
-
-    def rz(a):
-        return [] if _is_zero_angle(a) else [Op(GateKind.RZ, (0,), a)]
-
-    if abs(math.sin(theta / 2.0)) < 1e-9:
-        return rz(phi + lam)
-    if GateKind.RX in basis:
-        # ZXZ: RZ(phi+pi/2) RX(theta) RZ(lam-pi/2)
-        return rz(lam - half) + [Op(GateKind.RX, (0,), theta)] + rz(phi + half)
-    if abs(theta - half) < 1e-9:
-        return rz(lam - half) + [Op(GateKind.SX, (0,))] + rz(phi + half)
-    return (rz(lam) + [Op(GateKind.SX, (0,))] + rz(theta + math.pi)
-            + [Op(GateKind.SX, (0,))] + rz(phi + math.pi))
-
-
-def _coalesce_rotations(run: list[Op]) -> list[Op]:
-    """Merge adjacent same-axis rotations; drop identities and zero rotations."""
-    out: list[Op] = []
-    for op in run:
-        if op.kind is GateKind.ID:
-            continue
-        if op.kind in _AXIS_OF:
-            if out and out[-1].kind is op.kind:
-                angle = float(out.pop().angle) + float(op.angle)
-                op = Op(op.kind, op.qubits, angle)
-            if not _is_zero_angle(op.angle):
-                out.append(op)
-            continue
-        out.append(op)
-    return out
-
-
-def _resynthesize_run(run: list[Op], basis) -> list[Op]:
-    """One qubit's run as its native Euler sequence, where that is no longer."""
-    run = _coalesce_rotations(run)
-    if len(run) < 2:
-        return run
-    u = np.eye(2, dtype=complex)
-    for op in run:
-        u = gate_matrix(op.kind, op.angle) @ u
-    native = _euler_native(u, basis)
-    if len(native) > len(run):
-        return run
-    qubit = run[0].qubits[0]
-    return [Op(op.kind, (qubit,), op.angle) for op in native]
-
-
-def _merge_1q_runs(ops, n_qubits: int, basis):
+def _merge_1q_runs(ops, n_qubits: int, basis: str):
+    """Each qubit's run of 1q ops, flushed at its next 2q op and at the end,
+    merged by `merge_1q_rows`: the runs that share a kind sequence are the
+    rows of one call."""
     buffers: dict[int, list[Op]] = {q: [] for q in range(n_qubits)}
-    out: list[Op] = []
+    runs = []   # (qubit, ops, merged ops), in flush order
+    out = []    # lists of ops: each 2q op alone, and each run's merged ops
 
     def flush(q):
         if buffers[q]:
-            out.extend(_resynthesize_run(buffers[q], basis))
+            runs.append((q, buffers[q], []))
+            out.append(runs[-1][2])
             buffers[q] = []
 
     for op in ops:
@@ -219,25 +156,41 @@ def _merge_1q_runs(ops, n_qubits: int, basis):
         else:
             for q in op.qubits:
                 flush(q)
-            out.append(op)
+            out.append([op])
     for q in range(n_qubits):
         flush(q)
-    return out
+
+    groups: dict[tuple, list] = {}
+    for run in runs:
+        groups.setdefault(tuple(op.kind for op in run[1]), []).append(run)
+    for kinds, group in groups.items():
+        gates = [Op(kind, (0,), np.array([run[j].angle for _, run, _ in group])
+                    if kind in _AXIS_OF else None)
+                 for j, kind in enumerate(kinds)]
+        slots = merge_1q_rows(gates, basis, len(group))
+        for r, (q, _, merged) in enumerate(group):
+            merged.extend(Op(kind, (q,), None if a is None else a[r])
+                          for kind, a, present in slots if present[r])
+    return [op for part in out for op in part]
 
 
 def _zero_angles(values):
-    """`_is_zero_angle` of each value: fmod by 2 pi is exact, and so, by
-    Sterbenz's lemma, is the step from it to the remainder of least
-    magnitude, so every decision is the same."""
+    """Whether each angle is within 1e-9 of a multiple of 2 pi, read off
+    its remainder of least magnitude (``math.remainder``): fmod by 2 pi is
+    exact, and so, by Sterbenz's lemma, is the step from it to that
+    remainder."""
     r = np.fmod(values, 2.0 * math.pi)
     r = np.where(np.fabs(r) > math.pi, r - np.copysign(2.0 * math.pi, r), r)
     return np.fabs(r) < 1e-9
 
 
 def _zyz_rows(u):
-    """`_zyz_angles` of each matrix of a (k, 2, 2) stack, as three (k,)
-    arrays of the same bits: the determinant in real arithmetic, as numpy's
-    complex scalars multiply, and the moduli from hypot, as their abs."""
+    """(theta, phi, lam) with u ~ RZ(phi) RY(theta) RZ(lam) up to phase, for
+    each matrix u of a (k, 2, 2) stack, as three (k,) arrays.  u is scaled
+    to determinant 1; where |u00| or |u10| is below 1e-9 the whole phase
+    goes to phi.  The determinant is taken in real arithmetic, as numpy's
+    complex scalars multiply, and the moduli from hypot, as their abs, so
+    each row has the bits of the same steps on one 2x2 matrix."""
     r, i = u.real, u.imag
     det = np.empty(len(u), complex)
     det.real = (r[:, 0, 0] * r[:, 1, 1] - i[:, 0, 0] * i[:, 1, 1]) \
@@ -258,17 +211,20 @@ def _zyz_rows(u):
 
 
 def merge_1q_rows(ops, basis: str, count: int) -> list:
-    """One qubit's 1q ops, lowered and merged for `count` rows at once, as
-    ``lower(..., merge_1q=True)`` lowers and merges each row's ops.
+    """One qubit's 1q ops, lowered to the basis and merged, for `count` rows
+    at once: the one statement of the 1q-merge rules.
 
     An op's angle is None, a float, or a (count,) array of the rows'
     angles.  Returns slots (kind, angles, present): the kind, a (count,)
     angle array (None for a fixed gate) and a (count,) mask of the rows
     whose run has the gate; row r's run is the present slots in order.
-    `_coalesce_rotations`, `_resynthesize_run` and `_euler_native` run as
-    masks over the rows, with the same arithmetic: coalescing keeps a stack
-    per row (its top, and the slot below each pushed slot), and a row's
-    native Euler sequence replaces its run where that is no longer.
+    A row's run drops its identities, sums adjacent rotations of one kind
+    and drops those at a multiple of 2 pi (coalescing keeps a stack per
+    row: its top, and the slot below each pushed slot).  Where two or more
+    gates are left, their product's native Euler sequence replaces them if
+    it is no longer: RZ alone when the product is diagonal, else ZXZ with
+    RX, or one SX at theta = pi/2 and two SX otherwise.  ``lower(...,
+    merge_1q=True)`` calls it once per kind sequence of its runs.
     """
     name = str(basis).upper()
     ops = [e for op in ops for e in _expand_op(op.kind, op.qubits, op.angle,

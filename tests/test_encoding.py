@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdistill import encoding
+from qdistill import encoding, noisesim, qnn
 from qdistill.encoding import EncodingScheme, Scaler
 from qdistill.gates import GateKind as K
 
@@ -44,6 +45,26 @@ def test_encode_feature_count_guard():
         encoding.encode_states(np.zeros((3, 2)), EncodingScheme("1:1", 4))
     with pytest.raises(ValueError, match=r"\[-pi, pi\]"):
         encoding.encode_states(np.full((3, 4), 3.2), EncodingScheme("1:1", 4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("reader", ["encode", "encode_states",
+                                    "noisy_z_features"])
+def test_non_finite_features_are_rejected_without_a_warning(reader, bad):
+    scheme = EncodingScheme("1:1", 4)
+    rows = np.zeros((2, 4))
+    rows[1, 0] = bad
+    calls = {
+        "encode": lambda: encoding.encode(rows[1], scheme),
+        "encode_states": lambda: encoding.encode_states(rows, scheme),
+        "noisy_z_features": lambda: noisesim.noisy_z_features(
+            qnn.init_model("c15", 1, scheme, seed=0), rows,
+            noisesim.load_profile("melbourne")),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            calls[reader]()
 
 
 # axis: the 2:1 encoding's second rotation, RY

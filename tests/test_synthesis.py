@@ -382,14 +382,16 @@ def _quadratic(dim=6, seed=0):
 
 
 def _polish_from(x0, fg, calls, max_calls, seed=0):
-    """`_grad_polish` from x0, recorded as the best point so far, with a
-    budget of max_calls value-and-gradient calls; returns the cost tracker
-    and the restart and direction counts, and leaves only the polish's
-    calls in calls."""
+    """`_lbfgs` from x0, recorded as the best point so far, as one chain
+    whose requests fg answers, with a budget of max_calls value-and-gradient
+    calls; returns the cost tracker and the restart and direction counts,
+    and leaves only the polish's calls in calls."""
     cost = syn._CostTracker(None, 2 * max_calls)
     cost.record(x0, fg(x0)[0], charge=0)
     calls.clear()
-    return cost, syn._grad_polish(cost, np.random.default_rng(seed), fg)
+    answer = {syn._VALUE_AND_GRAD: lambda thetas: [fg(t) for t in thetas]}
+    chain = syn._lbfgs(cost, np.random.default_rng(seed))
+    return cost, syn._lockstep([chain], answer)[0][0]
 
 
 @pytest.mark.parametrize("seed", range(3))

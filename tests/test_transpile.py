@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qdistill import circuit as circ, transpile
 from qdistill.circuit import Circuit, Op
-from qdistill.gates import GateKind as K
+from qdistill.gates import GateKind, GateKind as K, gate_matrix
 
 
 def overlap(a, b):
@@ -96,3 +96,192 @@ def test_overhead_ratio_bands():
     assert 4.0 <= gate_ratio <= 7.5
     rr = rows[("c2", "RIGETTI")]["depth"] / rows[("c9", "RIGETTI")]["depth"]
     assert 1.3 <= rr <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# The scalar 1q merge, one run at a time: the reference that
+# `transpile.merge_1q_rows`, the library's batched merge, must equal bit for
+# bit.
+
+_AXIS_OF = {GateKind.RX: "x", GateKind.RY: "y", GateKind.RZ: "z"}
+
+
+def _zyz_angles(u: np.ndarray):
+    """(theta, phi, lam) with u ~ RZ(phi) RY(theta) RZ(lam) up to phase."""
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    su = u / np.sqrt(det)
+    theta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
+    if abs(su[0, 0]) < 1e-9:
+        return theta, 2.0 * np.angle(su[1, 0]), 0.0
+    if abs(su[1, 0]) < 1e-9:
+        return theta, 2.0 * np.angle(su[1, 1]), 0.0
+    ang_sum = 2.0 * np.angle(su[1, 1])
+    ang_dif = 2.0 * np.angle(su[1, 0])
+    return theta, (ang_sum + ang_dif) / 2.0, (ang_sum - ang_dif) / 2.0
+
+
+def _is_zero_angle(a: float) -> bool:
+    return abs(math.remainder(a, 2.0 * math.pi)) < 1e-9
+
+
+def _euler_native(u: np.ndarray, basis) -> list[Op]:
+    """Minimal native 1q sequence for a literal 2x2 unitary (qubit filled later).
+
+    Every basis has RZ, plus RX or SX.
+    """
+    theta, phi, lam = _zyz_angles(u)
+    half = math.pi / 2
+
+    def rz(a):
+        return [] if _is_zero_angle(a) else [Op(GateKind.RZ, (0,), a)]
+
+    if abs(math.sin(theta / 2.0)) < 1e-9:
+        return rz(phi + lam)
+    if GateKind.RX in basis:
+        # ZXZ: RZ(phi+pi/2) RX(theta) RZ(lam-pi/2)
+        return rz(lam - half) + [Op(GateKind.RX, (0,), theta)] + rz(phi + half)
+    if abs(theta - half) < 1e-9:
+        return rz(lam - half) + [Op(GateKind.SX, (0,))] + rz(phi + half)
+    return (rz(lam) + [Op(GateKind.SX, (0,))] + rz(theta + math.pi)
+            + [Op(GateKind.SX, (0,))] + rz(phi + math.pi))
+
+
+def _coalesce_rotations(run: list[Op]) -> list[Op]:
+    """Merge adjacent same-axis rotations; drop identities and zero rotations."""
+    out: list[Op] = []
+    for op in run:
+        if op.kind is GateKind.ID:
+            continue
+        if op.kind in _AXIS_OF:
+            if out and out[-1].kind is op.kind:
+                angle = float(out.pop().angle) + float(op.angle)
+                op = Op(op.kind, op.qubits, angle)
+            if not _is_zero_angle(op.angle):
+                out.append(op)
+            continue
+        out.append(op)
+    return out
+
+
+def _resynthesize_run(run: list[Op], basis) -> list[Op]:
+    """One qubit's run as its native Euler sequence, where that is no longer."""
+    run = _coalesce_rotations(run)
+    if len(run) < 2:
+        return run
+    u = np.eye(2, dtype=complex)
+    for op in run:
+        u = gate_matrix(op.kind, op.angle) @ u
+    native = _euler_native(u, basis)
+    if len(native) > len(run):
+        return run
+    qubit = run[0].qubits[0]
+    return [Op(op.kind, (qubit,), op.angle) for op in native]
+
+
+def _merge_1q_runs(ops, n_qubits: int, basis):
+    buffers: dict[int, list[Op]] = {q: [] for q in range(n_qubits)}
+    out: list[Op] = []
+
+    def flush(q):
+        if buffers[q]:
+            out.extend(_resynthesize_run(buffers[q], basis))
+            buffers[q] = []
+
+    for op in ops:
+        if len(op.qubits) == 1:
+            buffers[op.qubits[0]].append(op)
+        else:
+            for q in op.qubits:
+                flush(q)
+            out.append(op)
+    for q in range(n_qubits):
+        flush(q)
+    return out
+
+
+def _op_bits(op):
+    angle = None if op.angle is None else float(op.angle).hex()
+    return op.kind, op.qubits, angle
+
+
+def _merged(circuit, basis):
+    """``lower(circuit, basis, merge_1q=True)``'s ops, checked bit for bit
+    against the scalar merge of the plain lowering."""
+    got = transpile.lower(circuit, basis, merge_1q=True).ops
+    want = _merge_1q_runs(transpile.lower(circuit, basis).ops,
+                          circuit.n_qubits, transpile.BASES[basis])
+    assert [_op_bits(op) for op in got] == [_op_bits(op) for op in want]
+    return got
+
+
+# multiples of pi/2 (zero, signed zero, the SX angle, whole turns) nudged by
+# nothing or by 1e-10, just inside the zero-angle tolerance
+_GRID_ANGLES = st.builds(lambda k, nudge: k * math.pi / 2 + nudge,
+                         st.integers(-8, 8), st.sampled_from([0.0, 1e-10,
+                                                              -1e-10, -0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(circ.TEMPLATES)), st.integers(2, 5),
+       st.integers(1, 4), st.sampled_from(["IBM", "RIGETTI"]), st.data())
+def test_merge_equals_the_scalar_merge_bit_for_bit(tid, n, layers, basis,
+                                                   data):
+    tpl = circ.build_template(tid, n, layers)
+    angle = st.one_of(st.floats(-4 * math.pi, 4 * math.pi), _GRID_ANGLES)
+    theta = data.draw(st.lists(angle, min_size=tpl.n_params,
+                               max_size=tpl.n_params))
+    _merged(circ.bind(tpl, np.array(theta)), basis)
+
+
+def test_merge_drops_a_run_that_is_the_identity():
+    # H H lowers to RZ SX RZ RZ SX RZ (IBM) or RZ RX RZ RZ RX RZ (RIGETTI)
+    for basis in ("IBM", "RIGETTI"):
+        assert _merged(Circuit(1, [Op(K.H, (0,)), Op(K.H, (0,))]), basis) == ()
+
+
+def test_merge_coalesces_opposite_rotations_away():
+    c = Circuit(2, [Op(K.RZ, (1,), 0.7), Op(K.RZ, (1,), -0.7),
+                    Op(K.CX, (0, 1))])
+    assert _merged(c, "IBM") == (Op(K.CX, (0, 1)),)
+
+
+def _kinds(ops):
+    return [op.kind for op in ops]
+
+
+def _same_unitary(circuit, ops):
+    lowered = circ.unitary_of(Circuit(circuit.n_qubits, ops))
+    assert overlap(circ.unitary_of(circuit), lowered) == pytest.approx(
+        1.0, abs=1e-12)
+
+
+def test_merge_takes_one_sx_at_a_quarter_turn_on_ibm():
+    # RX(pi/2) lowers to RZ SX RZ SX RZ; the one-SX form's RZs are zero here
+    c = Circuit(1, [Op(K.RX, (0,), math.pi / 2)])
+    ops = _merged(c, "IBM")
+    assert _kinds(ops) == [K.SX]
+    _same_unitary(c, ops)
+    c = Circuit(1, [Op(K.RX, (0,), math.pi / 2), Op(K.RZ, (0,), 0.4)])
+    assert _kinds(_merged(c, "IBM")) == [K.SX, K.RZ]
+
+
+def test_merge_takes_two_sx_for_a_generic_run_on_ibm():
+    c = Circuit(1, [Op(K.RX, (0,), 0.3), Op(K.RZ, (0,), 0.5),
+                    Op(K.RX, (0,), 0.9)])
+    ops = _merged(c, "IBM")
+    assert _kinds(ops) == [K.RZ, K.SX, K.RZ, K.SX, K.RZ]
+    _same_unitary(c, ops)
+
+
+def test_merge_takes_zxz_on_rigetti():
+    c = Circuit(1, [Op(K.RX, (0,), 0.3), Op(K.RZ, (0,), 0.5),
+                    Op(K.RX, (0,), 0.9), Op(K.RZ, (0,), 1.1)])
+    ops = _merged(c, "RIGETTI")
+    assert _kinds(ops) == [K.RZ, K.RX, K.RZ]
+    _same_unitary(c, ops)
+
+
+def test_merge_keeps_a_run_shorter_than_its_euler_form():
+    # SX RZ SX is three gates; its Euler form, with two SX, is five
+    c = Circuit(1, [Op(K.SX, (0,)), Op(K.RZ, (0,), 0.3), Op(K.SX, (0,))])
+    assert _merged(c, "IBM") == c.ops
