@@ -214,11 +214,10 @@ class _Fused:
     """RY rotations on distinct qubits, which commute, as one real step K,
     followed by the 0/1 permutation D of a literal run folded into it (c15's
     CX ring), so that the step is D K.  `StepList` builds every fused step's
-    Kronecker product at once for a block at least as wide as it is tall,
-    where the step is one matmul (D K) @ x (dim^2 k) and its reverse terms
-    come from `StepList.gradient`'s environment product; a narrower block
-    runs its units, the members and then the permutation, one by one (m dim
-    k), and `reverse` takes the terms from one gather."""
+    matrix D K in one stacked Kronecker pass, so on any (dim, k) block the
+    step is one matmul (D K) @ x and its reverse terms come from
+    `StepList.gradient`'s environment product.  `units` (the members, then
+    the permutation) are the step one gate at a time, for rotation-solve."""
 
     real = True
 
@@ -227,7 +226,6 @@ class _Fused:
         self.units = list(members)
         self.fold = None
         self.index = None    # its place on the stacked matrices' step axis
-        self.slots = np.array([m.slot for m in members])
         # -i Y x = gen * x[perm], real, for every member from one gather
         self.gen = np.array([(-1j * m.phase).real for m in members])
         self.perm = np.array([m.perm for m in members])
@@ -242,25 +240,6 @@ class _Fused:
         # the terms read K x from the block after D, where K x = x[inverse]
         self.perm = permutation.inverse[self.perm]
 
-    def apply(self, x, theta):
-        for unit in self.units:
-            x = unit.apply(x, theta)
-        return x
-
-    def reverse(self, lam, x, e, theta, pull):
-        """A narrow block's step of `StepList.gradient`: e[slot] = <lam, -i
-        Y K x> per member, from one gather of x, with lam first pulled back
-        through the permutation; then lam pulled back through the members
-        if pull."""
-        if self.fold is not None:
-            lam = self.fold.apply(lam, theta, adjoint=True)
-        g = (x[self.perm] * self.gen).reshape(len(self.members), -1)
-        e[self.slots] = g @ lam.conj().ravel()
-        if pull:
-            for m in self.members[::-1]:
-                lam = m.apply(lam, theta, adjoint=True)
-        return lam
-
 
 # A factor of RY(2h) is cos h I + sin h (-i Y): cos h and sin h are cos(h +
 # _SHIFTS), and the rows of _FACTORS map them to the factor, flattened
@@ -268,13 +247,15 @@ _SHIFTS = np.array([0.0, -math.pi / 2])
 _I2 = np.eye(2).ravel()
 _I2_ROW = _I2[None]
 _FACTORS = np.stack([_I2, (-1j * GENERATOR[GateKind.RY]).real.ravel()])
-# fused steps measured faster on square blocks up to 8 qubits (complex) and
-# 9 (real); past that dim^2 k outgrows m dim k.  A wide block's matrices are
-# built at once: a call holds 2 L dim x dim float64 matrices at its peak for
-# L fused steps, 1 MiB per c15 layer at 8 qubits, and a gradient call then
-# holds the matrices and L dim x dim environments (complex ones for a
-# complex block), 1 or 1.5 MiB per c15 layer.
-_FUSE_MAX_QUBITS = 8
+# a fused step costs its stacked build and a dim^2 k matmul on any (dim, k)
+# block, against m dim k for its m rotations one by one: with the build, its
+# run and gradient measured faster than unfused rotations up to 6 qubits at
+# k = 1, 8 and dim, and 2.5-7x slower at k = 1 at 7 and 8 qubits.  The
+# matrices are built at once: a call holds 2 L dim x dim float64 matrices at
+# its peak for L fused steps, 64 KiB per c15 layer at 6 qubits, and a
+# gradient call then holds the matrices and L dim x dim environments
+# (complex ones for a complex block), 64 or 96 KiB per c15 layer.
+_FUSE_MAX_QUBITS = 6
 # the stacked build gathers the factor entries of at most this many leading
 # qubits (a 16 x 16 block); at 8 qubits a full gather measured 2.3x slower
 # than broadcast Kronecker steps, which append the rest
@@ -341,10 +322,9 @@ def _gather_table(layout, rows):
 class Tape(NamedTuple):
     """What `StepList.run(keep=True)` keeps for `StepList.gradient`: the
     input block (None for the identity) and the block after every step, and
-    the fused steps' stacked adjoint matrices (D K)^T (None if the block is
-    narrower than tall or there is no fused step).  For a chain stack,
-    theta (C, P), each block after the first step is (C, dim, dim) and the
-    adjoints are (steps, C, dim, dim)."""
+    the fused steps' stacked adjoint matrices (D K)^T (None if there is no
+    fused step).  For a chain stack, theta (C, P), each block after the
+    first step is (C, dim, dim) and the adjoints are (steps, C, dim, dim)."""
 
     blocks: list
     adjoints: np.ndarray | None
@@ -356,28 +336,27 @@ class StepList:
     `_FUSE_MAX_QUBITS` qubits), with a literal run that is a 0/1
     permutation and directly follows it folded in; one `_Dense` per other
     literal run; and one `_Rotation` per other `Param` gate.  `real`: every
-    step matrix is real, so a real wide block stays real (the evaluator's
-    float64 path).  Any other real block is made complex before the first
-    step, so it runs as the complex block of the same values.
+    step matrix is real, so a real block stays real (the evaluator's float64
+    path).  Any other real block is made complex before the first step, so
+    it runs as the complex block of the same values.
 
-    On a block at least as wide as it is tall, `run` builds every fused
-    step's Kronecker product in one vectorized pass from one cos call and
-    one gather, and each fused step is one matmul; with keep the `Tape`
-    holds their transposes as the adjoints.  From the identity (x None) the
+    On a (dim, k) block of any width k, `run` builds every fused step's
+    Kronecker product in one vectorized pass from one cos call and one
+    gather, and each fused step is one matmul; with keep the `Tape` holds
+    their transposes as the adjoints.  From the identity (x None) the
     leading fused step of a real list takes its matrix as its block.  The
     gather's index table takes 8 KiB per fused step from 4 qubits up, and
-    the reverse terms' tables 16 dim bytes per member, 32 KiB per c15 layer
-    at 8 qubits.  The build holds 2 L dim x dim matrices for L fused steps,
-    1 MiB per c15 layer at 8 qubits.  A narrower block runs each fused
-    step's units one by one.  The kept matrices travel only in the returned
-    `Tape`: no step keeps state for a theta.
+    the reverse terms' tables 16 dim bytes per member, 6 KiB per c15 layer
+    at 6 qubits.  The build holds 2 L dim x dim matrices for L fused steps,
+    64 KiB per c15 layer at 6 qubits.  The kept matrices travel only in the
+    returned `Tape`: no step keeps state for a theta.
 
     From the identity, theta may be a (C, P) stack of chains: every step
     then runs on a (C, dim, dim) stack, the build's gather reads one (C,
     factors, 4) array through per-chain offsets (tables cached per C), the
     fused steps are stacked matmuls and a rotation takes each chain's angle
     through `math`, so chain c is the same bits as the call with theta[c].
-    Narrow blocks (state prep, `qnn` batches) take one theta.
+    A given block (state prep, `qnn` batches) takes one theta.
 
     `gradient` is the reverse sweep for exact derivatives (Jones & Gacon
     2020, arXiv:2009.02823).  For a real f(psi) of the output block, pass
@@ -385,12 +364,12 @@ class StepList:
     the slot's rotation in step k, where lam_k = S_(k+1)^dag ... S_last^dag
     lam and x_(k+1) is the block after the step's rotations (the rotations
     of one step commute, so they share lam_k and x_(k+1)).  Then <lam, psi>
-    has derivative e/2 in theta, and f has derivative Re(e).  On a wide
-    block a fused step D K costs one environment product and one adjoint
-    matmul: with M = conj(lam) y^T for lam and the block y after D, member
-    j's term is sum_r sigma_j(r) M[r, pi_j(r)], where (pi_j, sigma_j) is the
-    signed permutation D G_j D^T, and one gather over the stacked M's takes
-    every such term after the sweep.
+    has derivative e/2 in theta, and f has derivative Re(e).  A fused step
+    D K costs one environment product and one adjoint matmul: with M =
+    conj(lam) y^T for lam and the block y after D, member j's term is sum_r
+    sigma_j(r) M[r, pi_j(r)], where (pi_j, sigma_j) is the signed
+    permutation D G_j D^T, and one gather over the stacked M's takes every
+    such term after the sweep.
     """
 
     def __init__(self, circuit: Circuit):
@@ -512,22 +491,21 @@ class StepList:
         None, from the identity, where theta may be a (C, P) stack and the
         result is (C, dim, dim); with keep, a `Tape` that `gradient`
         takes."""
-        wide = len(self._layout) > 0 and (x is None
-                                          or x.shape[1] >= x.shape[0])
-        forward, adjoints = self._matrices(theta, keep) if wide \
+        fused = len(self._layout) > 0
+        forward, adjoints = self._matrices(theta, keep) if fused \
             else (None, None)
         if x is None:
             # a real list's leading fused step turns the identity into its
             # matrix; a rotation needs a complex block
-            if not (wide and self.real and isinstance(self.steps[0], _Fused)):
+            if not (fused and self.real and isinstance(self.steps[0], _Fused)):
                 x = np.eye(self.dim, dtype=float if self.real else complex)
                 if theta.ndim == 2:
                     x = np.broadcast_to(x, (len(theta),) + x.shape)
-        elif x.dtype.kind != "c" and not (wide and self.real):
+        elif x.dtype.kind != "c" and not self.real:
             x = x.astype(complex)
         blocks = [x]
         for step in self.steps:
-            if wide and isinstance(step, _Fused):
+            if isinstance(step, _Fused):
                 m = forward[step.index]
                 x = m if x is None else m @ x
             else:
@@ -550,7 +528,7 @@ class StepList:
             conj = e.dtype.kind == "c"
         for k in range(len(self.steps) - 1, -1, -1):
             step, x = self.steps[k], tape.blocks[k + 1]
-            if adjoints is not None and isinstance(step, _Fused):
+            if isinstance(step, _Fused):
                 i = step.index
                 np.matmul(lam.conj() if conj else lam, x.swapaxes(-1, -2),
                           out=envs[i])

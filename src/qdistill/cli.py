@@ -404,8 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--seeds", type=_int_list, default=None,
                    help="annealing chain seeds (default: --seed)")
-    # Ignored: seeds run one after another in this process.  Kept so that
-    # command lines passing --jobs and manifests recording it still parse.
+    # Ignored: seeds run in lockstep on one stacked evaluator in this
+    # process.  Kept so that command lines passing --jobs and manifests
+    # recording it still parse.
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--polish-method", default=None,
                    choices=POLISH_METHODS)

@@ -148,9 +148,9 @@ class _Evaluator:
     step's matrix once, from one cos call, a real list's leading fused step
     takes its matrix as its block, and the reverse sweep takes one
     environment product per fused step and applies the adjoints its forward
-    run kept; t is one vdot per chain.  State prep runs one narrow block per
-    chain.  Full mode computes in float64 when the target and every step
-    are real, and then e and the gradient are real.  Chain c's answer is
+    run kept; t is one vdot per chain.  State prep runs its one-column block
+    once per chain.  Full mode computes in float64 when the target and every
+    step are real, and then e and the gradient are real.  Chain c's answer is
     the same bits as a call with its point alone.
     """
 
@@ -211,9 +211,6 @@ class _Evaluator:
 
     def value(self, theta) -> float:
         return self.values(theta[None])[0]
-
-    def value_and_grad(self, theta):
-        return self.values_and_grads(theta[None])[0]
 
 
 # what a chain's request asks for: the distance, or it and its gradient

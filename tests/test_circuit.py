@@ -232,11 +232,12 @@ def test_step_list_fuses_each_run_of_distinct_qubit_ry():
     assert _step_kinds(_HAND_BUILT[3]) == [("_Fused", 2), ("_Fused", 2),
                                            dense]
     assert _folded(_HAND_BUILT[3]) == [True, False, False]
-    # past eight qubits every rotation is its own step
-    assert _step_kinds(circ.build_template("c15", 9, 1)) == [rot] * 9 \
+    # past the fusion limit every rotation is its own step
+    n = circ._FUSE_MAX_QUBITS + 1
+    assert _step_kinds(circ.build_template("c15", n, 1)) == [rot] * n \
         + [dense]
     assert circ.build_template("c15", 4, 2).steps.real
-    assert not circ.build_template("c15", 9, 1).steps.real
+    assert not circ.build_template("c15", n, 1).steps.real
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,14 +254,15 @@ def test_step_list_run_matches_unitary(case):
 @settings(max_examples=100, deadline=None)
 @given(_cases())
 def test_fused_steps_agree_with_their_members(case):
-    # a block at least as wide as it is tall runs each fused step as one
-    # matmul by its stacked Kronecker matrix; one column at a time runs the
-    # rotations one by one, then the folded permutation
+    # a fused step is one matmul by its stacked Kronecker matrix at any
+    # block width, so a block and its columns run one at a time agree; and
+    # each matrix and its kept adjoint equal the step's units (the rotations
+    # one by one, then the folded permutation)
     c, theta, x = case
     x = np.hstack([x] * (1 + x.shape[0] // x.shape[1]))
-    narrow = np.hstack([c.steps.run(x[:, [j]], theta)
-                        for j in range(x.shape[1])])
-    assert np.max(np.abs(c.steps.run(x, theta) - narrow)) <= 1e-13
+    columns = np.hstack([c.steps.run(x[:, [j]], theta)
+                         for j in range(x.shape[1])])
+    assert np.max(np.abs(c.steps.run(x, theta) - columns)) <= 1e-13
     fused = [s for s in c.steps.steps if hasattr(s, "members")]
     if not fused:
         return
@@ -300,7 +302,8 @@ def _kron_oracle(steps, theta):
 
 
 _STACKED_CASES = {
-    **{f"c15-n{n}": circ.build_template("c15", n, 2) for n in range(2, 9)},
+    **{f"c15-n{n}": circ.build_template("c15", n, 2)
+       for n in range(2, circ._FUSE_MAX_QUBITS + 1)},
     **{f"c12-n{n}": circ.build_template("c12", n, 2) for n in range(4, 7)},
     **{f"hand-built-{i}": c for i, c in enumerate(_HAND_BUILT)},
 }
@@ -326,13 +329,15 @@ def test_stacked_build_is_the_kron_chain_bit_for_bit(c):
 
 
 def test_wide_block_at_the_fusion_limit_matches_unitary():
-    # at 8 qubits the stacked build holds 256 x 256 matrices for each of
-    # the three layers' fused steps
-    c = circ.build_template("c15", circ._FUSE_MAX_QUBITS, 3)
+    # at the fusion limit the stacked build holds dim x dim matrices for
+    # each of the three layers' fused steps
+    n = circ._FUSE_MAX_QUBITS
+    c = circ.build_template("c15", n, 3)
     theta = np.random.default_rng(8).uniform(-math.pi, math.pi, c.n_params)
-    assert [len(s.members) for s in c.steps.steps] == [8, 8, 8]
+    assert [len(s.members) for s in c.steps.steps] == [n] * 3
     want = circ.unitary_of(circ.bind(c, theta))
-    assert np.max(np.abs(c.steps.run(np.eye(256), theta) - want)) <= 1e-12
+    out = c.steps.run(np.eye(2 ** n), theta)
+    assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def _unit_by_unit_terms(steps, lam, x, theta):
@@ -358,9 +363,9 @@ def _unit_by_unit_terms(steps, lam, x, theta):
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_gradient_matches_its_units_one_by_one(tid, n, layers, width, real,
                                                seed):
-    # a wide block takes each fused step's terms from its environment
-    # product and its kept adjoint (D baked in), a narrow one from the
-    # member gather; both must match the unit-by-unit sweep
+    # at every block width each fused step takes its terms from its
+    # environment product and its kept adjoint (D baked in), which must
+    # match the unit-by-unit sweep
     c = circ.build_template(tid, n, layers)
     dim = 2 ** n
     cols = dim if width == "dim" else int(width)
@@ -370,15 +375,14 @@ def test_gradient_matches_its_units_one_by_one(tid, n, layers, width, real,
               + (0 if real else 1j) * rng.normal(size=(dim, cols))
               for _ in range(2))
     x, lam = x / np.linalg.norm(x), lam / np.linalg.norm(lam)
-    wide = cols >= dim and len(c.steps._layout) > 0
+    fused = any(isinstance(s, circ._Fused) for s in c.steps.steps)
     tape = c.steps.run(x, theta, keep=True)
-    assert (tape.adjoints is not None) == wide
+    assert (tape.adjoints is not None) == fused
     e = c.steps.gradient(lam, tape, theta)
-    # a real block stays real through a real list's wide matrices; any
-    # other is made complex before the first step (a rotation, alone or as
-    # a narrow block's fused member, needs it), and then runs as the
-    # complex block of the same values, bit for bit
-    stays_real = real and wide and c.steps.real
+    # a real block stays real through a real list's matrices; any other is
+    # made complex before the first step (a rotation needs it), and then
+    # runs as the complex block of the same values, bit for bit
+    stays_real = real and c.steps.real
     assert (e.dtype.kind == "f") == stays_real
     if real and not stays_real:
         complex_tape = c.steps.run(x.astype(complex), theta, keep=True)

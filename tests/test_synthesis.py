@@ -147,7 +147,7 @@ def _check_overlap(ev, student, teacher, state_prep, theta):
 
 def _check_gradient(ev, theta):
     """every adjoint gradient entry against central differences."""
-    f, g = ev.value_and_grad(theta)
+    f, g = ev.values_and_grads(theta[None])[0]
     assert f == ev.value(theta)
     eps = 1e-6
     for j in range(theta.size):
@@ -495,7 +495,7 @@ def test_compact_inverse_hessian_matches_the_two_loop_recursion(count, n,
 
 def test_one_cos_call_per_point(monkeypatch):
     # every fused step's factors come from one np.cos call per evaluation,
-    # value or value and gradient, on a wide block
+    # value or value and gradient, in full mode
     u = template_unitary("c15", 4, 7, seed=0)[0]
     ev = syn._Evaluator(circ.build_template("c15", 4, 4), u)
     theta = np.random.default_rng(0).uniform(-math.pi, math.pi, 16)
@@ -507,7 +507,7 @@ def test_one_cos_call_per_point(monkeypatch):
         return cos(*args, **kwargs)
 
     monkeypatch.setattr(np, "cos", counted)
-    ev.value_and_grad(theta)
+    ev.values_and_grads(theta[None])
     assert len(calls) == 1
     ev.value(theta)
     assert len(calls) == 2
@@ -855,9 +855,9 @@ def test_real_student_against_real_teacher_runs_in_float64(n, t_layers,
     v = circ.unitary_of(circ.bind(student, theta))
     want = max(0.0, 1.0 - abs(np.trace(teacher.conj().T @ v)) / 2 ** n)
     assert abs(ev.value(theta) - want) <= 1e-13
-    assert ev.value_and_grad(theta)[0] == ev.value(theta)
-    # a complex teacher, a complex student or state prep's one column,
-    # whose rotations run one by one, keeps complex arithmetic
+    assert ev.values_and_grads(theta[None])[0][0] == ev.value(theta)
+    # a complex teacher, a complex student or state prep's one column
+    # keeps complex arithmetic
     assert syn._Evaluator(student, 1j * teacher).start.dtype == complex
     assert syn._Evaluator(student, teacher, True).start.dtype == complex
     assert syn._Evaluator(circ.build_template("c2", n, 1),
