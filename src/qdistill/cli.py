@@ -228,7 +228,8 @@ def run_finetune(config: dict, out_dir: str):
             f"data={dataset.provenance}")
     # history[0] scores the loaded model, history[-1] the tuned one
     rows = [(name, history[0][f"{name}_acc"], history[-1][f"{name}_acc"])
-            for name in ("train", "val")]
+            for name in ("train", "val")
+            if len(getattr(dataset, f"{name}_labels"))]
     return [f"{stem}.json",
             _write_csv(out_dir, f"{stem}_report.csv", prov,
                        "split,approx_acc,finetuned_acc", rows)]
@@ -254,8 +255,9 @@ def run_noise_eval(config: dict, out_dir: str):
     for path in config["checkpoints"]:
         model = _load_checkpoint(path, dataset)
         for name, (x, y) in splits.items():
-            rows.append((os.path.basename(path), profile.name, name,
-                         evaluate_noisy(model, x, y, profile)))
+            if len(y):   # a split with no rows has no accuracy
+                rows.append((os.path.basename(path), profile.name, name,
+                             evaluate_noisy(model, x, y, profile)))
     prov = (f"noise-eval profile={profile.name} "
             f"data={dataset.provenance}")
     return [_write_csv(out_dir, "noise_eval.csv", prov,

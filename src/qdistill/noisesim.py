@@ -4,9 +4,10 @@ Each physical gate applies its ideal channel, then a depolarizing channel on
 the touched qubits (p = err_1q or err_2q), then per-qubit thermal relaxation
 for the gate duration: amplitude damping gamma = 1 - e^(-t/T1) composed with
 phase damping lambda = 1 - e^(-t(1/T2 - 1/(2T1))).  Readout applies a
-symmetric bit-flip: per-qubit <Z> = (1 - 2*meas_err) diag(rho)^T S, with S
-the sign table `circuit.z_signs`, exactly from the density matrix (there is
-no shot sampling), and `qnn.head` scores it as in the ideal model.
+symmetric bit-flip: per-qubit <Z_q> = (1 - 2*meas_err) Tr(Z_q rho), with
+Z_q = diag(S[:, q]) from the sign table `circuit.z_signs`, exactly from the
+density matrix (there is no shot sampling), and `qnn.head` scores it as in
+the ideal model.
 
 The three steps are fused into one superoperator per gate,
 N @ (U (x) conj(U)).  N = sum_K K (x) conj(K) is built once per profile and
@@ -22,17 +23,18 @@ Circuits are lowered to the profile's basis before evaluation, so noise is
 charged per physical gate, not per logical gate.  1q-run merging buffers each
 qubit's 1q gates and flushes them at its next 2q gate, so a row's encoding
 can only fuse into each qubit's leading physical PQC gates (``lead``); the
-merged rest of the PQC (``shared``) is the same for every row.  So the PQC is
-lowered once, and the rows' 1q-only encodings plus ``lead`` are lowered and
-merged all at once by `transpile.merge_1q_rows`, the one 1q merge, which
-``lower(..., merge_1q=True)`` calls once per kind sequence of its runs; they
-are emitted in the order the full merge flushes them.  There is no idle
-noise, so channels on disjoint qubits commute exactly: ``noisy_z_features``
-evolves each row's prefix, then runs ``shared`` once on the stacked batch.
-A prefix has only 1q gates and each 1q gate's noise acts on its own qubit,
-so the prefix leaves a product state: each qubit's 2x2 density evolves
-alone, the rows that share a prefix's gate sequence evolve as one stack, and
-the n densities are Kronecker-multiplied into the batch.
+merged rest of the PQC (the tail) is the same for every row.  There is no
+idle noise, so channels on disjoint qubits commute exactly, and
+``noisy_z_features`` runs in three stages.  The PQC is lowered once, and
+`transpile.merge_1q_rows`, the one 1q merge, lowers and merges every row's
+1q-only encoding plus ``lead`` at once, qubit by qubit, into slots.  Each
+1q gate's noise acts on its own qubit, so a prefix leaves a product state:
+each qubit's 2x2 density evolves alone, slot by slot on the rows that have
+the slot's gate, and the n densities are Kronecker-multiplied into a (rows,
+dim, dim) stack.  The tail's channel E is the same for every row, so it runs
+once in the Heisenberg picture: the n observables Z_q are pulled back
+through it, gate by gate in reverse with each fused superoperator
+conjugate-transposed, and <Z_q> = Tr(E^dag(Z_q) rho) for all rows at once.
 """
 
 from __future__ import annotations
@@ -258,56 +260,31 @@ def _split_entangled(ops):
 
 
 def _lowered_rows(model, rows, basis):
-    """(prefixes, shared): the rows' merged 1q prefixes, as groups of the
-    rows that share a (kind, qubit) sequence; the shared PQC tail.
+    """(slots, shared): the rows' merged 1q prefixes as slots, and the PQC
+    tail that every row shares.
 
     Every row's prefix on qubit q is one op list with row-dependent angles:
     H and the encoding's rotations (`EncodingScheme.rotations`) at the row's
-    features, then ``lead``'s ops on q.  `transpile.merge_1q_rows`, the
-    merge that ``lower(..., merge_1q=True)`` calls once per kind sequence of
-    its runs, lowers and merges it for all rows at once, so each row gets
-    the ops of ``lower(Circuit(n, encode(row).ops + lead), basis,
-    merge_1q=True)``, and the qubits' runs follow in the order the full
-    merge flushes them.  A group is (key, rows, angles): the (kind, qubit)
-    sequence, the rows' indices in order, and per gate a (len(rows),) angle
-    array (None for a fixed gate)."""
+    features, then ``lead``'s ops on q.  `transpile.merge_1q_rows` lowers
+    and merges it for all rows at once, so row r's run on q is the ops on q
+    of ``lower(Circuit(n, encode(row).ops + lead), basis, merge_1q=True)``.
+    A slot is (kind, qubit, angles, present), `merge_1q_rows`' slot and its
+    qubit; the slots come qubit by qubit."""
     n = model.n_qubits
     physical = lower(bind(model.pqc, model.theta), basis)
     lead, _ = _split_entangled(physical.ops)
     _, shared = _split_entangled(lower(physical, basis, merge_1q=True).ops)
-    # the full merge flushes a prefix at its qubit's first 2q gate, others last
-    order = list(dict.fromkeys([q for op in shared for q in op.qubits]
-                               + list(range(n))))
     x = checked_rows(rows, model.scheme)
     kinds = model.scheme.rotations
     slots = []
-    for q in order:
+    for q in range(n):
         ops = [Op(GateKind.H, (q,))]
         ops += [Op(kind, (q,), x[:, q * len(kinds) + j])
                 for j, kind in enumerate(kinds)]
         ops += [op for op in lead if op.qubits == (q,)]
         slots += [(kind, q, angles, present) for kind, angles, present
                   in merge_1q_rows(ops, basis, len(x))]
-    present = np.array([s[3] for s in slots], bool).reshape(len(slots),
-                                                            len(x))
-    patterns, inverse = np.unique(present.T, axis=0, return_inverse=True)
-    groups = {}
-    for p, pattern in enumerate(patterns):
-        members = np.flatnonzero(inverse.ravel() == p)
-        chosen = [s for s, on in zip(slots, pattern) if on]
-        key = tuple((kind, q) for kind, q, _, _ in chosen)
-        groups.setdefault(key, []).append(
-            (members, [None if a is None else a[members]
-                       for _, _, a, _ in chosen]))
-    prefixes = []
-    for key, parts in groups.items():
-        members = np.concatenate([m for m, _ in parts])
-        by_row = np.argsort(members)
-        angles = [None if parts[0][1][j] is None else
-                  np.concatenate([a[j] for _, a in parts])[by_row]
-                  for j in range(len(key))]
-        prefixes.append((key, members[by_row], angles))
-    return prefixes, shared
+    return slots, shared
 
 
 def _batched_kron(a, b) -> np.ndarray:
@@ -316,44 +293,64 @@ def _batched_kron(a, b) -> np.ndarray:
         len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
-def _prefix_densities(prefixes, n_qubits: int, profile: DeviceProfile):
-    """The (dim, dim, b) batch of densities that each row's 1q-only prefix
-    leaves from |0...0>, under the profile's noise, for the row groups of
+def _prefix_densities(slots, count: int, n_qubits: int,
+                      profile: DeviceProfile) -> np.ndarray:
+    """The (count, dim, dim) stack of densities that each row's 1q-only
+    prefix leaves from |0...0>, under the profile's noise, for the slots of
     `_lowered_rows`.
 
     A prefix keeps the register a product state, so each qubit's 2x2
-    density (a row-major 4-vector) evolves alone by gate_noise[1] @ (U (x)
-    conj(U)).  The rows of a group, which share a (kind, qubit) sequence,
-    evolve as one stack, and the n densities are Kronecker-multiplied,
-    qubit n-1 first, into their rows of the batch.
+    density (a row-major 4-vector) evolves alone: a slot applies
+    gate_noise[1] @ (U (x) conj(U)) to its qubit's vectors on the rows it is
+    present in.  The n densities are then Kronecker-multiplied, qubit n-1
+    first.
     """
     n = n_qubits
-    count = sum(len(rows) for _, rows, _ in prefixes)
-    rho = np.empty((2 ** n, 2 ** n, count), dtype=complex)
-    for key, rows, angles in prefixes:
-        vec = np.zeros((n, len(rows), 4), dtype=complex)
-        vec[:, :, 0] = 1.0
-        for (kind, q), a in zip(key, angles):
-            u = gate_stack(kind, a, len(rows))
-            channel = profile.gate_noise[1] @ _batched_kron(u, u.conj())
-            vec[q] = (channel @ vec[q][..., None])[..., 0]
-        dens = vec.reshape(n, len(rows), 2, 2)
-        out = dens[n - 1]
-        for q in range(n - 2, -1, -1):
-            out = _batched_kron(out, dens[q])
-        rho[..., rows] = np.moveaxis(out, 0, -1)
-    return rho
+    vec = np.zeros((n, count, 4), dtype=complex)
+    vec[:, :, 0] = 1.0
+    for kind, q, angles, present in slots:
+        rows = np.flatnonzero(present)
+        u = gate_stack(kind, None if angles is None else angles[rows],
+                       len(rows))
+        channel = profile.gate_noise[1] @ _batched_kron(u, u.conj())
+        vec[q, rows] = (channel @ vec[q, rows][..., None])[..., 0]
+    dens = vec.reshape(n, count, 2, 2)
+    out = dens[n - 1]
+    for q in range(n - 2, -1, -1):
+        out = _batched_kron(out, dens[q])
+    return out
+
+
+def _pulled_back_z(circuit: Circuit, profile: DeviceProfile) -> np.ndarray:
+    """The (dim, dim, n) batch of observables E^dag(Z_q), one per qubit q,
+    for the noisy channel E of a bound circuit: Tr(E^dag(Z_q) rho) is the
+    <Z_q> of `run_noisy` from rho, before the readout flip.
+
+    A gate's fused channel S acts on a row-major vec(rho), so its adjoint
+    acts on vec(O) as S^dag; the gates run in reverse order, each through
+    the same ``apply_matrix`` kernel as `run_noisy`.
+    """
+    n = circuit.n_qubits
+    dim = 2 ** n
+    obs = np.zeros((dim, dim, n), dtype=complex)
+    obs[np.arange(dim), np.arange(dim)] = z_signs(n)
+    noise = profile.gate_noise
+    for op in reversed(circuit.ops):
+        u = gate_matrix(op.kind, op.angle)
+        channel = noise[len(op.qubits)] @ _superop([u])
+        obs = _apply_superop(obs, channel.conj().T, op.qubits, n)
+    return obs
 
 
 def noisy_z_features(model, features_scaled, profile: DeviceProfile):
     """Readout-corrected per-qubit <Z> rows for pre-scaled feature rows."""
     n = model.n_qubits
     x = np.atleast_2d(np.asarray(features_scaled, float))
-    prefixes, shared = _lowered_rows(model, x, profile.basis)
-    rho = run_noisy(Circuit(n, shared), profile,
-                    _prefix_densities(prefixes, n, profile))
-    pops = np.real(np.diagonal(rho))                     # (b, dim)
-    return (1.0 - 2.0 * profile.meas_err) * (pops @ z_signs(n))
+    slots, shared = _lowered_rows(model, x, profile.basis)
+    rho = _prefix_densities(slots, len(x), n, profile)
+    obs = _pulled_back_z(Circuit(n, shared), profile)
+    return (1.0 - 2.0 * profile.meas_err) * np.real(
+        np.einsum("rji,ijq->rq", rho, obs))
 
 
 def evaluate_noisy(model, features, labels, profile: DeviceProfile) -> float:

@@ -383,6 +383,37 @@ def test_eight_feature_csv_runs_and_replays(tmp_path):
     assert "rows=15,split=12/3" in rows[0] and len(rows) == 2 + 2
 
 
+@pytest.mark.filterwarnings("ignore:class .* has only")
+@pytest.mark.filterwarnings("ignore:constant feature")
+def test_empty_validation_split_writes_no_nan_accuracy(tmp_path):
+    # 2 rows per class split 6/0: a split with no rows gets no accuracy row
+    data = tmp_path / "six.csv"
+    data.write_text(_CSV_HEADER + _CSV_ROWS * 2)
+    dataset = ["--data", str(data), "--classes", "0,1,2"]
+    train = tmp_path / "train"
+    assert run(["train", *dataset, "--template", "c2", "--layers", "1",
+                "--epochs", "1", "--out", str(train)]) == 0
+    ckpt = str(train / "c2_1l_seed0.json")
+    steps = {"finetune": ["finetune", *dataset, "--checkpoint", ckpt,
+                          "--epochs", "1"],
+             "noise-eval": ["noise-eval", *dataset, "--checkpoints", ckpt]}
+    for name, argv in steps.items():
+        d, again = tmp_path / name, tmp_path / f"{name}_replay"
+        assert run([*argv, "--out", str(d)]) == 0
+        assert run(["replay", "--manifest", str(d / "manifest.json"),
+                    "--out", str(again)]) == 0
+        artifacts = json.loads((d / "manifest.json").read_text())["artifacts"]
+        for art in artifacts:
+            assert (d / art).read_bytes() == (again / art).read_bytes()
+        report = next(a for a in artifacts if a.endswith(".csv"))
+        lines = (d / report).read_text().splitlines()
+        assert "split=6/0" in lines[0]
+        table = [dict(zip(lines[1].split(","), line.split(",")))
+                 for line in lines[2:]]
+        assert [row["split"] for row in table] == ["train"]
+        assert all(cell != "nan" for row in table for cell in row.values())
+
+
 def test_classes_count_is_a_usage_error(tmp_path):
     path = tmp_path / "good.csv"
     path.write_text(_CSV_HEADER + _CSV_ROWS)

@@ -184,35 +184,40 @@ def test_noisy_z_features_edge_shapes():
     assert np.max(np.abs(one[0] - many[0])) <= 1e-12
 
 
-def _row_prefixes(groups, count):
-    """Each row's prefix as ops, from `_lowered_rows`' row groups."""
-    out = [None] * count
-    for key, rows, angles in groups:
-        for i, row in enumerate(rows):
-            out[row] = [Op(kind, (q,), None if a is None else float(a[i]))
-                        for (kind, q), a in zip(key, angles)]
-    return out
+def _row_prefixes(slots, count):
+    """Each row's prefix as ops in qubit order, from `_lowered_rows`' slots."""
+    return [[Op(kind, (q,), None if a is None else float(a[row]))
+             for kind, q, a, present in slots if present[row]]
+            for row in range(count)]
+
+
+def _on_qubit(ops, q):
+    return [op for op in ops if op.qubits == (q,)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(["c1", "c2", "c6", "c9", "c12", "c15"]),
        st.integers(1, 2), st.sampled_from(["1:1", "2:1"]),
        st.sampled_from(["IBM", "RIGETTI"]), st.integers(0, 10_000))
-@example("c12", 2, "2:1", "IBM", 0)   # flush order differs from qubit order
+@example("c12", 2, "2:1", "IBM", 0)   # merged runs flush out of qubit order
 def test_row_prefix_and_shared_tail_equal_full_lowering(template, layers, mode,
                                                         basis, seed):
     scheme = encoding.EncodingScheme(mode, 4)
     model = qnn.init_model(template, layers, scheme, seed=seed)
     rng = np.random.default_rng(seed)
     rows = rng.uniform(-math.pi, math.pi, (3, scheme.capacity))
-    prefixes, shared = noisesim._lowered_rows(model, rows, basis)
+    slots, shared = noisesim._lowered_rows(model, rows, basis)
     bound = circ.bind(model.pqc, model.theta)
-    for row, prefix in zip(rows, _row_prefixes(prefixes, len(rows))):
+    for row, prefix in zip(rows, _row_prefixes(slots, len(rows))):
         full = Circuit(4, list(encoding.encode(row, scheme).ops)
                        + list(bound.ops))
         want, tail = noisesim._split_entangled(
             lower(full, basis, merge_1q=True).ops)
-        assert prefix + shared == want + tail
+        # qubit by qubit: without idle noise the order across qubits of a
+        # product-state prefix does not change the state
+        assert shared == tail
+        for q in range(4):
+            assert _on_qubit(prefix, q) == _on_qubit(want, q)
 
 
 def _op_bits(op):
@@ -235,18 +240,17 @@ def test_batched_prefixes_equal_each_rows_lowering(template, mode, basis):
     rows[:40] = np.where(rng.uniform(size=(40, scheme.capacity)) < 0.6,
                          rng.choice(special, (40, scheme.capacity)),
                          rows[:40])
-    prefixes, _ = noisesim._lowered_rows(model, rows, basis)
+    slots, _ = noisesim._lowered_rows(model, rows, basis)
     lead, _ = noisesim._split_entangled(
         lower(circ.bind(model.pqc, model.theta), basis).ops)
-    got = _row_prefixes(prefixes, len(rows))
+    got = _row_prefixes(slots, len(rows))
     for row, prefix in zip(rows, got):
         want = lower(Circuit(4, list(encoding.encode(row, scheme).ops)
                              + lead), basis, merge_1q=True).ops
-        # each qubit's run; the prefix holds them in flush order
         assert len(prefix) == len(want)
         for q in range(4):
-            assert [_op_bits(op) for op in prefix if op.qubits == (q,)] \
-                == [_op_bits(op) for op in want if op.qubits == (q,)]
+            assert [_op_bits(op) for op in _on_qubit(prefix, q)] \
+                == [_op_bits(op) for op in _on_qubit(want, q)]
 
 
 @pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
@@ -262,12 +266,10 @@ def test_product_state_prefixes_match_dense_prefix_runs(template, mode):
     for device in (MELBOURNE, ALMADEN):
         for basis in ("IBM", "RIGETTI"):
             profile = dataclasses.replace(device, basis=basis)
-            prefixes, shared = noisesim._lowered_rows(model, rows, basis)
-            if basis == "IBM" and template != "c1":
-                assert len(prefixes) == 2
-            prefixes = _row_prefixes(prefixes, len(rows))
+            slots, shared = noisesim._lowered_rows(model, rows, basis)
             rho = np.stack([noisesim.run_noisy(Circuit(4, prefix), profile)
-                            for prefix in prefixes], axis=-1)
+                            for prefix in _row_prefixes(slots, len(rows))],
+                           axis=-1)
             rho = noisesim.run_noisy(Circuit(4, shared), profile, rho)
             want = (1 - 2 * profile.meas_err) * _populations_z(rho, 4)
             got = noisesim.noisy_z_features(model, rows, profile)
@@ -364,4 +366,26 @@ def test_noisy_z_features_match_dense_kraus_oracle(template, layers, mode,
     profile = _PROFILES[profile_name]
     got = noisesim.noisy_z_features(model, rows, profile)
     want = np.array([_oracle_z(model, row, profile) for row in rows])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("template", sorted(circ.TEMPLATES))
+@pytest.mark.parametrize("profile_name", sorted(_PROFILES))
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(2, 4), layers=st.integers(1, 2),
+       seed=st.integers(0, 10_000))
+def test_pulled_back_z_matches_schrodinger_run(template, profile_name, n,
+                                               layers, seed):
+    # Heisenberg against Schroedinger: Tr(E^dag(Z_q) rho) is the <Z_q> that
+    # run_noisy leaves from the same densities
+    tpl = circ.build_template(template, n, layers)
+    rng = np.random.default_rng(seed)
+    bound = circ.bind(tpl, rng.uniform(-math.pi, math.pi, tpl.n_params))
+    profile = _PROFILES[profile_name]
+    rhos = _random_densities(2 ** n, 3, rng)
+    obs = noisesim._pulled_back_z(bound, profile)
+    got = np.array([[np.trace(obs[..., q] @ rho) for q in range(n)]
+                    for rho in rhos])
+    want = _populations_z(
+        noisesim.run_noisy(bound, profile, np.moveaxis(rhos, 0, -1)), n)
     assert np.max(np.abs(got - want)) <= 1e-12
