@@ -146,8 +146,6 @@ class _Rotation:
     of a stack is the same bits as its own run.
     """
 
-    real = False
-
     def __init__(self, op, dim):
         self.slot = op.angle.slot
         self.kind = op.kind
@@ -213,17 +211,14 @@ class _Rotation:
 class _Fused:
     """RY rotations on distinct qubits, which commute, as one real step K,
     followed by the 0/1 permutation D of a literal run folded into it (c15's
-    CX ring), so that the step is D K.  `StepList` builds every fused step's
-    matrix D K in one stacked Kronecker pass, so on any (dim, k) block the
-    step is one matmul (D K) @ x and its reverse terms come from
-    `StepList.gradient`'s environment product.  `units` (the members, then
-    the permutation) are the step one gate at a time, for rotation-solve."""
-
-    real = True
+    CX ring), so that the step is D K.  `fold` holds D's rows, D x =
+    x[fold] (None without a fold).  `StepList` builds every fused step's
+    matrix D K in one gather, so on any (dim, k) block the step is one
+    matmul (D K) @ x and its reverse terms come from `StepList.gradient`'s
+    environment product."""
 
     def __init__(self, members, n):
         self.members = members
-        self.units = list(members)
         self.fold = None
         self.index = None    # its place on the stacked matrices' step axis
         # -i Y x = gen * x[perm], real, for every member from one gather
@@ -233,12 +228,12 @@ class _Fused:
         index = {m.qubit: j for j, m in enumerate(members)}
         self.layout = [index.get(q) for q in range(n - 1, -1, -1)]
 
-    def fold_in(self, permutation):
-        """Append the permutation that directly follows the members."""
-        self.fold = permutation
-        self.units.append(permutation)
-        # the terms read K x from the block after D, where K x = x[inverse]
-        self.perm = permutation.inverse[self.perm]
+    def fold_in(self, rows):
+        """Fold in the permutation D x = x[rows] that directly follows the
+        members."""
+        self.fold = rows
+        # the terms read K x from the block y after D: K x = y[argsort(rows)]
+        self.perm = np.argsort(rows)[self.perm]
 
 
 # A factor of RY(2h) is cos h I + sin h (-i Y): cos h and sin h are cos(h +
@@ -251,52 +246,35 @@ _FACTORS = np.stack([_I2, (-1j * GENERATOR[GateKind.RY]).real.ravel()])
 # block, against m dim k for its m rotations one by one: with the build, its
 # run and gradient measured faster than unfused rotations up to 6 qubits at
 # k = 1, 8 and dim, and 2.5-7x slower at k = 1 at 7 and 8 qubits.  The
-# matrices are built at once: a call holds 2 L dim x dim float64 matrices at
-# its peak for L fused steps, 64 KiB per c15 layer at 6 qubits, and a
-# gradient call then holds the matrices and L dim x dim environments
+# build's gather table holds n 4^n int64 indices per fused step, C times
+# that in a cached chain table: 8 KiB at n = 4, 40 KiB at n = 5 and 192 KiB
+# at n = 6.  A call gathers n dim x dim float64 factor blocks per fused step
+# and multiplies them down to its matrix, so for L fused steps it holds (n
+# + 1) L dim x dim matrices at its peak, 224 KiB per c15 layer at 6 qubits,
+# and a gradient call then holds the matrices and L dim x dim environments
 # (complex ones for a complex block), 64 or 96 KiB per c15 layer.
 _FUSE_MAX_QUBITS = 6
-# the stacked build gathers the factor entries of at most this many leading
-# qubits (a 16 x 16 block); at 8 qubits a full gather measured 2.3x slower
-# than broadcast Kronecker steps, which append the rest
-_GATHER_QUBITS = 4
 
 
-class _Permutation:
-    """A literal run whose matrix is a 0/1 permutation: D x = x[rows]."""
-
-    slot = None
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.inverse = np.argsort(rows)
-
-    def apply(self, x, theta, adjoint=False):
-        return np.take(x, self.inverse if adjoint else self.rows, axis=-2)
-
-    @classmethod
-    def of(cls, dense):
-        """The run's permutation, or None if its matrix is not one."""
-        m = dense.m[np.dtype(complex)][0]
-        rows = np.argmax(m.real, axis=1)
-        return cls(rows) if np.array_equal(m, np.eye(len(m))[rows]) else None
+def _permutation_rows(dense):
+    """The rows of a literal run whose matrix is a 0/1 permutation, D x =
+    x[rows], or None if it is not one."""
+    m = dense.m[0]
+    rows = np.argmax(m.real, axis=1)
+    return rows if np.array_equal(m, np.eye(len(m))[rows]) else None
 
 
 class _Dense:
-    """A run of literal gates as one matrix and its adjoint, by block dtype."""
+    """A run of literal gates as one complex matrix and its adjoint."""
 
     slot = None
 
     def __init__(self, circuit):
         m = unitary_of(circuit)
-        self.real = not m.imag.any()
-        self.m = {m.dtype: (m, m.conj().T.copy())}
+        self.m = (m, m.conj().T.copy())
 
     def apply(self, x, theta, adjoint=False):
-        if self.real and x.dtype not in self.m:   # a real block, first time
-            m = self.m[np.dtype(complex)][0].real
-            self.m[x.dtype] = (m.copy(), m.T.copy())
-        return self.m[x.dtype][adjoint] @ x
+        return self.m[adjoint] @ x
 
     def reverse(self, lam, x, e, theta, pull):
         return self.apply(lam, theta, adjoint=True) if pull else lam
@@ -305,18 +283,15 @@ class _Dense:
 def _gather_table(layout, rows):
     """Indices into the flattened (factor, entry) array f of
     `StepList._matrices` for the fused steps whose factor rows are `layout`
-    (steps, n), qubit n-1 first.  Along axes (m, step, r, c), for each of
-    the leading m = min(n, _GATHER_QUBITS) qubits and entry (r, c) of the
-    2^m x 2^m block, it picks that qubit's factor entry 2 bit(r) + bit(c).
-    With rows (steps, 2^n), r runs through each step's rows."""
-    steps, n = layout.shape
-    m = min(n, _GATHER_QUBITS)
-    shift = np.arange(m - 1, -1, -1)[:, None, None, None]
-    cols = (np.arange(2 ** m) >> shift) & 1               # (m, 1, 1, c)
-    r = np.broadcast_to(np.arange(2 ** m), (steps, 2 ** m)) if rows is None \
-        else rows
-    r = (r[..., None] >> shift) & 1                       # (m, s, r, 1)
-    return layout[:, :m].T[..., None, None] * 4 + 2 * r + cols
+    (steps, n), qubit n-1 first, and whose permutations D have rows `rows`
+    (steps, 2^n).  Along axes (qubit, step, r, c), for entry (r, c) of the
+    step's matrix D K, it picks that qubit's factor entry 2 bit(rows[r]) +
+    bit(c): row r of D K is row rows[r] of K."""
+    n = layout.shape[1]
+    shift = np.arange(n - 1, -1, -1)[:, None, None, None]
+    cols = (np.arange(2 ** n) >> shift) & 1               # (n, 1, 1, c)
+    r = (rows[..., None] >> shift) & 1                    # (n, s, r, 1)
+    return layout.T[..., None, None] * 4 + 2 * r + cols
 
 
 class Tape(NamedTuple):
@@ -335,21 +310,25 @@ class StepList:
     `_Fused` per maximal run of RY rotations on distinct qubits (up to
     `_FUSE_MAX_QUBITS` qubits), with a literal run that is a 0/1
     permutation and directly follows it folded in; one `_Dense` per other
-    literal run; and one `_Rotation` per other `Param` gate.  `real`: every
-    step matrix is real, so a real block stays real (the evaluator's float64
-    path).  Any other real block is made complex before the first step, so
-    it runs as the complex block of the same values.
+    literal run; and one `_Rotation` per other `Param` gate.  `units` is
+    the circuit before fusing: one `_Rotation` per `Param` gate and one
+    `_Dense` per literal run, in op order, each with `apply(x, theta,
+    adjoint)` (rotation-solve walks them).  `real`: every step is fused, so
+    every step matrix is real and a real block stays real (the evaluator's
+    float64 path).  Any other real block is made complex before the first
+    step, so it runs as the complex block of the same values.
 
     On a (dim, k) block of any width k, `run` builds every fused step's
-    Kronecker product in one vectorized pass from one cos call and one
-    gather, and each fused step is one matmul; with keep the `Tape` holds
-    their transposes as the adjoints.  From the identity (x None) the
-    leading fused step of a real list takes its matrix as its block.  The
-    gather's index table takes 8 KiB per fused step from 4 qubits up, and
-    the reverse terms' tables 16 dim bytes per member, 6 KiB per c15 layer
-    at 6 qubits.  The build holds 2 L dim x dim matrices for L fused steps,
-    64 KiB per c15 layer at 6 qubits.  The kept matrices travel only in the
-    returned `Tape`: no step keeps state for a theta.
+    matrix D K in one vectorized pass from one cos call and one gather
+    (`_gather_table`), and each fused step is one matmul; with keep the
+    `Tape` holds their transposes as the adjoints.  From the identity (x
+    None) the leading fused step of a real list takes its matrix as its
+    block.  The gather's index table takes n 4^n int64 entries per fused
+    step, 192 KiB at 6 qubits, and the reverse terms' tables 16 dim bytes
+    per member, 6 KiB per c15 layer at 6 qubits.  The build holds (n + 1) L
+    dim x dim matrices for L fused steps, 224 KiB per c15 layer at 6
+    qubits.  The kept matrices travel only in the returned `Tape`: no step
+    keeps state for a theta.
 
     From the identity, theta may be a (C, P) stack of chains: every step
     then runs on a (C, dim, dim) stack, the build's gather reads one (C,
@@ -375,19 +354,19 @@ class StepList:
     def __init__(self, circuit: Circuit):
         n = circuit.n_qubits
         self.dim = dim = 2 ** n
-        units, literal = [], []
+        self.units, literal = [], []
         for op in circuit.ops:
             if not isinstance(op.angle, Param):
                 literal.append(op)
                 continue
             if literal:
-                units.append(_Dense(Circuit(n, literal)))
+                self.units.append(_Dense(Circuit(n, literal)))
                 literal = []
-            units.append(_Rotation(op, dim))
+            self.units.append(_Rotation(op, dim))
         if literal:
-            units.append(_Dense(Circuit(n, literal)))
+            self.units.append(_Dense(Circuit(n, literal)))
         self.steps, run = [], []
-        for unit in units + [None]:
+        for unit in self.units + [None]:
             ry = getattr(unit, "kind", None) is _K.RY and n <= _FUSE_MAX_QUBITS
             if run and not (ry and all(m.qubit != unit.qubit for m in run)):
                 self.steps.append(_Fused(run, n))
@@ -396,13 +375,13 @@ class StepList:
                 run.append(unit)
             elif unit is not None:
                 last = self.steps[-1] if self.steps else None
-                fold = _Permutation.of(unit) if isinstance(unit, _Dense) \
+                rows = _permutation_rows(unit) if isinstance(unit, _Dense) \
                     and isinstance(last, _Fused) else None
-                if fold is None:
+                if rows is None:
                     self.steps.append(unit)
                 else:
-                    last.fold_in(fold)
-        self.real = all(step.real for step in self.steps)
+                    last.fold_in(rows)
+        self.real = all(isinstance(step, _Fused) for step in self.steps)
         # index tables of the stacked build: each fused step's slots, its
         # factor per qubit (the identity's row where it has no member), and
         # the rows its permutation gathers
@@ -415,14 +394,9 @@ class StepList:
         self._layout = np.array(
             [[len(self._slots) if j is None else start + j for j in s.layout]
              for s, start in zip(fused, starts)], dtype=int).reshape(-1, n)
-        rows = np.array([np.arange(dim) if s.fold is None else s.fold.rows
+        rows = np.array([np.arange(dim) if s.fold is None else s.fold
                          for s in fused], dtype=int).reshape(-1, dim)
-        # the gather's block holds the rows when it is the whole matrix;
-        # otherwise `_matrices` gathers them after the Kronecker steps
-        whole = n <= _GATHER_QUBITS
-        self._gather = _gather_table(self._layout, rows if whole else None)
-        self._rows = None if whole or all(s.fold is None for s in fused) \
-            else rows
+        self._gather = _gather_table(self._layout, rows)
         # the reverse terms' tables, in slot order: member j of the fused
         # step at index i reads M_i[r, pi_j(r)] with sign sigma_j(r), where
         # pi_j = perm_j[rows] (perm_j reads K x after D) and sigma_j =
@@ -438,7 +412,7 @@ class StepList:
 
     def _tables(self, theta):
         """(gather, terms, identity row) for theta (P,) or a (C, P) stack.
-        The stack's gather table, (m, C, steps, r, c), adds chain c's offset
+        The stack's gather table, (n, C, steps, r, c), adds chain c's offset
         into the (C, factors, 4) factor array; its terms table, (C, members,
         dim), reads the (steps, C, dim, dim) environments; its identity
         factor is (C, 1, 4).  Built once per C."""
@@ -460,29 +434,17 @@ class StepList:
         """Every fused step's dim x dim matrix D K, a stack on a leading
         step axis (then the chain axis of a (C, P) theta), and with keep its
         transpose (D K)^T, the adjoint (None without keep).  One gather
-        (`_gather_table`) picks the leading qubits' factor entries, with D's
-        rows when that block is the whole matrix, and multiplies them qubit
-        n-1 first; broadcast Kronecker steps append the other qubits, then a
-        row gather applies D.  That is the order of a Kronecker chain over
-        one step's factors, so each matrix is the same bits."""
+        (`_gather_table`) picks every qubit's factor entry, D's rows
+        included, and the product runs over the qubits, qubit n-1 first:
+        the order of a Kronecker chain over one step's factors, so each
+        matrix is the same bits."""
         gather, _, identity = self._tables(theta)
         h = (theta[self._slots] if theta.ndim == 1
              else theta[:, self._slots]) / 2
-        lead = h.shape[:-1]
         cs = np.cos(np.add.outer(h, _SHIFTS))
         f = np.concatenate([cs @ _FACTORS, identity], axis=-2)
-        g = f.ravel()[gather]
-        k = np.multiply.reduce(g)
-        steps = len(self._layout)
-        for j in range(len(g), self._layout.shape[1]):
-            a = f[..., self._layout[:, j], :].reshape(lead + (steps, 2, 2))
-            d = 2 * k.shape[-1]
-            k = (k[..., :, None, :, None] * a[..., None, :, None, :]) \
-                .reshape(lead + (steps, d, d))
-        if self._rows is not None:
-            k = np.ascontiguousarray(
-                k[..., np.arange(steps)[:, None], self._rows, :])
-        if lead:
+        k = np.multiply.reduce(f.ravel()[gather])
+        if theta.ndim == 2:
             k = k.swapaxes(0, 1)
         return k, (k.swapaxes(-1, -2) if keep else None)
 

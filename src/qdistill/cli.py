@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import qnn
-from .circuit import TEMPLATES, bind, build_template, unitary_of
+from .circuit import MAX_DIM, TEMPLATES, bind, build_template, unitary_of
 from .data import load_features_csv, load_iris
 from .encoding import EncodingScheme, fit_scaler
 from .noisesim import evaluate_noisy, load_profile
@@ -82,8 +82,9 @@ def _load_dataset(data, classes, seed):
         return load_iris(seed=seed)
     if not os.path.exists(data):
         raise DataError(f"dataset not found: {data}")
-    if classes is None or len(classes) != 3:
-        raise ValueError(f"CSV datasets need --classes a,b,c, got {classes}")
+    if classes is None or len(classes) != 3 or len(set(classes)) != 3:
+        raise ValueError(f"CSV datasets need --classes a,b,c, three distinct "
+                         f"classes, got {classes}")
     return _load_input(load_features_csv, data, "dataset", classes, seed=seed)
 
 
@@ -182,6 +183,11 @@ def _anneal_config(config: dict, seed: int) -> AnnealConfig:
 
 def run_distill(config: dict, out_dir: str):
     teacher = _load_checkpoint(config["teacher"])
+    dim = 2 ** teacher.n_qubits
+    if dim > MAX_DIM:
+        raise DataError(f"teacher {config['teacher']} has {teacher.n_qubits} "
+                        f"qubits: its unitary's dimension {dim} is above "
+                        f"circuit.MAX_DIM = {MAX_DIM}")
     seeds = config["seeds"] or [config["seed"]]
     artifacts = []
     rows = []

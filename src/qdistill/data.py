@@ -116,8 +116,9 @@ def load_features_csv(path, class_triplet, seed: int = 0) -> Dataset:
     Each class is capped at `PER_CLASS` rows (seeded subsample when larger).
     """
     class_triplet = tuple(int(c) for c in class_triplet)
-    if len(class_triplet) != 3:
-        raise ValueError("class_triplet must name exactly 3 classes")
+    if len(class_triplet) != 3 or len(set(class_triplet)) != 3:
+        raise ValueError(f"class_triplet must name exactly 3 distinct "
+                         f"classes, got {class_triplet}")
     feats, labels = _read_csv(path, expect_features=8)
     rng = np.random.default_rng(seed)
     keep_feats, keep_labels, notes = [], [], []

@@ -429,9 +429,9 @@ def _rotation_solve(cost, evaluator, rng):
     Restarts from random points spend any budget left after convergence.
 
     No probe runs the circuit (Ostaszewski et al. 2021, arXiv:1905.09692).
-    Each pass pulls the target back through the step list's rotations and
-    literal runs (a fused step's members, then its folded permutation, one
-    by one) once, at its starting theta, for lam_k at every unit k, then
+    Each pass pulls the target back through `StepList.units`, the
+    circuit's rotations and literal runs one by one in op order, before
+    fusing, once, at its starting theta, for lam_k at every unit k, then
     walks the units in order carrying the block x_k that enters unit k, in
     complex arithmetic.  At angle a = theta[slot] the overlap is
     C + cos(a/2) P - i sin(a/2) Q (`_Rotation.overlap_terms`), so each
@@ -442,8 +442,7 @@ def _rotation_solve(cost, evaluator, rng):
     Returns the number of restarts and of L-BFGS directions (0), as
     `_lbfgs` does.
     """
-    units = [m for s in evaluator.steps.steps
-             for m in getattr(s, "units", [s])]
+    units = evaluator.steps.units
     x = np.array(cost.best_x, float, copy=True)
     d_cur = cost.best_e
     restarts = 0

@@ -256,8 +256,8 @@ def test_step_list_run_matches_unitary(case):
 def test_fused_steps_agree_with_their_members(case):
     # a fused step is one matmul by its stacked Kronecker matrix at any
     # block width, so a block and its columns run one at a time agree; and
-    # each matrix and its kept adjoint equal the step's units (the rotations
-    # one by one, then the folded permutation)
+    # each matrix and its kept adjoint equal the step's members (the
+    # rotations one by one), then its folded permutation x[fold]
     c, theta, x = case
     x = np.hstack([x] * (1 + x.shape[0] // x.shape[1]))
     columns = np.hstack([c.steps.run(x[:, [j]], theta)
@@ -269,14 +269,18 @@ def test_fused_steps_agree_with_their_members(case):
     forward, adjoints = c.steps._matrices(theta, keep=True)
     for step in fused:
         y = x
-        for unit in step.units:
-            y = unit.apply(y, theta)
+        for member in step.members:
+            y = member.apply(y, theta)
+        if step.fold is not None:
+            y = y[step.fold]
         assert np.max(np.abs(forward[step.index] @ x - y)) <= 1e-13
         # the kept adjoint pulls back through the permutation and the
         # rotations in one matmul
         y = x
-        for unit in step.units[::-1]:
-            y = unit.apply(y, theta, adjoint=True)
+        if step.fold is not None:
+            y = y[np.argsort(step.fold)]
+        for member in step.members[::-1]:
+            y = member.apply(y, theta, adjoint=True)
         assert np.max(np.abs(adjoints[step.index] @ x - y)) <= 1e-13
 
 
@@ -296,7 +300,7 @@ def _kron_oracle(steps, theta):
         for f in factors[-2::-1]:
             forward = np.kron(forward, f)
         if step.fold is not None:
-            forward = forward[step.fold.rows]
+            forward = forward[step.fold]
         out.append((step.index, forward))
     return out
 
@@ -312,10 +316,11 @@ _STACKED_CASES = {
 @pytest.mark.parametrize("c", list(_STACKED_CASES.values()),
                          ids=list(_STACKED_CASES))
 def test_stacked_build_is_the_kron_chain_bit_for_bit(c):
-    # the gather of the leading qubits' factor entries and the broadcast
-    # Kronecker steps after it multiply in the chain's order, so every
-    # matrix is the same bits with or without keep, and the kept adjoint,
-    # D baked in, is the transpose of the permuted chain
+    # the gather of every qubit's factor entries, D's rows included,
+    # multiplies in the chain's order, so every matrix is the same bits with
+    # or without keep, and the kept adjoint, D baked in, is the transpose of
+    # the permuted chain; in a 3-chain stack, through the per-chain tables,
+    # each chain's matrices are its own chain's bits
     rng = np.random.default_rng(c.n_qubits)
     for _ in range(3):
         theta = rng.uniform(-math.pi, math.pi, c.n_params)
@@ -326,6 +331,12 @@ def test_stacked_build_is_the_kron_chain_bit_for_bit(c):
             assert value[i].tobytes() == forward[i].tobytes() \
                 == want.tobytes()
             assert adjoints[i].tobytes() == want.T.tobytes()
+    thetas = rng.uniform(-math.pi, math.pi, (3, c.n_params))
+    forward, adjoints = c.steps._matrices(thetas, keep=True)
+    for chain, theta in enumerate(thetas):
+        for i, want in _kron_oracle(c.steps, theta):
+            assert forward[i, chain].tobytes() == want.tobytes()
+            assert adjoints[i, chain].tobytes() == want.T.tobytes()
 
 
 def test_wide_block_at_the_fusion_limit_matches_unitary():
@@ -342,9 +353,10 @@ def test_wide_block_at_the_fusion_limit_matches_unitary():
 
 def _unit_by_unit_terms(steps, lam, x, theta):
     """e[slot] = -i <lam_u, G x_u> for each rotation unit u, where x_u is
-    the block after u and lam_u is lam pulled back to it, walking every
-    step's units (a fused step's members and its permutation) one by one."""
-    units = [u for s in steps.steps for u in getattr(s, "units", [s])]
+    the block after u and lam_u is lam pulled back to it, walking the
+    list's units (its rotations and literal runs before fusing) one by
+    one."""
+    units = steps.units
     blocks = []
     for u in units:
         x = u.apply(x, theta)

@@ -423,6 +423,18 @@ def test_classes_count_is_a_usage_error(tmp_path):
         assert rc == cli.EXIT_USAGE
 
 
+def test_duplicate_classes_is_a_usage_error(tmp_path, capsys):
+    # 0,1,1 would train on every class-1 row twice, labelled 1 and 2
+    path = tmp_path / "good.csv"
+    path.write_text(_CSV_HEADER + _CSV_ROWS)
+    out = tmp_path / "out"
+    rc = run(["train", "--data", str(path), "--classes", "0,1,1",
+              "--epochs", "1", "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert "three distinct classes" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_classes_with_iris_is_a_usage_error(tmp_path):
     out = tmp_path / "out"
     rc = run(["train", "--data", "iris", "--classes", "7,8,9", "--epochs", "1",
@@ -534,6 +546,22 @@ def test_feature_count_mismatch_exits_3(trained_dir, tmp_path, capsys,
     rc = run([command, flag, ckpt, "--data", str(data), "--classes", "0,1,2",
               "--out", str(out)])
     _assert_data_error(rc, capsys, ckpt)
+    assert not (out / "manifest.json").exists()
+
+
+def test_teacher_above_dense_limit_exits_3(trained_dir, tmp_path, capsys):
+    # a 13-qubit teacher loads, but its unitary is above circuit.MAX_DIM
+    with open(os.path.join(trained_dir, "c2_1l_seed7.json")) as fh:
+        doc = json.load(fh)
+    n = 13
+    doc.update(n_qubits=n, theta=[0.1] * (2 * n), W=[[0.0] * n] * 3,
+               scaler={"mins": [0.0] * n, "maxs": [1.0] * n})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = run(["distill", "--teacher", str(path), "--template", "c2",
+              "--layers", "1", "--budget", "10", "--out", str(out)])
+    _assert_data_error(rc, capsys, path)
     assert not (out / "manifest.json").exists()
 
 

@@ -82,6 +82,9 @@ def test_features_csv_missing_class_warns():
 def test_features_csv_wrong_triplet():
     with pytest.raises(ValueError):
         data.load_features_csv(_toy_csv(), (1, 7), seed=0)
+    # a repeated class would take its rows twice, under two labels
+    with pytest.raises(ValueError, match="distinct"):
+        data.load_features_csv(_toy_csv(), (1, 7, 7), seed=0)
 
 
 @settings(max_examples=20, deadline=None)
