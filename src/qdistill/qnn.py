@@ -9,8 +9,10 @@ Gradients are exact: closed-form softmax/cross-entropy backprop for the
 dense head, and one forward plus one reverse (adjoint) sweep of the step
 list (`StepList.gradient`) for the circuit angles.  Training uses Adam with
 fixed constants (`LEARNING_RATE`, `BETA1`, `BETA2`, `EPSILON`) and is
-bit-deterministic for a fixed seed.  `evaluate` scores the ideal model;
-`noisesim.evaluate_noisy` scores it under a device profile.
+bit-deterministic for a fixed seed.  It encodes both splits once per call,
+and runs one forward pass per full-batch epoch: the step differentiates the
+tape that the previous epoch's metrics pass kept.  `evaluate` scores the
+ideal model; `noisesim.evaluate_noisy` scores it under a device profile.
 """
 
 from __future__ import annotations
@@ -100,12 +102,24 @@ def head(model: HybridModel, z) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_batch(model: HybridModel, features_scaled):
-    """(probs, z) for a batch of pre-scaled feature rows."""
-    states = encode_states(features_scaled, model.scheme).T
-    psi = model.pqc.steps.run(states, model.theta)
+def _readout(model: HybridModel, psi):
+    """(probs, z) of a (dim, rows) block of PQC outputs: per-qubit <Z> and
+    its `head` scores."""
     z = (np.abs(psi) ** 2).T @ z_signs(model.n_qubits)
     return head(model, z), z
+
+
+def _taped(model: HybridModel, states):
+    """(tape, probs, z) of encoded states (rows, dim): the forward pass
+    that `_backprop` differentiates."""
+    tape = model.pqc.steps.run(states.T, model.theta, keep=True)
+    return (tape, *_readout(model, tape.blocks[-1]))
+
+
+def forward_batch(model: HybridModel, features_scaled):
+    """(probs, z) for a batch of pre-scaled feature rows."""
+    states = encode_states(features_scaled, model.scheme)
+    return _readout(model, model.pqc.steps.run(states.T, model.theta))
 
 
 def _one_hot(labels) -> np.ndarray:
@@ -136,29 +150,27 @@ def loss(model: HybridModel, features_scaled, labels) -> float:
 # Gradients
 
 def gradients(model: HybridModel, features_scaled, labels):
-    """(dtheta, dW, db) of the mean cross-entropy over the batch.
+    """(dtheta, dW, db) of the mean cross-entropy over the batch."""
+    return _backprop(model, *_taped(
+        model, encode_states(features_scaled, model.scheme)), labels)
 
-    The circuit part is one adjoint sweep: with z = |psi|^2^T S for the sign
-    table S = `circuit.z_signs`, the loss has dL/dpsi^* = (S dz^T) * psi,
-    and `StepList.gradient` turns that into every angle's derivative.
+
+def _backprop(model: HybridModel, tape, probs, z, labels):
+    """(dtheta, dW, db) of the mean cross-entropy of the rows whose forward
+    pass `_taped` returned as (tape, probs, z).
+
+    The circuit part is one adjoint sweep: with z = |psi|^2^T S for the
+    sign table S = `circuit.z_signs`, the loss has dL/dpsi^* = (S dz^T) *
+    psi, and `StepList.gradient` turns that into every angle's derivative.
     """
-    x = np.atleast_2d(np.asarray(features_scaled, float))
-    y = _one_hot(labels)
-    bsz = x.shape[0]
-    signs = z_signs(model.n_qubits)
-    steps = model.pqc.steps
-    tape = steps.run(encode_states(x, model.scheme).T, model.theta,
-                     keep=True)
     psi = tape.blocks[-1]
-    z = (np.abs(psi) ** 2).T @ signs
-    probs = head(model, z)
-
-    dlogits = (probs - y) / bsz
+    dlogits = (probs - _one_hot(labels)) / len(probs)
     dW = dlogits.T @ z
     db = dlogits.sum(axis=0)
     dz = dlogits @ model.W                     # (B, n_qubits)
 
-    e = steps.gradient((signs @ dz.T) * psi, tape, model.theta)
+    e = model.pqc.steps.gradient((z_signs(model.n_qubits) @ dz.T) * psi,
+                                 tape, model.theta)
     return e.real, dW, db
 
 
@@ -177,17 +189,24 @@ def evaluate(model: HybridModel, features, labels) -> float:
     return accuracy(model, features, labels)
 
 
-def _epoch_metrics(model, xt, yt, xv, yv) -> dict:
-    """Loss and accuracy of both splits, from one forward pass per split."""
-    metrics = {}
-    for split, x, y in (("train", xt, yt), ("val", xv, yv)):
-        if len(y):
-            probs = forward_batch(model, x)[0]
-            metrics[f"{split}_loss"] = _cross_entropy(probs, y)
-            metrics[f"{split}_acc"] = hit_rate(probs, y)
-        else:
+def _epoch_metrics(model, st, yt, sv, yv, keep):
+    """(metrics, kept): loss and accuracy of both splits from one forward
+    pass per split on its encoded states, and with keep the train split's
+    `_taped` (tape, probs, z) for the next full-batch step, else None."""
+    metrics, kept = {}, None
+    for split, states, y in (("train", st, yt), ("val", sv, yv)):
+        if not len(y):
             metrics[f"{split}_loss"] = metrics[f"{split}_acc"] = float("nan")
-    return metrics
+            continue
+        if keep and split == "train":
+            kept = _taped(model, states)
+            probs = kept[1]
+        else:
+            probs = _readout(model,
+                             model.pqc.steps.run(states.T, model.theta))[0]
+        metrics[f"{split}_loss"] = _cross_entropy(probs, y)
+        metrics[f"{split}_acc"] = hit_rate(probs, y)
+    return metrics, kept
 
 
 def train(model: HybridModel, dataset, config: TrainConfig):
@@ -196,14 +215,23 @@ def train(model: HybridModel, dataset, config: TrainConfig):
     Epoch 0 of the history holds the untrained metrics, so resuming from a
     synthesized parameter seed starts exactly at the approximated model's
     numbers.
+
+    Both splits are encoded once per call; `encode_states` works row by
+    row, so a mini-batch's rows of the encoded split are the bits its own
+    encoding gives.  A full-batch step (batch_size None: every row in split
+    order) runs at the parameters of the previous epoch's metrics pass, so
+    it differentiates the tape that pass kept: one forward pass per
+    full-batch epoch.  Each tape is dropped once its gradient is taken.
     """
     if len(dataset.train_idx) == 0:
         raise ValueError("empty training split")
     scaler = model.scaler or fit_scaler(dataset.train_features)
-    xt = apply_scaler(scaler, dataset.train_features)
+    st = encode_states(apply_scaler(scaler, dataset.train_features),
+                       model.scheme)
     yt = dataset.train_labels
-    xv = apply_scaler(scaler, dataset.val_features)
     yv = dataset.val_labels
+    sv = encode_states(apply_scaler(scaler, dataset.val_features),
+                       model.scheme) if len(yv) else None
 
     model = HybridModel(model.scheme, model.pqc, model.theta.copy(),
                         model.W.copy(), model.b.copy(), scaler=scaler,
@@ -214,18 +242,23 @@ def train(model: HybridModel, dataset, config: TrainConfig):
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     rng = np.random.default_rng(config.seed)
-    history = [{"epoch": 0, **_epoch_metrics(model, xt, yt, xv, yv)}]
+    full = config.batch_size is None
+    metrics, kept = _epoch_metrics(model, st, yt, sv, yv, keep=full)
+    history = [{"epoch": 0, **metrics}]
 
     step = 0
     for epoch in range(1, config.epochs + 1):
-        if config.batch_size is None:
-            batches = [np.arange(len(yt))]
+        if full:
+            batches = [slice(None)]
         else:
             order = rng.permutation(len(yt))
             batches = [order[i:i + config.batch_size]
                        for i in range(0, len(order), config.batch_size)]
         for batch in batches:
-            dtheta, dW, db = gradients(model, xt[batch], yt[batch])
+            if not full:
+                kept = _taped(model, st[batch])
+            dtheta, dW, db = _backprop(model, *kept, yt[batch])
+            kept = None
             grad = np.concatenate([dtheta, dW.ravel(), db])
             step += 1
             m = BETA1 * m + (1 - BETA1) * grad
@@ -236,7 +269,9 @@ def train(model: HybridModel, dataset, config: TrainConfig):
             model.theta = params[:n_theta]
             model.W = params[n_theta:n_theta + model.W.size].reshape(model.W.shape)
             model.b = params[n_theta + model.W.size:]
-        history.append({"epoch": epoch, **_epoch_metrics(model, xt, yt, xv, yv)})
+        metrics, kept = _epoch_metrics(model, st, yt, sv, yv,
+                                       keep=full and epoch < config.epochs)
+        history.append({"epoch": epoch, **metrics})
 
     model.history = history
     return model, history

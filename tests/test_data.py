@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,48 @@ def test_stratified_split_properties(seed, sizes):
     assert len(train) + len(val) == labels.size
     counts = [int(np.sum(labels[val] == c)) for c in range(len(sizes))]
     assert counts == [int(round(data.VAL_FRACTION * n)) for n in sizes]
+
+
+def _np_unique_split(labels, seed):
+    """The split as it read with classes from np.unique."""
+    rng = np.random.default_rng(seed)
+    train, val = [], []
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        n_val = int(round(data.VAL_FRACTION * idx.size))
+        val.extend(idx[:n_val])
+        train.extend(idx[n_val:])
+    return np.sort(np.asarray(train, int)), np.sort(np.asarray(val, int))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2000), st.lists(st.integers(-3, 9), min_size=1,
+                                      max_size=80))
+def test_stratified_split_matches_np_unique_classes(seed, labels):
+    labels = np.asarray(labels)
+    for got, want in zip(data.stratified_split(labels, seed),
+                         _np_unique_split(labels, seed)):
+        assert np.array_equal(got, want)
+
+
+def test_loading_iris_leaves_numpy_ma_unimported():
+    # np.unique's first call in a process imports numpy.ma, about 16 ms of
+    # every command's start-up under numpy 2; numpy 1.x imports numpy.ma
+    # with numpy itself, so the check is that loading adds no import
+    code = ("import sys\n"
+            "import numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from qdistill.data import load_iris\n"
+            "load_iris(seed=0)\n"
+            "print(before, 'numpy.ma' in sys.modules)\n")
+    src = Path(data.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    before, after = out.stdout.split()
+    assert after == before
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

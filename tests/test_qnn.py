@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdistill import circuit as circ, data, encoding, noisesim, qnn
 from qdistill.circuit import Op, Param
@@ -141,6 +143,94 @@ def test_training_is_deterministic():
     b, _ = qnn.train(model, ds, cfg)
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.W, b.W)
+
+
+def _reference_train(model, dataset, config):
+    """(theta, W, b, history) of `qnn.train` as a loop over the public
+    kernels: `forward_batch` on each split per epoch, `gradients` per
+    batch, each call encoding its own rows."""
+    scaler = model.scaler or encoding.fit_scaler(dataset.train_features)
+    xt = encoding.apply_scaler(scaler, dataset.train_features)
+    yt = dataset.train_labels
+    xv = encoding.apply_scaler(scaler, dataset.val_features)
+    yv = dataset.val_labels
+    model = qnn.HybridModel(model.scheme, model.pqc, model.theta.copy(),
+                            model.W.copy(), model.b.copy(), scaler=scaler)
+
+    def metrics():
+        out = {}
+        for split, x, y in (("train", xt, yt), ("val", xv, yv)):
+            if len(y):
+                probs = qnn.forward_batch(model, x)[0]
+                out[f"{split}_loss"] = qnn._cross_entropy(probs, y)
+                out[f"{split}_acc"] = qnn.hit_rate(probs, y)
+            else:
+                out[f"{split}_loss"] = out[f"{split}_acc"] = float("nan")
+        return out
+
+    n_theta = model.theta.size
+    params = np.concatenate([model.theta, model.W.ravel(), model.b])
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    rng = np.random.default_rng(config.seed)
+    history = [{"epoch": 0, **metrics()}]
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        if config.batch_size is None:
+            batches = [np.arange(len(yt))]
+        else:
+            order = rng.permutation(len(yt))
+            batches = [order[i:i + config.batch_size]
+                       for i in range(0, len(order), config.batch_size)]
+        for batch in batches:
+            dtheta, dW, db = qnn.gradients(model, xt[batch], yt[batch])
+            grad = np.concatenate([dtheta, dW.ravel(), db])
+            step += 1
+            m = qnn.BETA1 * m + (1 - qnn.BETA1) * grad
+            v = qnn.BETA2 * v + (1 - qnn.BETA2) * grad ** 2
+            mhat = m / (1 - qnn.BETA1 ** step)
+            vhat = v / (1 - qnn.BETA2 ** step)
+            params = params - qnn.LEARNING_RATE * mhat / (np.sqrt(vhat)
+                                                          + qnn.EPSILON)
+            model.theta = params[:n_theta]
+            model.W = params[n_theta:n_theta + model.W.size].reshape(
+                model.W.shape)
+            model.b = params[n_theta + model.W.size:]
+        history.append({"epoch": epoch, **metrics()})
+    return model.theta, model.W, model.b, history
+
+
+def _history_bits(history):
+    """Each row's (key, value bytes) in key order; nan equals nan."""
+    return [[(k, np.float64(v).tobytes()) for k, v in row.items()]
+            for row in history]
+
+
+# a few rows can leave an Iris column constant
+@pytest.mark.filterwarnings("ignore:constant feature column")
+@pytest.mark.parametrize("batch", [None, 1, 16, "all"])
+@settings(max_examples=10, deadline=None)
+@given(template=st.sampled_from(["c15", "c6", "c2"]), layers=st.integers(1, 2),
+       mode=st.sampled_from(["1:1", "2:1"]), epochs=st.integers(1, 3),
+       rows=st.integers(3, 40), no_val=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_training_matches_the_step_by_step_reference(
+        batch, template, layers, mode, epochs, rows, no_val, seed):
+    ds = data.load_iris(seed=seed % 7)
+    ds = data.Dataset(ds.features, ds.labels, ds.train_idx[:rows],
+                      ds.val_idx[:0] if no_val else ds.val_idx, "subset")
+    # 1:1 on four qubits, 2:1 on two: both encodings take Iris's 4 features
+    scheme = EncodingScheme(mode, 4 if mode == "1:1" else 2)
+    model = qnn.init_model(template, layers, scheme, seed=seed)
+    if batch == "all":
+        batch = rows + seed % 3     # one shuffled batch of every row
+    config = qnn.TrainConfig(epochs=epochs, batch_size=batch, seed=seed)
+    trained, history = qnn.train(model, ds, config)
+    theta, W, b, want = _reference_train(model, ds, config)
+    assert trained.theta.tobytes() == theta.tobytes()
+    assert trained.W.tobytes() == W.tobytes()
+    assert trained.b.tobytes() == b.tobytes()
+    assert _history_bits(history) == _history_bits(want)
 
 
 def test_train_config_validation():
