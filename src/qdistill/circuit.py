@@ -439,8 +439,7 @@ class StepList:
         the order of a Kronecker chain over one step's factors, so each
         matrix is the same bits."""
         gather, _, identity = self._tables(theta)
-        h = (theta[self._slots] if theta.ndim == 1
-             else theta[:, self._slots]) / 2
+        h = theta[..., self._slots] / 2
         cs = np.cos(np.add.outer(h, _SHIFTS))
         f = np.concatenate([cs @ _FACTORS, identity], axis=-2)
         k = np.multiply.reduce(f.ravel()[gather])
@@ -503,10 +502,7 @@ class StepList:
         if adjoints is not None:
             terms = (envs.ravel()[self._tables(theta)[1]]
                      * self._signs).sum(axis=-1)
-            if e.ndim == 1:
-                e[self._slots] = terms
-            else:
-                e[:, self._slots] = terms
+            e[..., self._slots] = terms
         return e
 
 

@@ -67,6 +67,8 @@ def _int_list(text: str):
         values = [int(tok) for tok in str(text).split(",") if tok != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from exc
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct ints: {text!r}")
     return _nonempty(values, text)
 
 
@@ -82,7 +84,7 @@ def _load_dataset(data, classes, seed):
         return load_iris(seed=seed)
     if not os.path.exists(data):
         raise DataError(f"dataset not found: {data}")
-    if classes is None or len(classes) != 3 or len(set(classes)) != 3:
+    if classes is None or len(classes) != 3:
         raise ValueError(f"CSV datasets need --classes a,b,c, three distinct "
                          f"classes, got {classes}")
     return _load_input(load_features_csv, data, "dataset", classes, seed=seed)

@@ -12,11 +12,14 @@ One evaluator per ``synthesize`` or ``distill`` call computes the distance,
 the trace overlap and the exact reverse-mode gradient from the student's
 compiled step list (`circuit.StepList`), the same one that trains and
 fine-tunes the classifier in `qnn`.  ``distill``'s seeds are chains in
-lockstep: each chain's anneal and polish are generators that yield the
-points they need evaluated, and one loop (`_lockstep`) answers every live
-chain's pending point with one stacked evaluator call per tick.  Each chain
-draws, stops and counts as it would alone, and its result is the same bits
-as ``synthesize`` at its seed.
+lockstep that share one config and differ only in their seed: each chain's
+anneal and polish are generators that yield the points theta they need
+evaluated, and one loop (`_lockstep`) answers every live chain's pending
+point with one stacked evaluator call per tick.  Each phase asks one kind of
+request: the anneal asks for values, the polish for values (rotation-solve)
+or values and gradients (grad-lbfgs).  Each chain draws, stops and counts as
+it would alone, and its result is the same bits as ``synthesize`` at its
+seed.
 
 The global optimizer is one from-scratch generalized simulated annealing
 (GSA) chain from a uniform random start in [-pi, pi]: heavy-tailed Tsallis
@@ -38,7 +41,6 @@ total stays within budget + 200.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import warnings
@@ -213,18 +215,14 @@ class _Evaluator:
         return self.values(theta[None])[0]
 
 
-# what a chain's request asks for: the distance, or it and its gradient
-_VALUE, _VALUE_AND_GRAD = "value", "value_and_grad"
-
-
 def _lockstep(chains, answer):
-    """Run chains, generators that yield (kind, theta) requests and are sent
-    each answer, to their ends in lockstep.  Each tick stacks the live
-    chains' pending thetas of one kind into a (C, P) array and answers them
-    with one call of answer[kind], which returns one answer per row.
-    Returns each chain's return value and its request count by kind."""
+    """Run chains, generators that yield points theta and are sent each
+    answer, to their ends in lockstep.  Each tick stacks the live chains'
+    pending thetas into a (C, P) array and answers them with one call of
+    answer, which returns one answer per row.  Returns each chain's return
+    value and its request count."""
     out = [None] * len(chains)
-    calls = [dict.fromkeys(answer, 0) for _ in chains]
+    calls = [0] * len(chains)
     pending = {}
 
     def advance(i, reply):
@@ -236,15 +234,11 @@ def _lockstep(chains, answer):
     for i in range(len(chains)):
         advance(i, None)
     while pending:
-        groups = {}
-        for i, (kind, theta) in pending.items():
-            groups.setdefault(kind, []).append((i, theta))
-        pending.clear()
-        for kind, group in groups.items():
-            replies = answer[kind](np.array([theta for _, theta in group]))
-            for (i, _), reply in zip(group, replies):
-                calls[i][kind] += 1
-                advance(i, reply)
+        live = list(pending)
+        replies = answer(np.array([pending.pop(i) for i in live]))
+        for i, reply in zip(live, replies):
+            calls[i] += 1
+            advance(i, reply)
     return out, calls
 
 
@@ -341,15 +335,18 @@ def _visit(rng, x, step, temperature):
 
 def _anneal(cost, dim, rng, anneal_evals):
     """One GSA chain over dim angles from a uniform random start, as a
-    generator of (kind, theta) requests (`_lockstep`): at most 1000
-    temperature steps of 2 * dim visits each, ending sooner once
+    generator of points theta whose values it is sent (`_lockstep`): at
+    most 1000 temperature steps of 2 * dim visits each, ending sooner once
     anneal_evals evaluations are spent, so its number of evaluations does
     not depend on the values.  Returns the number of temperature steps
     that made a visit, what ended the chain ("step_cap" or
-    "anneal_fraction") and the number of accepted moves."""
+    "anneal_fraction"; None for dim 0, which ends after its start) and the
+    number of accepted moves."""
     t1 = math.exp((VISIT - 1.0) * math.log(2.0)) - 1.0
     x_cur = rng.uniform(-math.pi, math.pi, dim)
-    e_cur = cost.charge(x_cur, (yield _VALUE, x_cur))
+    e_cur = cost.charge(x_cur, (yield x_cur))
+    if not dim:
+        return 0, None, 0
     accepted = 0
     for step in range(1000):
         t2 = math.exp((VISIT - 1.0) * math.log(step + 2.0)) - 1.0
@@ -359,7 +356,7 @@ def _anneal(cost, dim, rng, anneal_evals):
             if cost.nfev >= anneal_evals:
                 return (step + 1 if j else step), "anneal_fraction", accepted
             x_visit = _visit(rng, x_cur, j, temperature)
-            e = cost.charge(x_visit, (yield _VALUE, x_visit))
+            e = cost.charge(x_visit, (yield x_visit))
             accept = e < e_cur
             if not accept:
                 pqv_temp = 1.0 - ((1.0 - ACCEPT) * (e - e_cur)
@@ -421,8 +418,8 @@ def _best_angle(probe, a0, d0, controlled):
 
 def _rotation_solve(cost, evaluator, rng):
     """Cyclic exact line search over rotation angles (Rotosolve), as a
-    generator of (kind, theta) requests (`_lockstep`): only its restarts
-    yield.
+    generator of points theta whose values it is sent (`_lockstep`): only
+    its restarts yield.
 
     Every parameter is the angle of exactly one rotation gate, so each
     coordinate jumps straight to its constrained maximizer (`_best_angle`).
@@ -477,7 +474,7 @@ def _rotation_solve(cost, evaluator, rng):
         if not improved:
             if cost.max_evals - cost.nfev > 10 * x.size:
                 x = rng.uniform(-math.pi, math.pi, x.size)
-                d_cur = cost.charge(x, (yield _VALUE, x))
+                d_cur = cost.charge(x, (yield x))
                 restarts += 1
             else:
                 return restarts, 0
@@ -552,9 +549,9 @@ class _InverseHessian:
 
 def _lbfgs(cost, rng):
     """Multi-start L-BFGS on the exact gradient until the budget runs out,
-    as a generator of (kind, theta) requests (`_lockstep`); returns the
-    number of searches started after the first and the number of search
-    directions computed.
+    as a generator of points theta whose values and gradients it is sent
+    (`_lockstep`); returns the number of searches started after the first
+    and the number of search directions computed.
 
     Each search is unconstrained L-BFGS (Liu & Nocedal 1989): its direction
     is -H g for the compact inverse Hessian of the last 10 curvature pairs
@@ -581,7 +578,7 @@ def _lbfgs(cost, rng):
     while not cost.exhausted:
         restarts += 1
         before = cost.best_e
-        f, g = yield _VALUE_AND_GRAD, x
+        f, g = yield x
         cost.record(x, f, charge=2)
         hessian = _InverseHessian(x.size)
         while 1e-10 < np.abs(g).max() < math.inf:
@@ -595,7 +592,7 @@ def _lbfgs(cost, rng):
                 if cost.exhausted:
                     return restarts, directions
                 x_new = x - t * q
-                f_new, g_new = yield _VALUE_AND_GRAD, x_new
+                f_new, g_new = yield x_new
                 cost.record(x_new, f_new, charge=2)
                 if f_new <= f + 1e-4 * t * slope:
                     break
@@ -619,67 +616,54 @@ def _lbfgs(cost, rng):
 def synthesize(problem: SynthesisProblem,
                config: AnnealConfig | None = None) -> SynthesisResult:
     """Minimize the student-teacher Hilbert-Schmidt distance over theta."""
-    return _synthesize_chains(problem, [config or AnnealConfig()])[0]
+    config = config or AnnealConfig()
+    return _synthesize_chains(problem, config, [config.seed])[0]
 
 
-def _synthesize_chains(problem: SynthesisProblem, configs) -> list:
-    """One chain per config, each anneal then polish, in lockstep on one
-    evaluator (`_lockstep`); returns each chain's `SynthesisResult`, the
-    same as its own run but for stats' chains, anneal_s and polish_s,
-    which are the group's."""
+def _synthesize_chains(problem: SynthesisProblem, config: AnnealConfig,
+                       seeds) -> list:
+    """One chain per seed, each anneal then polish as config says (its seed
+    is not read), in lockstep on one evaluator (`_lockstep`); returns each
+    chain's `SynthesisResult`, the same as its own run but for stats'
+    chains, anneal_s and polish_s, which are the group's.  A student
+    without parameters is only evaluated at its start: nothing anneals and
+    no polish runs."""
     student = problem.student
     n = student.n_params
     evaluator = _Evaluator(student, problem.teacher_unitary,
                            problem.state_prep)
-    chains = len(configs)
-
-    if n == 0:
-        # the one evaluation is the anneal's start, and nothing anneals
-        start = time.perf_counter()
-        d = evaluator.value(np.empty(0))
-        stats = dict(value_calls=1, value_and_grad_calls=0,
-                     anneal_evaluations=1, polish_evaluations=0,
-                     anneal_steps=0, anneal_ended_by=None,
-                     anneal_accepted=0, polish_restarts=0,
-                     polish_directions=0, chains=chains,
-                     anneal_s=time.perf_counter() - start, polish_s=0.0)
-        trace = evaluator.overlap(np.empty(0))
-        return [SynthesisResult(np.empty(0), d, 1, trace,
-                                d <= CONVERGE_THRESHOLD, seed=config.seed,
-                                improvements=[(1, d)], stats=dict(stats))
-                for config in configs]
-
+    chains = len(seeds)
     if problem.budget < 10 * n:
         warnings.warn(
             f"budget {problem.budget} is below the recommended 10x"
             f" parameter count ({10 * n})", stacklevel=3)
 
-    answer = {_VALUE: evaluator.values,
-              _VALUE_AND_GRAD: evaluator.values_and_grads}
     start = time.perf_counter()
     costs = [_CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
-             for _ in configs]
-    rngs = [np.random.default_rng(config.seed) for config in configs]
+             for _ in seeds]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
     anneals, anneal_calls = _lockstep(
-        [_anneal(cost, n, rng,
-                 max(1, int(problem.budget * config.anneal_fraction)))
-         for cost, rng, config in zip(costs, rngs, configs)], answer)
+        [_anneal(cost, n, rng, anneal_evals)
+         for cost, rng in zip(costs, rngs)], evaluator.values)
     anneal_evaluations = [cost.nfev for cost in costs]
     polish_start = time.perf_counter()
 
     # the anneal stops within budget, short of the polish allowance
-    polishes, polish_calls = _lockstep(
-        [_rotation_solve(cost, evaluator, rng)
-         if config.polish_method.lower() == "rotation-solve"
-         else _lbfgs(cost, rng)
-         for cost, rng, config in zip(costs, rngs, configs)], answer)
-    polish_s = time.perf_counter() - polish_start
+    grad = config.polish_method.lower() == "grad-lbfgs"
+    if n:
+        polishes, polish_calls = _lockstep(
+            [_lbfgs(cost, rng) if grad
+             else _rotation_solve(cost, evaluator, rng)
+             for cost, rng in zip(costs, rngs)],
+            evaluator.values_and_grads if grad else evaluator.values)
+        polish_s = time.perf_counter() - polish_start
+    else:   # nothing to polish
+        polishes, polish_calls, polish_s = [(0, 0)] * chains, [0] * chains, 0.0
     traces = evaluator.overlaps(np.array([cost.best_x for cost in costs]))
 
     results = []
-    for i, (cost, config) in enumerate(zip(costs, configs)):
-        calls = {kind: anneal_calls[i][kind] + polish_calls[i][kind]
-                 for kind in answer}
+    for i, (cost, seed) in enumerate(zip(costs, seeds)):
         steps, ended_by, accepted = anneals[i]
         restarts, directions = polishes[i]
         results.append(SynthesisResult(
@@ -688,10 +672,11 @@ def _synthesize_chains(problem: SynthesisProblem, configs) -> list:
             evaluations=cost.nfev,
             trace_of_best=traces[i],
             converged=cost.best_e <= CONVERGE_THRESHOLD,
-            seed=config.seed,
+            seed=seed,
             improvements=cost.improvements,
-            stats=dict(value_calls=calls[_VALUE],
-                       value_and_grad_calls=calls[_VALUE_AND_GRAD],
+            stats=dict(value_calls=anneal_calls[i]
+                       + (0 if grad else polish_calls[i]),
+                       value_and_grad_calls=polish_calls[i] if grad else 0,
                        anneal_evaluations=anneal_evaluations[i],
                        polish_evaluations=cost.nfev - anneal_evaluations[i],
                        anneal_steps=steps, anneal_ended_by=ended_by,
@@ -708,10 +693,10 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
 
     The teacher's circuit parameters are frozen and its unitary becomes the
     synthesis target.  Each seed (default: ``config.seed``) runs an
-    independent chain, all of them in lockstep on one stacked evaluator
-    (`_synthesize_chains`), each with the result ``synthesize`` gives at its
-    seed; of the chains within `DISTANCE_TIE` of the best distance, the
-    lowest seed wins.  The returned student model shares the teacher's
+    independent chain with config's polish method and anneal fraction, all
+    of them in lockstep on one stacked evaluator (`_synthesize_chains`),
+    each with the result ``synthesize`` gives at its seed; of the chains
+    within `DISTANCE_TIE` of the best distance, the lowest seed wins.  The returned student model shares the teacher's
     encoding scheme, scaler, and dense head; only the PQC differs.
     """
     from . import qnn
@@ -725,8 +710,7 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
     student = build_template(template_id, n, layers)
     teacher_u = unitary_of(bind(teacher_model.pqc, teacher_model.theta))
     problem = SynthesisProblem(teacher_u, student, budget=budget)
-    results = _synthesize_chains(
-        problem, [dataclasses.replace(config, seed=s) for s in seeds])
+    results = _synthesize_chains(problem, config, seeds)
     best = min(r.distance for r in results)
     result = min((r for r in results if r.distance <= best + DISTANCE_TIE),
                  key=lambda r: r.seed)

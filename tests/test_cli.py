@@ -239,6 +239,45 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+_REPEATED_LISTS = {
+    # each would repeat its work: one checkpoint written twice, two
+    # identical chains, one sweep row twice
+    "distill --layers": ["--layers", "1,1", "--seeds", "0"],
+    "distill --seeds": ["--layers", "1", "--seeds", "3,3"],
+    "fidelity-sweep --qubits": ["--qubits", "2,2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_LISTS))
+def test_repeated_list_value_is_a_usage_error(trained_dir, tmp_path, capsys,
+                                              case):
+    command = case.split()[0]
+    given = ["--teacher", os.path.join(trained_dir, "c2_1l_seed7.json")] \
+        if command == "distill" else ["--instances", "1"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, *given, *_REPEATED_LISTS[case], "--budget", "80",
+             "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected distinct ints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_with_repeated_seeds_exits_3(trained_dir, tmp_path, capsys):
+    teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
+    d1, d2 = tmp_path / "run", tmp_path / "replay"
+    assert run(["distill", "--teacher", teacher, "--layers", "1",
+                "--budget", "80", "--seeds", "3,4", "--out", str(d1)]) == 0
+    doc = json.loads((d1 / "manifest.json").read_text())
+    doc["config"]["seeds"] = [3, 3]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["replay", "--manifest", str(path), "--out", str(d2)])
+    _assert_data_error(rc, capsys, path)
+    assert not d2.exists() or os.listdir(d2) == []
+
+
 @pytest.mark.parametrize("command", ["train", "distill", "transpile-report",
                                      "fidelity-sweep"])
 def test_unknown_template_is_a_usage_error(trained_dir, tmp_path, capsys,
@@ -428,11 +467,12 @@ def test_duplicate_classes_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "good.csv"
     path.write_text(_CSV_HEADER + _CSV_ROWS)
     out = tmp_path / "out"
-    rc = run(["train", "--data", str(path), "--classes", "0,1,1",
-              "--epochs", "1", "--out", str(out)])
-    assert rc == cli.EXIT_USAGE
-    assert "three distinct classes" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--data", str(path), "--classes", "0,1,1",
+             "--epochs", "1", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "expected distinct ints: '0,1,1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classes_with_iris_is_a_usage_error(tmp_path):

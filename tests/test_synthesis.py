@@ -254,17 +254,32 @@ def test_config_validation():
 
 
 def test_zero_parameter_student():
+    # the one evaluation is the anneal's start: nothing anneals or polishes,
+    # and a group's chains each equal their solo run
     c = Circuit(1, [Op(K.X, (0,))])
-    u = circ.unitary_of(c)
-    res = syn.synthesize(syn.SynthesisProblem(u, c))
-    assert res.distance == pytest.approx(0.0)
-    assert res.evaluations == 1
-    assert res.converged
-    assert res.stats["anneal_evaluations"] == res.stats["value_calls"] == 1
-    assert res.stats["polish_evaluations"] == res.stats["polish_s"] == 0
-    assert res.stats["anneal_accepted"] == res.stats["polish_restarts"] \
-        == res.stats["polish_directions"] == 0
-    assert res.stats["anneal_s"] >= 0
+    prob = syn.SynthesisProblem(circ.unitary_of(c), c)
+    for method in syn.POLISH_METHODS:
+        cfg = syn.AnnealConfig(polish_method=method)
+        res = syn.synthesize(prob, cfg)
+        assert res.distance == pytest.approx(0.0)
+        assert res.evaluations == 1
+        assert res.converged
+        assert res.improvements == [(1, res.distance)]
+        assert res.stats["anneal_evaluations"] == res.stats["value_calls"] == 1
+        assert res.stats["value_and_grad_calls"] == 0
+        assert res.stats["polish_evaluations"] == 0
+        assert res.stats["anneal_steps"] == 0
+        assert res.stats["polish_s"] == 0.0
+        assert res.stats["anneal_ended_by"] is None
+        assert res.stats["anneal_accepted"] == res.stats["polish_restarts"] \
+            == res.stats["polish_directions"] == 0
+        assert res.stats["anneal_s"] >= 0
+        group = syn._synthesize_chains(prob, cfg, (4, 0, 9))
+        for chain, seed in zip(group, (4, 0, 9)):
+            assert chain.stats["chains"] == 3
+            assert chain.stats["polish_s"] == 0.0
+            solo = syn.synthesize(prob, dataclasses.replace(cfg, seed=seed))
+            assert _chain_record(chain) == _chain_record(solo)
 
 
 def test_budget_respected():
@@ -353,8 +368,7 @@ def test_stats_count_the_work(method):
     again = syn.synthesize(prob, cfg).stats
     assert again.pop("anneal_s") >= 0 and again.pop("polish_s") >= 0
     assert again == stats
-    beside = syn._synthesize_chains(
-        prob, [dataclasses.replace(cfg, seed=s) for s in (5, 2, 9)])[1].stats
+    beside = syn._synthesize_chains(prob, cfg, (5, 2, 9))[1].stats
     assert beside.pop("anneal_s") >= 0 and beside.pop("polish_s") >= 0
     assert beside == {**stats, "chains": 3}
     assert set(stats) == {"value_calls", "value_and_grad_calls",
@@ -389,9 +403,9 @@ def _polish_from(x0, fg, calls, max_calls, seed=0):
     cost = syn._CostTracker(None, 2 * max_calls)
     cost.record(x0, fg(x0)[0], charge=0)
     calls.clear()
-    answer = {syn._VALUE_AND_GRAD: lambda thetas: [fg(t) for t in thetas]}
     chain = syn._lbfgs(cost, np.random.default_rng(seed))
-    return cost, syn._lockstep([chain], answer)[0][0]
+    return cost, syn._lockstep([chain],
+                               lambda thetas: [fg(t) for t in thetas])[0][0]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -581,23 +595,25 @@ def _chain_record(result):
        st.sampled_from(syn.POLISH_METHODS), st.floats(0.05, 1.0),
        st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4,
                 unique=True),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_lockstep_chains_equal_their_one_chain_runs(tid, n, layers, budget,
                                                     method, fraction, seeds,
-                                                    complex_teacher, seed):
+                                                    complex_teacher,
+                                                    state_prep, seed):
     # the chains of one call share every stacked evaluator call, yet each
     # draws, stops, counts and ends as it does alone; a complex teacher
-    # runs a real student in complex arithmetic
+    # runs a real student in complex arithmetic, and state prep runs each
+    # chain's one column on its own
     teacher = random_unitary(2 ** n, seed) if complex_teacher \
         else template_unitary("c15", n, 2, seed)[0]
     problem = syn.SynthesisProblem(teacher, circ.build_template(tid, n, layers),
-                                   budget=budget)
-    configs = [syn.AnnealConfig(seed=s, polish_method=method,
-                                anneal_fraction=fraction) for s in seeds]
+                                   budget=budget, state_prep=state_prep)
+    config = syn.AnnealConfig(polish_method=method, anneal_fraction=fraction)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # small budgets
-        together = syn._synthesize_chains(problem, configs)
-        alone = [syn.synthesize(problem, config) for config in configs]
+        together = syn._synthesize_chains(problem, config, seeds)
+        alone = [syn.synthesize(problem, dataclasses.replace(config, seed=s))
+                 for s in seeds]
     for chain, solo in zip(together, alone):
         assert chain.stats["chains"] == len(seeds)
         assert solo.stats["chains"] == 1
@@ -635,10 +651,10 @@ def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
         syn.distill(teacher, ("c2", 1), cfg, budget=300, seeds=[])
 
     # equal distances: the lower seed wins, whatever the seed order
-    def tied(problem, configs):
+    def tied(problem, config, seeds):
         return [syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5,
-                                    1, 0j, False, seed=config.seed)
-                for config in configs]
+                                    1, 0j, False, seed=seed)
+                for seed in seeds]
 
     monkeypatch.setattr(syn, "_synthesize_chains", tied)
     _, result = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
@@ -649,11 +665,10 @@ def test_distill_treats_rounding_level_gaps_as_ties(monkeypatch):
     # two chains that reached one optimum, 3e-16 apart: the lower seed wins
     distance = {7: 0.6325258357864334, 8: 0.6325258357864331, 9: 0.7}
 
-    def chains(problem, configs):
+    def chains(problem, config, seeds):
         return [syn.SynthesisResult(np.zeros(problem.student.n_params),
-                                    distance[config.seed], 1, 0j, False,
-                                    seed=config.seed)
-                for config in configs]
+                                    distance[seed], 1, 0j, False, seed=seed)
+                for seed in seeds]
 
     monkeypatch.setattr(syn, "_synthesize_chains", chains)
     _, result = syn.distill(_small_teacher(), ("c2", 1), seeds=[9, 8, 7])
