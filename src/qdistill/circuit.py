@@ -143,7 +143,8 @@ class _Rotation:
     diagonal RZ and CRZ).  For a controlled rotation the phase is zero on the
     rows whose control bit is 0, which the gate leaves alone.  A chain's
     cos(a/2) and sin(a/2) come from `math`, as for one theta, so each chain
-    of a stack is the same bits as its own run.
+    of a stack is the same bits as its own run.  `apply(..., adjoint=True)`
+    undoes the step, in the reverse sweep as in rotation-solve.
     """
 
     def __init__(self, op, dim):
@@ -177,17 +178,14 @@ class _Rotation:
         on = self.mask * x
         return np.vdot(lam, x - on), np.vdot(lam, on), q
 
-    def reverse(self, lam, x, e, theta, pull):
-        """One step of `StepList.gradient`: e[slot] from the step's output
-        block x (one vdot per chain of a stack), then lam pulled back
-        through the step if pull."""
+    def term(self, lam, x, e):
+        """e[slot] = <lam, -i G x> for the output block x, per chain."""
         g = self.generate(x)
         if e.ndim == 1:
             e[self.slot] = -1j * complex(np.vdot(lam, g))
         else:
             for c in range(len(e)):
                 e[c, self.slot] = -1j * complex(np.vdot(lam[c], g[c]))
-        return self.apply(lam, theta, adjoint=True) if pull else lam
 
     def apply(self, x, theta, adjoint=False):
         unit = 1j if adjoint else -1j
@@ -276,9 +274,6 @@ class _Dense:
     def apply(self, x, theta, adjoint=False):
         return self.m[adjoint] @ x
 
-    def reverse(self, lam, x, e, theta, pull):
-        return self.apply(lam, theta, adjoint=True) if pull else lam
-
 
 def _gather_table(layout, rows):
     """Indices into the flattened (factor, entry) array f of
@@ -343,8 +338,11 @@ class StepList:
     the slot's rotation in step k, where lam_k = S_(k+1)^dag ... S_last^dag
     lam and x_(k+1) is the block after the step's rotations (the rotations
     of one step commute, so they share lam_k and x_(k+1)).  Then <lam, psi>
-    has derivative e/2 in theta, and f has derivative Re(e).  A fused step
-    D K costs one environment product and one adjoint matmul: with M =
+    has derivative e/2 in theta, and f has derivative Re(e).  Each unfused
+    step, a rotation or a literal run, is undone by its own `apply(...,
+    adjoint=True)`, the call rotation-solve makes, and a rotation's term is
+    one vdot per chain (`_Rotation.term`).  A fused step D K costs one
+    environment product and one adjoint matmul: with M =
     conj(lam) y^T for lam and the block y after D, member j's term is sum_r
     sigma_j(r) M[r, pi_j(r)], where (pi_j, sigma_j) is the signed
     permutation D G_j D^T, and one gather over the stacked M's takes every
@@ -498,7 +496,10 @@ class StepList:
             else:
                 if lam.ndim < x.ndim:   # one lam for every chain so far
                     lam = np.broadcast_to(lam, x.shape)
-                lam = step.reverse(lam, x, e, theta, pull=k > 0)
+                if step.slot is not None:
+                    step.term(lam, x, e)
+                if k:
+                    lam = step.apply(lam, theta, adjoint=True)
         if adjoints is not None:
             terms = (envs.ravel()[self._tables(theta)[1]]
                      * self._signs).sum(axis=-1)

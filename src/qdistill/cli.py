@@ -56,25 +56,28 @@ def _out_dir(args) -> str:
     return out
 
 
-def _nonempty(values, text):
+def _comma_list(text, parse, kind):
+    """Every list option's rule: the comma-separated entries of text, blank
+    ones skipped, each parsed, non-empty and distinct."""
+    try:
+        values = [parse(tok.strip()) for tok in str(text).split(",")
+                  if tok.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {kind}: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"expected a non-empty list: {text!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct {kind}: {text!r}")
     return values
 
 
 def _int_list(text: str):
-    try:
-        values = [int(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from exc
-    if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected distinct ints: {text!r}")
-    return _nonempty(values, text)
+    return _comma_list(text, int, "ints")
 
 
 def _str_list(text: str):
-    values = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    return _nonempty(values, text)
+    return _comma_list(text, str, "names")
 
 
 def _load_dataset(data, classes, seed):

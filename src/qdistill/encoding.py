@@ -5,8 +5,10 @@ Angle encoding in two flavors: 1:1 (one feature per qubit, H then RZ) and
 is the one statement of each qubit's gates after H, and one check admits the
 features, which must be pre-scaled into [-pi, pi]; :class:`Scaler` provides
 the min-max map fitted on training data.  Two functions read the list:
-`encode` builds one row's circuit (for noisy evaluation) and `encode_states`
-all rows' product states at once (for the ideal model).
+`encode` builds one row's circuit, the public reference that the tests
+check the other paths against, and `encode_states` all rows' product
+states at once (for the ideal model).  Noisy evaluation builds every row's
+prefix from the list in `noisesim._lowered_rows`.
 """
 
 from __future__ import annotations

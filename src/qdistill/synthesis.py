@@ -165,7 +165,6 @@ class _Evaluator:
         self.start = np.eye(dim, cols, dtype=self.target.dtype)
         self.x0 = self.start if state_prep else None   # None: the identity
         self.norm = 1.0 if state_prep else 1.0 / dim
-        self.n_params = student.n_params
         self.steps = student.steps
 
     def distance(self, t):
@@ -193,26 +192,18 @@ class _Evaluator:
                           for tape, theta in zip(tapes, thetas)])
             blocks = [tape.blocks[-1] for tape in tapes]
         ts = [np.vdot(self.target, x).item() for x in blocks]
-        lost = [abs(t) < 1e-300 for t in ts]    # no phase to differentiate
-        # d distance/da = Re(w e)
-        w = np.array([0.0 if gone else -0.5 * self.norm * t.conjugate()
-                      / abs(t) for t, gone in zip(ts, lost)])
+        # d distance/da = Re(w e); a vanished overlap has no phase to
+        # differentiate, and its distance is 1 whatever theta does
+        w = np.array([0.0 if abs(t) < 1e-300
+                      else -0.5 * self.norm * t.conjugate() / abs(t)
+                      for t in ts])
         if e.dtype.kind == "f":
             grads = w[:, None] * e
         else:
             # Re(w e) term by term: numpy's vectorized complex product, as
             # in (w * e).real, rounds differently from the scalar one
             grads = w.real[:, None] * e.real - w.imag[:, None] * e.imag
-        if any(lost):
-            grads[lost] = 0.0
-        return [(1.0 if gone else self.distance(t), g)
-                for t, gone, g in zip(ts, lost, grads)]
-
-    def overlap(self, theta) -> complex:
-        return self.overlaps(theta[None])[0]
-
-    def value(self, theta) -> float:
-        return self.values(theta[None])[0]
+        return [(self.distance(t), g) for t, g in zip(ts, grads)]
 
 
 def _lockstep(chains, answer):
@@ -245,8 +236,7 @@ def _lockstep(chains, answer):
 class _CostTracker:
     """Counts evaluations and keeps the best-ever point and improvement trace."""
 
-    def __init__(self, fun, max_evals):
-        self._fun = fun    # the distance every charged value equals
+    def __init__(self, max_evals):
         self.max_evals = max_evals
         self.nfev = 0
         self.best_x = None
@@ -639,8 +629,7 @@ def _synthesize_chains(problem: SynthesisProblem, config: AnnealConfig,
             f" parameter count ({10 * n})", stacklevel=3)
 
     start = time.perf_counter()
-    costs = [_CostTracker(evaluator.value, problem.budget + POLISH_ALLOWANCE)
-             for _ in seeds]
+    costs = [_CostTracker(problem.budget + POLISH_ALLOWANCE) for _ in seeds]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     anneal_evals = max(1, int(problem.budget * config.anneal_fraction))
     anneals, anneal_calls = _lockstep(
@@ -696,8 +685,9 @@ def distill(teacher_model, student_template, config: AnnealConfig | None = None,
     independent chain with config's polish method and anneal fraction, all
     of them in lockstep on one stacked evaluator (`_synthesize_chains`),
     each with the result ``synthesize`` gives at its seed; of the chains
-    within `DISTANCE_TIE` of the best distance, the lowest seed wins.  The returned student model shares the teacher's
-    encoding scheme, scaler, and dense head; only the PQC differs.
+    within `DISTANCE_TIE` of the best distance, the lowest seed wins.  The
+    returned student model shares the teacher's encoding scheme, scaler,
+    and dense head; only the PQC differs.
     """
     from . import qnn
 

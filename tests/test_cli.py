@@ -241,10 +241,15 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, case):
 
 _REPEATED_LISTS = {
     # each would repeat its work: one checkpoint written twice, two
-    # identical chains, one sweep row twice
-    "distill --layers": ["--layers", "1,1", "--seeds", "0"],
-    "distill --seeds": ["--layers", "1", "--seeds", "3,3"],
-    "fidelity-sweep --qubits": ["--qubits", "2,2"],
+    # identical chains, one sweep or overhead row twice, one checkpoint's
+    # noisy evaluation twice
+    "distill --layers": ["--layers", "1,1", "--seeds", "0", "--budget", "80"],
+    "distill --seeds": ["--layers", "1", "--seeds", "3,3", "--budget", "80"],
+    "fidelity-sweep --qubits": ["--qubits", "2,2", "--instances", "1",
+                                "--budget", "80"],
+    "noise-eval --checkpoints": ["--checkpoints", "a.json,a.json"],
+    "transpile-report --bases": ["--bases", "IBM,IBM"],
+    "transpile-report --templates": ["--templates", "c2,c2"],
 }
 
 
@@ -253,29 +258,33 @@ def test_repeated_list_value_is_a_usage_error(trained_dir, tmp_path, capsys,
                                               case):
     command = case.split()[0]
     given = ["--teacher", os.path.join(trained_dir, "c2_1l_seed7.json")] \
-        if command == "distill" else ["--instances", "1"]
+        if command == "distill" else []
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        run([command, *given, *_REPEATED_LISTS[case], "--budget", "80",
-             "--out", str(out)])
+        run([command, *given, *_REPEATED_LISTS[case], "--out", str(out)])
     assert exc.value.code == cli.EXIT_USAGE
-    assert "expected distinct ints" in capsys.readouterr().err
+    assert "expected distinct" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_manifest_with_repeated_seeds_exits_3(trained_dir, tmp_path, capsys):
+    # a recorded repeat in an integer and in a name list
     teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
-    d1, d2 = tmp_path / "run", tmp_path / "replay"
-    assert run(["distill", "--teacher", teacher, "--layers", "1",
-                "--budget", "80", "--seeds", "3,4", "--out", str(d1)]) == 0
-    doc = json.loads((d1 / "manifest.json").read_text())
-    doc["config"]["seeds"] = [3, 3]
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    rc = run(["replay", "--manifest", str(path), "--out", str(d2)])
-    _assert_data_error(rc, capsys, path)
-    assert not d2.exists() or os.listdir(d2) == []
+    for i, (argv, key, repeat) in enumerate([
+            (["distill", "--teacher", teacher, "--layers", "1", "--budget",
+              "80", "--seeds", "3,4"], "seeds", [3, 3]),
+            (["transpile-report", "--templates", "c2", "--qubits", "2"],
+             "templates", ["c2", "c2"])]):
+        d1, d2 = tmp_path / f"run{i}", tmp_path / f"replay{i}"
+        assert run([*argv, "--out", str(d1)]) == 0
+        doc = json.loads((d1 / "manifest.json").read_text())
+        doc["config"][key] = repeat
+        path = tmp_path / f"manifest{i}.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run(["replay", "--manifest", str(path), "--out", str(d2)])
+        _assert_data_error(rc, capsys, path)
+        assert not d2.exists() or os.listdir(d2) == []
 
 
 @pytest.mark.parametrize("command", ["train", "distill", "transpile-report",

@@ -43,6 +43,42 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _self_attributes(tree):
+    """(class, attribute) for every attribute a class's code stores on
+    self."""
+    return sorted({(cls.name, node.attr)
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "self"})
+
+
+def _attributes_read(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_unread_attribute_check_sees_one():
+    tree = ast.parse("class C:\n    def __init__(self, a):\n"
+                     "        self.a, self.b = a, a\n        self.c = a\n"
+                     "    def f(self):\n        return self.a + other.b\n")
+    stored = _self_attributes(tree)
+    assert stored == [("C", "a"), ("C", "b"), ("C", "c")]
+    read = _attributes_read(tree)
+    assert [attr for attr in stored if attr[1] not in read] == [("C", "c")]
+
+
+def test_every_attribute_stored_on_self_is_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_attributes_read, trees.values()))
+    unread = [f"{name}: {cls}.{attr}" for name, tree in trees.items()
+              for cls, attr in _self_attributes(tree) if attr not in read]
+    assert unread == []
+
+
 def test_import_computes_no_gate_matrix():
     # the rewrite rules are a constant table, checked by a test, not at import
     code = ("import sys\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdistill import circuit as circ, synthesis as syn
 from qdistill.circuit import Circuit, Op, Param
-from qdistill.gates import GateKind as K, gate_matrix
+from qdistill.gates import PAULI, GateKind as K, gate_matrix
 
 
 def random_unitary(dim, seed):
@@ -28,12 +28,12 @@ def template_unitary(tid, n, layers, seed):
 
 def _distance(student, teacher):
     """The evaluator's distance of a bound student from a teacher unitary."""
-    return syn._Evaluator(student, teacher).value(np.empty(0))
+    return syn._Evaluator(student, teacher).values(np.empty((1, 0)))[0]
 
 
 def _trace_overlap(student, teacher):
     """Tr(U^dag V) of teacher U and bound student V, as synthesis computes it."""
-    return syn._Evaluator(student, teacher).overlap(np.empty(0))
+    return syn._Evaluator(student, teacher).overlaps(np.empty((1, 0)))[0]
 
 
 def _bound(tid, n, seed):
@@ -141,20 +141,22 @@ def _check_overlap(ev, student, teacher, state_prep, theta):
         t, norm = np.vdot(teacher[:, 0], v[:, 0]), 1.0
     else:
         t, norm = np.vdot(teacher, v), 1.0 / v.shape[0]
-    assert abs(ev.overlap(theta) - t) <= 1e-10
-    assert abs(ev.value(theta) - max(0.0, 1.0 - norm * abs(t))) <= 1e-10
+    assert abs(ev.overlaps(theta[None])[0] - t) <= 1e-10
+    assert abs(ev.values(theta[None])[0] - max(0.0, 1.0 - norm * abs(t))) \
+        <= 1e-10
 
 
 def _check_gradient(ev, theta):
     """every adjoint gradient entry against central differences."""
     f, g = ev.values_and_grads(theta[None])[0]
-    assert f == ev.value(theta)
+    assert f == ev.values(theta[None])[0]
     eps = 1e-6
     for j in range(theta.size):
         xp, xm = theta.copy(), theta.copy()
         xp[j] += eps
         xm[j] -= eps
-        fd = (ev.value(xp) - ev.value(xm)) / (2 * eps)
+        fp, fm = ev.values(np.array([xp, xm]))
+        fd = (fp - fm) / (2 * eps)
         assert g[j] == pytest.approx(fd, abs=1e-7)
 
 
@@ -400,7 +402,7 @@ def _polish_from(x0, fg, calls, max_calls, seed=0):
     whose requests fg answers, with a budget of max_calls value-and-gradient
     calls; returns the cost tracker and the restart and direction counts,
     and leaves only the polish's calls in calls."""
-    cost = syn._CostTracker(None, 2 * max_calls)
+    cost = syn._CostTracker(2 * max_calls)
     cost.record(x0, fg(x0)[0], charge=0)
     calls.clear()
     chain = syn._lbfgs(cost, np.random.default_rng(seed))
@@ -523,7 +525,7 @@ def test_one_cos_call_per_point(monkeypatch):
     monkeypatch.setattr(np, "cos", counted)
     ev.values_and_grads(theta[None])
     assert len(calls) == 1
-    ev.value(theta)
+    ev.values(theta[None])
     assert len(calls) == 2
 
 
@@ -709,13 +711,16 @@ _ROTATION_STUDENTS = {
 }
 
 
-def _check_charges(monkeypatch):
-    """Check every value a tracker is charged against a full circuit run."""
+def _check_charges(monkeypatch, problem):
+    """Check every value a tracker is charged against a full circuit run of
+    the problem's student."""
     seen = {"charged": 0, "after_budget": 0}
     charge = syn._CostTracker.charge
+    ev = syn._Evaluator(problem.student, problem.teacher_unitary,
+                        problem.state_prep)
 
     def checked(self, x, e):
-        assert abs(self._fun(x) - e) <= 1e-13
+        assert abs(ev.values(x[None])[0] - e) <= 1e-13
         seen["charged"] += 1
         seen["after_budget"] += self.exhausted
         return charge(self, x, e)
@@ -728,10 +733,10 @@ def _check_charges(monkeypatch):
 @pytest.mark.parametrize("student", sorted(_ROTATION_STUDENTS))
 def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
                                               state_prep):
-    seen = _check_charges(monkeypatch)
     problem = syn.SynthesisProblem(random_unitary(8, 3),
                                    _ROTATION_STUDENTS[student], budget=300,
                                    state_prep=state_prep)
+    seen = _check_charges(monkeypatch, problem)
     cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
                            anneal_fraction=0.2)
     res = syn.synthesize(problem, cfg)
@@ -741,10 +746,10 @@ def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
 def test_rotation_solve_on_a_real_full_mode_student(monkeypatch):
     # c15 against a c15 teacher evaluates in float64; rotation-solve walks
     # the fused RY runs' members, in complex arithmetic
-    seen = _check_charges(monkeypatch)
     teacher, _, _ = template_unitary("c15", 3, 2, 5)
     problem = syn.SynthesisProblem(teacher, circ.build_template("c15", 3, 1),
                                    budget=300)
+    seen = _check_charges(monkeypatch, problem)
     assert syn._Evaluator(problem.student, teacher).start.dtype == np.float64
     cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
                            anneal_fraction=0.2)
@@ -780,9 +785,9 @@ def test_rotation_solve_skips_flat_coordinate(monkeypatch, seed):
 @pytest.mark.filterwarnings("ignore:budget")
 @pytest.mark.parametrize("student", ["c6", "text-shuffled"])
 def test_rotation_solve_budget_runs_out_mid_coordinate(monkeypatch, student):
-    seen = _check_charges(monkeypatch)
     problem = syn.SynthesisProblem(random_unitary(8, 4),
                                    _ROTATION_STUDENTS[student], budget=5)
+    seen = _check_charges(monkeypatch, problem)
     cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve")
     res = syn.synthesize(problem, cfg)
     # probes made after the budget ran out are returned but not charged
@@ -852,6 +857,21 @@ def test_rotation_solve_sweep_matches_full_run_probes(n, inst, evaluations,
     assert abs(sum(d for _, d in kept) - total) <= count * 1e-12
 
 
+@pytest.mark.parametrize("kind,teacher,state_prep", [
+    # Tr(Z RX(a)) = cos(a/2) Tr(Z) = 0, and <1|RZ(a)|0> = 0, at every a
+    (K.RX, "Z", False), (K.RZ, "X", True)])
+def test_vanished_overlap_is_distance_one_with_zero_gradient(kind, teacher,
+                                                             state_prep):
+    ev = syn._Evaluator(Circuit(1, [Op(kind, (0,), Param(0))]),
+                        PAULI[teacher], state_prep)
+    thetas = np.random.default_rng(0).uniform(-math.pi, math.pi, (3, 1))
+    for stack in (thetas[:1], thetas):
+        assert ev.overlaps(stack) == [0j] * len(stack)
+        for value, grad in ev.values_and_grads(stack):
+            assert value == 1.0
+            assert not grad.any()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 3), st.integers(1, 3),
        st.integers(0, 10_000))
@@ -869,8 +889,9 @@ def test_real_student_against_real_teacher_runs_in_float64(n, t_layers,
     assert tape.adjoints.dtype == np.float64
     v = circ.unitary_of(circ.bind(student, theta))
     want = max(0.0, 1.0 - abs(np.trace(teacher.conj().T @ v)) / 2 ** n)
-    assert abs(ev.value(theta) - want) <= 1e-13
-    assert ev.values_and_grads(theta[None])[0][0] == ev.value(theta)
+    value = ev.values(theta[None])[0]
+    assert abs(value - want) <= 1e-13
+    assert ev.values_and_grads(theta[None])[0][0] == value
     # a complex teacher, a complex student or state prep's one column
     # keeps complex arithmetic
     assert syn._Evaluator(student, 1j * teacher).start.dtype == complex
