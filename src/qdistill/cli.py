@@ -56,9 +56,9 @@ def _out_dir(args) -> str:
     return out
 
 
-def _comma_list(text, parse, kind):
+def _comma_list(text, parse, kind, key=None):
     """Every list option's rule: the comma-separated entries of text, blank
-    ones skipped, each parsed, non-empty and distinct."""
+    ones skipped, each parsed, non-empty and distinct (by key, if given)."""
     try:
         values = [parse(tok.strip()) for tok in str(text).split(",")
                   if tok.strip()]
@@ -67,7 +67,7 @@ def _comma_list(text, parse, kind):
             f"expected comma-separated {kind}: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"expected a non-empty list: {text!r}")
-    if len(set(values)) < len(values):
+    if len(set(map(key, values) if key else values)) < len(values):
         raise argparse.ArgumentTypeError(f"expected distinct {kind}: {text!r}")
     return values
 
@@ -78,6 +78,10 @@ def _int_list(text: str):
 
 def _str_list(text: str):
     return _comma_list(text, str, "names")
+
+
+def _basis_list(text: str):   # `transpile.lower` reads any case
+    return _comma_list(text, str, "names", key=str.upper)
 
 
 def _load_dataset(data, classes, seed):
@@ -180,8 +184,8 @@ def run_train(config: dict, out_dir: str):
                              [[row[c] for c in columns] for row in history])]
 
 
-def _anneal_config(config: dict, seed: int) -> AnnealConfig:
-    return AnnealConfig(seed=seed, **{
+def _anneal_config(config: dict) -> AnnealConfig:
+    return AnnealConfig(**{
         key: config[key] for key in ("polish_method", "anneal_fraction")
         if config.get(key) is not None})
 
@@ -198,8 +202,7 @@ def run_distill(config: dict, out_dir: str):
     rows = []
     for layers in config["layers"]:
         model, result = distill(
-            teacher, (config["template"], layers),
-            _anneal_config(config, seeds[0]),
+            teacher, (config["template"], layers), _anneal_config(config),
             budget=config["budget"], seeds=seeds)
         if not math.isfinite(result.distance):
             raise NumericalError("synthesis produced a non-finite distance")
@@ -293,7 +296,8 @@ def run_fidelity_sweep(config: dict, out_dir: str):
             problem = SynthesisProblem(target, student_tpl,
                                        budget=config["budget"],
                                        state_prep=True)
-            result = synthesize(problem, _anneal_config(config, config["seed"]))
+            result = synthesize(problem, _anneal_config(config),
+                                [config["seed"]])
             fid = min(1.0, abs(result.trace_of_best) ** 2)
             if not math.isfinite(fid):
                 raise NumericalError("fidelity sweep produced a non-finite value")
@@ -435,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    seed=False)
     p.add_argument("--templates", type=_str_list, default=None,
                    help="comma-separated template ids (default: all)")
-    p.add_argument("--bases", type=_str_list, default=["IBM", "Rigetti"])
+    p.add_argument("--bases", type=_basis_list, default=["IBM", "Rigetti"])
     p.add_argument("--qubits", type=int, default=4)
 
     p = add_parser("noise-eval", "accuracy under a device profile")

@@ -8,18 +8,17 @@ teacher up to phase.  In state-prep mode only the action on |0...0> counts,
 d = 1 - |<psi|V|0...0>| with psi the teacher's first column.  Reported
 distances are clamped at 0 against rounding, so they stay in [0, 1].
 
-One evaluator per ``synthesize`` or ``distill`` call computes the distance,
-the trace overlap and the exact reverse-mode gradient from the student's
-compiled step list (`circuit.StepList`), the same one that trains and
-fine-tunes the classifier in `qnn`.  ``distill``'s seeds are chains in
-lockstep that share one config and differ only in their seed: each chain's
-anneal and polish are generators that yield the points theta they need
-evaluated, and one loop (`_lockstep`) answers every live chain's pending
-point with one stacked evaluator call per tick.  Each phase asks one kind of
-request: the anneal asks for values, the polish for values (rotation-solve)
-or values and gradients (grad-lbfgs).  Each chain draws, stops and counts as
-it would alone, and its result is the same bits as ``synthesize`` at its
-seed.
+``synthesize`` is the one synthesis call, and ``distill`` wraps it for a
+teacher model.  One evaluator per call computes the distance, the trace
+overlap and the exact reverse-mode gradient from the student's compiled
+step list (`circuit.StepList`), the same one that trains and fine-tunes the
+classifier in `qnn`.  Its seeds are chains in lockstep that share one
+config: each chain's anneal and polish are generators that yield the
+points theta they need evaluated, and one loop (`_lockstep`) answers every
+live chain's pending point with one stacked evaluator call per tick, of the
+one kind its phase asks for (values, or values and gradients in grad-lbfgs's
+polish).  Each chain draws, stops and counts as it would alone, and of the
+chains within `DISTANCE_TIE` of the best distance the lowest seed wins.
 
 The global optimizer is one from-scratch generalized simulated annealing
 (GSA) chain from a uniform random start in [-pi, pi]: heavy-tailed Tsallis
@@ -56,7 +55,7 @@ _SPAN = 2.0 * math.pi     # every angle is searched in [-pi, pi]
 POLISH_ALLOWANCE = 200
 POLISH_METHODS = ("grad-lbfgs", "rotation-solve")
 CONVERGE_THRESHOLD = 0.05
-# distill's chains within this of the best distance tie, and the lowest seed
+# a group's chains within this of the best distance tie, and the lowest seed
 # wins: chains that reach one optimum end about 1e-16 apart, as rounding falls
 DISTANCE_TIE = 1e-12
 # GSA schedule and acceptance: the stock dual-annealing defaults
@@ -95,14 +94,14 @@ class SynthesisProblem:
 
 @dataclass
 class AnnealConfig:
-    seed: int = 0
-    polish_method: str = "grad-lbfgs"
+    polish_method: str = "grad-lbfgs"   # any case, kept lower-cased
     # cap on the anneal's share of the budget; the chain may end sooner,
     # at its step cap, and the polish gets the rest
     anneal_fraction: float = 0.6
 
     def __post_init__(self):
-        if self.polish_method.lower() not in POLISH_METHODS:
+        self.polish_method = self.polish_method.lower()
+        if self.polish_method not in POLISH_METHODS:
             raise ValueError("polish_method must be one of "
                              + ", ".join(POLISH_METHODS))
         if not 0 < self.anneal_fraction <= 1:
@@ -125,11 +124,10 @@ class SynthesisResult:
     # "anneal_fraction"; None when there are no parameters to anneal),
     # anneal_accepted (accepted moves), polish_restarts (searches started
     # after the first), polish_directions (L-BFGS directions computed, 0
-    # for rotation-solve) and chains (the chains that shared the stacked
-    # evaluator calls: 1 for ``synthesize``, the seed count for
-    # ``distill``); and anneal_s and polish_s, the wall time in seconds of
-    # each phase of the whole group of chains, the only entries a rerun
-    # changes
+    # for rotation-solve) and chains (the seed count of the group that
+    # shared the stacked evaluator calls); and anneal_s and polish_s, the
+    # wall time in seconds of each phase of the whole group of chains, the
+    # only entries a rerun changes
     stats: dict = field(default_factory=dict)
 
 
@@ -140,8 +138,9 @@ class _Evaluator:
     The student runs as its compiled step list (`Circuit.steps`) on a block X
     that starts as the identity, or as |0...0> in state-prep mode, where X is
     (dim, 1).  The overlap is t = <target, X>: Tr(U^dag V) in full mode,
-    <psi|V|0...0> in state-prep mode.  The distance is 1 - |t|/dim (full) or
-    1 - |t| (state prep), clamped at 0 against rounding.
+    <psi|V|0...0> in state-prep mode.  The distance is 1 - |t| / cols for
+    X's cols columns, clamped at 0 against rounding; a NaN overlap's is NaN,
+    which no `_CostTracker` keeps as its best.
 
     The gradient comes from one forward and one reverse sweep of the step
     list, started from lam = target: dt/da = e/2 for each slot's term e
@@ -164,11 +163,11 @@ class _Evaluator:
             self.target = self.target.real.copy()
         self.start = np.eye(dim, cols, dtype=self.target.dtype)
         self.x0 = self.start if state_prep else None   # None: the identity
-        self.norm = 1.0 if state_prep else 1.0 / dim
+        self.norm = 1.0 / cols
         self.steps = student.steps
 
     def distance(self, t):
-        return max(0.0, 1.0 - self.norm * abs(t))
+        return max(1.0 - self.norm * abs(t), 0.0)
 
     def overlaps(self, thetas) -> list:
         if self.x0 is None:
@@ -603,21 +602,28 @@ def _lbfgs(cost, rng):
     return restarts, directions
 
 
-def synthesize(problem: SynthesisProblem,
-               config: AnnealConfig | None = None) -> SynthesisResult:
-    """Minimize the student-teacher Hilbert-Schmidt distance over theta."""
-    config = config or AnnealConfig()
-    return _synthesize_chains(problem, config, [config.seed])[0]
+def synthesize(problem: SynthesisProblem, config: AnnealConfig | None = None,
+               seeds=(0,)) -> SynthesisResult:
+    """Minimize the student-teacher Hilbert-Schmidt distance over theta with
+    one chain per seed (`_synthesize_chains`); returns the `SynthesisResult`
+    of the lowest seed within `DISTANCE_TIE` of the best distance."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    results = _synthesize_chains(problem, config or AnnealConfig(), seeds)
+    best = min(r.distance for r in results)
+    return min((r for r in results if r.distance <= best + DISTANCE_TIE),
+               key=lambda r: r.seed)
 
 
 def _synthesize_chains(problem: SynthesisProblem, config: AnnealConfig,
                        seeds) -> list:
-    """One chain per seed, each anneal then polish as config says (its seed
-    is not read), in lockstep on one evaluator (`_lockstep`); returns each
-    chain's `SynthesisResult`, the same as its own run but for stats'
-    chains, anneal_s and polish_s, which are the group's.  A student
-    without parameters is only evaluated at its start: nothing anneals and
-    no polish runs."""
+    """One chain per seed, each anneal then polish as config says, in
+    lockstep on one evaluator (`_lockstep`); returns each chain's
+    `SynthesisResult`, the same as its own run but for stats' chains,
+    anneal_s and polish_s, which are the group's.  A student without
+    parameters is only evaluated at its start: nothing anneals and no polish
+    runs."""
     student = problem.student
     n = student.n_params
     evaluator = _Evaluator(student, problem.teacher_unitary,
@@ -639,7 +645,7 @@ def _synthesize_chains(problem: SynthesisProblem, config: AnnealConfig,
     polish_start = time.perf_counter()
 
     # the anneal stops within budget, short of the polish allowance
-    grad = config.polish_method.lower() == "grad-lbfgs"
+    grad = config.polish_method == "grad-lbfgs"
     if n:
         polishes, polish_calls = _lockstep(
             [_lbfgs(cost, rng) if grad
@@ -676,34 +682,21 @@ def _synthesize_chains(problem: SynthesisProblem, config: AnnealConfig,
 
 
 def distill(teacher_model, student_template, config: AnnealConfig | None = None,
-            budget: int = 1000, seeds=None):
+            budget: int = 1000, seeds=(0,)):
     """Synthesize a student PQC against a frozen teacher; returns the student
-    model and the winning chain's `SynthesisResult`.
+    model and ``synthesize``'s `SynthesisResult` for its seeds.
 
     The teacher's circuit parameters are frozen and its unitary becomes the
-    synthesis target.  Each seed (default: ``config.seed``) runs an
-    independent chain with config's polish method and anneal fraction, all
-    of them in lockstep on one stacked evaluator (`_synthesize_chains`),
-    each with the result ``synthesize`` gives at its seed; of the chains
-    within `DISTANCE_TIE` of the best distance, the lowest seed wins.  The
-    returned student model shares the teacher's encoding scheme, scaler,
-    and dense head; only the PQC differs.
+    synthesis target.  The returned student model shares the teacher's
+    encoding scheme, scaler, and dense head; only the PQC differs.
     """
     from . import qnn
 
-    config = config or AnnealConfig()
-    seeds = [config.seed] if seeds is None else list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     template_id, layers = student_template
-    n = teacher_model.n_qubits
-    student = build_template(template_id, n, layers)
+    student = build_template(template_id, teacher_model.n_qubits, layers)
     teacher_u = unitary_of(bind(teacher_model.pqc, teacher_model.theta))
-    problem = SynthesisProblem(teacher_u, student, budget=budget)
-    results = _synthesize_chains(problem, config, seeds)
-    best = min(r.distance for r in results)
-    result = min((r for r in results if r.distance <= best + DISTANCE_TIE),
-                 key=lambda r: r.seed)
+    result = synthesize(SynthesisProblem(teacher_u, student, budget=budget),
+                        config, seeds)
 
     model = qnn.HybridModel(
         teacher_model.scheme, student, result.theta_star,

@@ -242,13 +242,14 @@ def test_empty_list_is_a_usage_error(tmp_path, capsys, case):
 _REPEATED_LISTS = {
     # each would repeat its work: one checkpoint written twice, two
     # identical chains, one sweep or overhead row twice, one checkpoint's
-    # noisy evaluation twice
+    # noisy evaluation twice; a basis is read in any case
     "distill --layers": ["--layers", "1,1", "--seeds", "0", "--budget", "80"],
     "distill --seeds": ["--layers", "1", "--seeds", "3,3", "--budget", "80"],
     "fidelity-sweep --qubits": ["--qubits", "2,2", "--instances", "1",
                                 "--budget", "80"],
     "noise-eval --checkpoints": ["--checkpoints", "a.json,a.json"],
     "transpile-report --bases": ["--bases", "IBM,IBM"],
+    "transpile-report --bases in two cases": ["--bases", "IBM,ibm"],
     "transpile-report --templates": ["--templates", "c2,c2"],
 }
 
@@ -268,13 +269,16 @@ def test_repeated_list_value_is_a_usage_error(trained_dir, tmp_path, capsys,
 
 
 def test_manifest_with_repeated_seeds_exits_3(trained_dir, tmp_path, capsys):
-    # a recorded repeat in an integer and in a name list
+    # a recorded repeat in an integer and in a name list, and a basis
+    # recorded in two cases
     teacher = os.path.join(trained_dir, "c2_1l_seed7.json")
     for i, (argv, key, repeat) in enumerate([
             (["distill", "--teacher", teacher, "--layers", "1", "--budget",
               "80", "--seeds", "3,4"], "seeds", [3, 3]),
             (["transpile-report", "--templates", "c2", "--qubits", "2"],
-             "templates", ["c2", "c2"])]):
+             "templates", ["c2", "c2"]),
+            (["transpile-report", "--templates", "c2", "--qubits", "2"],
+             "bases", ["IBM", "ibm"])]):
         d1, d2 = tmp_path / f"run{i}", tmp_path / f"replay{i}"
         assert run([*argv, "--out", str(d1)]) == 0
         doc = json.loads((d1 / "manifest.json").read_text())

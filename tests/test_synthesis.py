@@ -234,9 +234,9 @@ def test_grad_lbfgs_distance_never_negative():
     # self-synthesis drives the overlap to |t| = N, where rounding used to
     # report distances like -4.4e-16
     u, tpl, _ = template_unitary("c2", 2, 1, seed=0)
-    cfg = syn.AnnealConfig(seed=0, polish_method="grad-lbfgs",
-                           anneal_fraction=0.2)
-    res = syn.synthesize(syn.SynthesisProblem(u, tpl, budget=2000), cfg)
+    cfg = syn.AnnealConfig(polish_method="grad-lbfgs", anneal_fraction=0.2)
+    res = syn.synthesize(syn.SynthesisProblem(u, tpl, budget=2000), cfg,
+                         seeds=[0])
     assert res.distance >= 0.0
     assert all(d >= 0.0 for _, d in res.improvements)
 
@@ -248,11 +248,39 @@ def test_problem_validation():
 
 
 def test_config_validation():
+    assert [f.name for f in dataclasses.fields(syn.AnnealConfig)] \
+        == ["polish_method", "anneal_fraction"]
     for method in ("newton", "nelder-mead", "powell", "lbfgs"):
         with pytest.raises(ValueError):
             syn.AnnealConfig(polish_method=method)
     with pytest.raises(ValueError):
         syn.AnnealConfig(anneal_fraction=0.0)
+
+
+@pytest.mark.parametrize("method", syn.POLISH_METHODS)
+def test_polish_method_is_read_in_any_case(method):
+    cfg = syn.AnnealConfig(polish_method=method.upper())
+    assert cfg.polish_method == method
+    u, tpl, _ = template_unitary("c2", 2, 1, seed=5)
+    prob = syn.SynthesisProblem(u, tpl, budget=200)
+    assert _chain_record(syn.synthesize(prob, cfg)) == _chain_record(
+        syn.synthesize(prob, syn.AnnealConfig(polish_method=method)))
+
+
+@pytest.mark.parametrize("state_prep", [False, True])
+def test_nan_overlap_is_a_nan_distance_never_kept(state_prep):
+    # max(0.0, nan) is 0.0: a NaN overlap must not read as a perfect match
+    u, tpl, _ = template_unitary("c2", 2, 1, seed=0)
+    ev = syn._Evaluator(tpl, u, state_prep)
+    theta = np.full((1, tpl.n_params), np.nan)
+    [value] = ev.values(theta)
+    [(value_g, _)] = ev.values_and_grads(theta)
+    assert math.isnan(value) and math.isnan(value_g)
+    cost = syn._CostTracker(10)
+    for e in (value, 0.5, value_g):
+        cost.record(theta[0] if math.isnan(e) else np.zeros(tpl.n_params), e)
+    assert (cost.best_e, cost.improvements) == (0.5, [(2, 0.5)])
+    assert np.array_equal(cost.best_x, np.zeros(tpl.n_params))
 
 
 def test_zero_parameter_student():
@@ -280,14 +308,14 @@ def test_zero_parameter_student():
         for chain, seed in zip(group, (4, 0, 9)):
             assert chain.stats["chains"] == 3
             assert chain.stats["polish_s"] == 0.0
-            solo = syn.synthesize(prob, dataclasses.replace(cfg, seed=seed))
+            solo = syn.synthesize(prob, cfg, seeds=[seed])
             assert _chain_record(chain) == _chain_record(solo)
 
 
 def test_budget_respected():
     u, tpl, _ = template_unitary("c2", 2, 1, seed=0)
     prob = syn.SynthesisProblem(u, tpl, budget=200)
-    res = syn.synthesize(prob, syn.AnnealConfig(seed=1))
+    res = syn.synthesize(prob, syn.AnnealConfig(), seeds=[1])
     assert res.evaluations <= 200 + syn.POLISH_ALLOWANCE + 1
 
 
@@ -311,8 +339,8 @@ def test_anneal_stops_at_step_cap_or_its_share(monkeypatch, method, budget,
     student = Circuit(1, [Op(K.RY, (0,), Param(0))])
     problem = syn.SynthesisProblem(gate_matrix(K.RX, 0.7), student,
                                    budget=budget)
-    cfg = syn.AnnealConfig(seed=0, polish_method=method, anneal_fraction=1.0)
-    res = syn.synthesize(problem, cfg)
+    cfg = syn.AnnealConfig(polish_method=method, anneal_fraction=1.0)
+    res = syn.synthesize(problem, cfg, seeds=[0])
     assert starts == [polish_start]
     # the chain ran all 1000 temperature steps either way
     assert res.stats["anneal_steps"] == 1000
@@ -325,7 +353,7 @@ def test_small_budget_warns():
     u, tpl, _ = template_unitary("c2", 3, 2, seed=0)
     with pytest.warns(UserWarning):
         syn.synthesize(syn.SynthesisProblem(u, tpl, budget=20),
-                       syn.AnnealConfig(seed=0))
+                       syn.AnnealConfig(), seeds=[0])
 
 
 @pytest.mark.parametrize("method", syn.POLISH_METHODS)
@@ -333,8 +361,8 @@ def test_stats_count_the_work(method):
     u = template_unitary("c15", 3, 2, seed=3)[0]
     prob = syn.SynthesisProblem(u, circ.build_template("c15", 3, 1),
                                 budget=400)
-    cfg = syn.AnnealConfig(seed=2, polish_method=method, anneal_fraction=0.3)
-    res = syn.synthesize(prob, cfg)
+    cfg = syn.AnnealConfig(polish_method=method, anneal_fraction=0.3)
+    res = syn.synthesize(prob, cfg, seeds=[2])
     stats = res.stats
     assert stats["anneal_evaluations"] + stats["polish_evaluations"] \
         == res.evaluations
@@ -367,7 +395,7 @@ def test_stats_count_the_work(method):
     # each phase's wall time is the one entry a rerun may change, and a
     # chain run beside others changes only it and the chain count
     assert stats.pop("anneal_s") >= 0 and stats.pop("polish_s") >= 0
-    again = syn.synthesize(prob, cfg).stats
+    again = syn.synthesize(prob, cfg, seeds=[2]).stats
     assert again.pop("anneal_s") >= 0 and again.pop("polish_s") >= 0
     assert again == stats
     beside = syn._synthesize_chains(prob, cfg, (5, 2, 9))[1].stats
@@ -532,8 +560,8 @@ def test_one_cos_call_per_point(monkeypatch):
 def test_synthesis_deterministic_per_seed():
     u, tpl, _ = template_unitary("c2", 2, 1, seed=3)
     prob = syn.SynthesisProblem(u, tpl, budget=400)
-    a = syn.synthesize(prob, syn.AnnealConfig(seed=7))
-    b = syn.synthesize(prob, syn.AnnealConfig(seed=7))
+    a = syn.synthesize(prob, syn.AnnealConfig(), seeds=[7])
+    b = syn.synthesize(prob, syn.AnnealConfig(), seeds=[7])
     assert a.distance == b.distance
     assert np.array_equal(a.theta_star, b.theta_star)
     assert a.evaluations == b.evaluations
@@ -543,7 +571,7 @@ def test_self_synthesis_recovers_target():
     # same template and layer count: the optimum is an exact match
     u, tpl, _ = template_unitary("c2", 2, 1, seed=42)
     prob = syn.SynthesisProblem(u, tpl, budget=1000)
-    best = min((syn.synthesize(prob, syn.AnnealConfig(seed=s))
+    best = min((syn.synthesize(prob, syn.AnnealConfig(), seeds=[s])
                 for s in range(3)), key=lambda r: r.distance)
     assert best.distance <= 1e-3
     assert best.converged
@@ -553,19 +581,20 @@ def test_self_synthesis_recovers_target():
 def test_polish_methods_run_and_improve(method):
     u, tpl, _ = template_unitary("c2", 2, 1, seed=9)
     prob = syn.SynthesisProblem(u, tpl, budget=800)
-    cfg = syn.AnnealConfig(seed=0, polish_method=method, anneal_fraction=0.2)
-    res = syn.synthesize(prob, cfg)
+    cfg = syn.AnnealConfig(polish_method=method, anneal_fraction=0.2)
+    res = syn.synthesize(prob, cfg, seeds=[0])
     assert res.distance <= 0.05
 
 
 def test_state_prep_mode_easier_than_full_unitary():
     u, _, _ = template_unitary("c2", 3, 6, seed=1)
     student = circ.build_template("c2", 3, 2)
-    cfg = syn.AnnealConfig(seed=0, polish_method="grad-lbfgs",
-                           anneal_fraction=0.1)
-    full = syn.synthesize(syn.SynthesisProblem(u, student, budget=2000), cfg)
+    cfg = syn.AnnealConfig(polish_method="grad-lbfgs", anneal_fraction=0.1)
+    full = syn.synthesize(syn.SynthesisProblem(u, student, budget=2000), cfg,
+                          seeds=[0])
     state = syn.synthesize(
-        syn.SynthesisProblem(u, student, budget=2000, state_prep=True), cfg)
+        syn.SynthesisProblem(u, student, budget=2000, state_prep=True), cfg,
+        seeds=[0])
     assert state.distance <= full.distance + 1e-9
     # trace_of_best in state mode is the overlap amplitude
     assert abs(state.trace_of_best) == pytest.approx(1.0 - state.distance,
@@ -575,7 +604,7 @@ def test_state_prep_mode_easier_than_full_unitary():
 def test_improvements_are_monotone():
     u, tpl, _ = template_unitary("c15", 2, 2, seed=4)
     res = syn.synthesize(syn.SynthesisProblem(u, tpl, budget=500),
-                         syn.AnnealConfig(seed=2))
+                         syn.AnnealConfig(), seeds=[2])
     dists = [d for _, d in res.improvements]
     assert dists == sorted(dists, reverse=True)
     evs = [e for e, _ in res.improvements]
@@ -614,8 +643,7 @@ def test_lockstep_chains_equal_their_one_chain_runs(tid, n, layers, budget,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # small budgets
         together = syn._synthesize_chains(problem, config, seeds)
-        alone = [syn.synthesize(problem, dataclasses.replace(config, seed=s))
-                 for s in seeds]
+        alone = [syn.synthesize(problem, config, seeds=[s]) for s in seeds]
     for chain, solo in zip(together, alone):
         assert chain.stats["chains"] == len(seeds)
         assert solo.stats["chains"] == 1
@@ -630,35 +658,72 @@ def _small_teacher():
     return qnn.init_model("c2", 1, scheme, seed=42, scaler=scaler)
 
 
+def _tied_chains(problem, config, seeds):
+    """Stands in for `_synthesize_chains`: every chain at distance 0.5."""
+    return [syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5, 1,
+                                0j, False, seed=seed)
+            for seed in seeds]
+
+
+def test_synthesize_picks_best_seed_and_breaks_ties(monkeypatch):
+    # seed 1 reaches the lowest distance, below seeds 2 and 0
+    u = template_unitary("c2", 3, 2, seed=2)[0]
+    prob = syn.SynthesisProblem(u, circ.build_template("c2", 3, 1),
+                                budget=200)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve")
+    singles = [syn.synthesize(prob, cfg, seeds=[s]) for s in [2, 0, 1]]
+    lowest = min(r.distance for r in singles)
+    best = min((r for r in singles
+                if r.distance <= lowest + syn.DISTANCE_TIE),
+               key=lambda r: r.seed)
+    result = syn.synthesize(prob, cfg, seeds=[2, 0, 1])
+    assert (result.seed, result.stats["chains"]) == (1, 3)
+    assert _chain_record(result) == _chain_record(best)
+    with pytest.raises(ValueError, match="at least one seed"):
+        syn.synthesize(prob, cfg, seeds=[])
+
+    # equal distances: the lower seed wins, whatever the seed order
+    monkeypatch.setattr(syn, "_synthesize_chains", _tied_chains)
+    assert syn.synthesize(prob, cfg, seeds=[2, 0, 1]).seed == 0
+
+
+def test_distill_is_synthesize_on_the_teachers_problem():
+    teacher = _small_teacher()
+    cfg = syn.AnnealConfig(polish_method="rotation-solve")
+    student, result = syn.distill(teacher, ("c2", 1), cfg, budget=200,
+                                  seeds=[3, 1])
+    target = circ.unitary_of(circ.bind(teacher.pqc, teacher.theta))
+    prob = syn.SynthesisProblem(target, circ.build_template("c2", 4, 1),
+                                budget=200)
+    alone = syn.synthesize(prob, cfg, seeds=[3, 1])
+    assert result.theta_star.tobytes() == alone.theta_star.tobytes()
+    assert (result.distance, result.seed) == (alone.distance, alone.seed)
+    assert student.theta.tobytes() == alone.theta_star.tobytes()
+
+
 def test_distill_picks_best_seed_and_breaks_ties(monkeypatch):
     teacher = _small_teacher()
-    cfg = syn.AnnealConfig(seed=0)
+    cfg = syn.AnnealConfig()
     _, result = syn.distill(teacher, ("c2", 1), cfg, budget=300,
                             seeds=[0, 1, 2])
     target = circ.unitary_of(circ.bind(teacher.pqc, teacher.theta))
     prob = syn.SynthesisProblem(target, circ.build_template("c2", 4, 1),
                                 budget=300)
-    singles = [syn.synthesize(prob, dataclasses.replace(cfg, seed=s))
-               for s in [0, 1, 2]]
+    singles = [syn.synthesize(prob, cfg, seeds=[s]) for s in [0, 1, 2]]
     lowest = min(r.distance for r in singles)
     best = min((r for r in singles if r.distance <= lowest + 1e-12),
                key=lambda r: r.seed)
     assert result.distance == best.distance
     assert result.seed == best.seed
     assert np.array_equal(result.theta_star, best.theta_star)
-    # no seeds: one chain at the config's seed
+    # no seeds: one chain at seed 0
     _, result = syn.distill(teacher, ("c2", 1), cfg, budget=300)
     assert (result.distance, result.seed) == (singles[0].distance, 0)
     with pytest.raises(ValueError):
         syn.distill(teacher, ("c2", 1), cfg, budget=300, seeds=[])
 
     # equal distances: the lower seed wins, whatever the seed order
-    def tied(problem, config, seeds):
-        return [syn.SynthesisResult(np.zeros(problem.student.n_params), 0.5,
-                                    1, 0j, False, seed=seed)
-                for seed in seeds]
-
-    monkeypatch.setattr(syn, "_synthesize_chains", tied)
+    monkeypatch.setattr(syn, "_synthesize_chains", _tied_chains)
     _, result = syn.distill(teacher, ("c2", 1), cfg, seeds=[2, 0, 1])
     assert result.seed == 0
 
@@ -737,9 +802,8 @@ def test_rotation_solve_probes_match_full_runs(monkeypatch, student,
                                    _ROTATION_STUDENTS[student], budget=300,
                                    state_prep=state_prep)
     seen = _check_charges(monkeypatch, problem)
-    cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
-                           anneal_fraction=0.2)
-    res = syn.synthesize(problem, cfg)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve", anneal_fraction=0.2)
+    res = syn.synthesize(problem, cfg, seeds=[1])
     assert seen["charged"] >= res.evaluations > 300 * 0.2
 
 
@@ -751,9 +815,8 @@ def test_rotation_solve_on_a_real_full_mode_student(monkeypatch):
                                    budget=300)
     seen = _check_charges(monkeypatch, problem)
     assert syn._Evaluator(problem.student, teacher).start.dtype == np.float64
-    cfg = syn.AnnealConfig(seed=1, polish_method="rotation-solve",
-                           anneal_fraction=0.2)
-    res = syn.synthesize(problem, cfg)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve", anneal_fraction=0.2)
+    res = syn.synthesize(problem, cfg, seeds=[1])
     assert seen["charged"] >= res.evaluations > 300 * 0.2
 
 
@@ -772,9 +835,8 @@ def test_rotation_solve_skips_flat_coordinate(monkeypatch, seed):
     problem = syn.SynthesisProblem(random_unitary(8, 3),
                                    _ROTATION_STUDENTS["text"], budget=600,
                                    state_prep=True)
-    cfg = syn.AnnealConfig(seed=seed, polish_method="rotation-solve",
-                           anneal_fraction=0.2)
-    syn.synthesize(problem, cfg)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve", anneal_fraction=0.2)
+    syn.synthesize(problem, cfg, seeds=[seed])
     # each pass visits all six slots in op order, so slot 0 is every sixth
     # call; a flat coordinate gets no maximizer, hence no confirm evaluation
     assert len(solved) > 6
@@ -788,8 +850,8 @@ def test_rotation_solve_budget_runs_out_mid_coordinate(monkeypatch, student):
     problem = syn.SynthesisProblem(random_unitary(8, 4),
                                    _ROTATION_STUDENTS[student], budget=5)
     seen = _check_charges(monkeypatch, problem)
-    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve")
-    res = syn.synthesize(problem, cfg)
+    cfg = syn.AnnealConfig(polish_method="rotation-solve")
+    res = syn.synthesize(problem, cfg, seeds=[0])
     # probes made after the budget ran out are returned but not charged
     assert seen["after_budget"] > 0
     assert res.evaluations <= 5 + syn.POLISH_ALLOWANCE
@@ -801,8 +863,8 @@ def test_rotation_solve_searches_a_controlled_rotations_whole_period():
                                             2 * math.pi - 0.3)]))
     problem = syn.SynthesisProblem(
         target, Circuit(2, [Op(K.CRX, (0, 1), Param(0))]), budget=200)
-    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve")
-    assert syn.synthesize(problem, cfg).distance <= 1e-12
+    cfg = syn.AnnealConfig(polish_method="rotation-solve")
+    assert syn.synthesize(problem, cfg, seeds=[0]).distance <= 1e-12
 
 
 def _above_rounding_floor(improvements):
@@ -845,9 +907,9 @@ def test_rotation_solve_sweep_matches_full_run_probes(n, inst, evaluations,
         teacher, rng.uniform(-math.pi, math.pi, teacher.n_params)))
     problem = syn.SynthesisProblem(target, circ.build_template("c2", n, 4),
                                    budget=1000, state_prep=True)
-    cfg = syn.AnnealConfig(seed=0, polish_method="rotation-solve",
+    cfg = syn.AnnealConfig(polish_method="rotation-solve",
                            anneal_fraction=0.05)
-    res = syn.synthesize(problem, cfg)
+    res = syn.synthesize(problem, cfg, seeds=[0])
     assert res.evaluations == evaluations
     assert abs(min(1.0, abs(res.trace_of_best) ** 2) - fidelity) <= 1e-12
     kept = _above_rounding_floor(res.improvements)
